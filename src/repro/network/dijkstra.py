@@ -19,35 +19,42 @@ from:
 All functions operate on any object implementing ``neighbors(node)``
 returning ``(neighbor, weight)`` pairs — the in-memory
 :class:`~repro.network.graph.SpatialNetwork`, the disk-backed store, and
-the frozen :class:`~repro.network.csr.CSRNetwork` all qualify.  A backend
-may expose array-native kernels (``dijkstra_single_source``,
-``dijkstra_single_source_with_paths``, ``dijkstra_multi_source``); when
-present they are dispatched to directly and must be bit-identical twins of
-the loops below (see :mod:`repro.network.interface`).
+the frozen :class:`~repro.network.csr.CSRNetwork` all qualify and all run
+the loops below.  The one optional backend kernel is
+``dijkstra_single_source(source, cutoff)``: when a network exposes it, it
+serves untargeted, uninstrumented :func:`single_source` calls (the CSR
+view's scipy C Dijkstra; see :mod:`repro.network.interface`).
 
-Observability
--------------
-When :mod:`repro.obs` is enabled, traversals report under the ``dijkstra.*``
-namespace: ``runs``, ``heap_pushes``, ``heap_pops``, ``nodes_settled`` and
-``edges_relaxed``.  The counting lives in *twin* loops selected by a single
-flag check on entry, so a disabled run executes the exact uninstrumented
-bytecode — the paper's cost curves must never be perturbed by the tooling
-that measures them.
+One plain and one instrumented loop per shape
+---------------------------------------------
+Each of the three shapes (single source, path tree, concurrent expansion)
+has exactly two loops:
 
-Robustness
-----------
-When :mod:`repro.faults` is engaged (fault rules installed or an
-:class:`~repro.faults.OpBudget` active) or a :mod:`repro.resilience`
-deadline is active, a third *guarded* twin runs instead: it hits the
-``dijkstra.settle`` injection site on every settle, charges the active
-budget (expansions per settle, distance computations per edge relaxation),
-and runs the cooperative deadline/cancellation checkpoint — raising the
-typed :class:`~repro.exceptions.Interrupted` subclasses
+* the **plain** loop, free of flag checks, which runs when nothing is
+  watching — the paper's cost curves must never be perturbed by the
+  tooling that measures them;
+* the **instrumented** loop (``_*_instrumented``), which runs when
+  :mod:`repro.faults` is engaged (fault rules installed or an
+  :class:`~repro.faults.OpBudget` active), a :mod:`repro.resilience`
+  deadline is active, or :mod:`repro.obs` is enabled.
+
+Dispatch order: instrumented if any of those flags is set; otherwise the
+backend kernel for an untargeted :func:`single_source` when the network
+exposes one; otherwise the plain loop.
+
+The instrumented loop hits the ``dijkstra.settle`` injection site on every
+settle, charges the active budget (expansions per settle, distance
+computations per edge relaxation), and runs the cooperative
+deadline/cancellation checkpoint — raising the typed
+:class:`~repro.exceptions.Interrupted` subclasses
 (:class:`~repro.exceptions.BudgetExceededError`,
 :class:`~repro.exceptions.DeadlineExceeded`,
-:class:`~repro.exceptions.Cancelled`) with the partially computed distance
-map.  Dispatch order is guarded > counted > plain, so fault/budget/deadline
-semantics hold whether or not observability is on.
+:class:`~repro.exceptions.Cancelled`) with the partially computed result.
+When obs is enabled it also reports under the ``dijkstra.*`` namespace:
+``runs`` (``multi_source_runs`` for the concurrent expansion),
+``heap_pushes``, ``heap_pops``, ``nodes_settled`` and ``edges_relaxed``.
+Each hook is a no-op while its subsystem is off, so fault, budget, deadline
+and counter semantics hold in any combination.
 """
 
 from __future__ import annotations
@@ -94,13 +101,13 @@ def single_source(
     -------
     dict mapping node -> distance, containing every settled node.
     """
-    kernel = getattr(network, "dijkstra_single_source", None)
-    if kernel is not None:
-        return kernel(source, targets=targets, cutoff=cutoff)
-    if _FAULTS.engaged or _RES.engaged:
-        return _single_source_guarded(network, source, targets, cutoff)
-    if _OBS.enabled:
-        return _single_source_counted(network, source, targets, cutoff)
+    if _FAULTS.engaged or _RES.engaged or _OBS.enabled:
+        return _single_source_instrumented(network, source, targets, cutoff)
+    if targets is None:
+        kernel = getattr(network, "dijkstra_single_source", None)
+        if kernel is not None:
+            return kernel(source, cutoff)
+    neighbors = network.neighbors
     remaining = set(targets) if targets is not None else None
     dist: dict[int, float] = {}
     heap: list[tuple[float, int]] = [(0.0, source)]
@@ -113,7 +120,7 @@ def single_source(
             remaining.discard(node)
             if not remaining:
                 break
-        for nbr, weight in network.neighbors(node):
+        for nbr, weight in neighbors(node):
             if nbr in dist:
                 continue
             nd = d + weight
@@ -122,62 +129,20 @@ def single_source(
     return dist
 
 
-def _single_source_counted(
+def _single_source_instrumented(
     network,
     source: int,
     targets: Iterable[int] | None,
     cutoff: float,
 ) -> dict[int, float]:
-    """Counting twin of :func:`single_source` (obs enabled)."""
+    """Fault/budget/deadline/obs twin of :func:`single_source`."""
+    budget = _FAULTS.budget
+    neighbors = network.neighbors
     remaining = set(targets) if targets is not None else None
     dist: dict[int, float] = {}
     heap: list[tuple[float, int]] = [(0.0, source)]
     pops = 0
     pushes = 1  # the seed entry
-    relaxed = 0
-    while heap:
-        d, node = heapq.heappop(heap)
-        pops += 1
-        if node in dist:
-            continue
-        dist[node] = d
-        if remaining is not None:
-            remaining.discard(node)
-            if not remaining:
-                break
-        for nbr, weight in network.neighbors(node):
-            relaxed += 1
-            if nbr in dist:
-                continue
-            nd = d + weight
-            if nd <= cutoff:
-                heapq.heappush(heap, (nd, nbr))
-                pushes += 1
-    _obs_add("dijkstra.runs")
-    _obs_add("dijkstra.heap_pops", pops)
-    _obs_add("dijkstra.heap_pushes", pushes)
-    _obs_add("dijkstra.edges_relaxed", relaxed)
-    _obs_add("dijkstra.nodes_settled", len(dist))
-    return dist
-
-
-def _single_source_guarded(
-    network,
-    source: int,
-    targets: Iterable[int] | None,
-    cutoff: float,
-) -> dict[int, float]:
-    """Fault/budget/deadline twin of :func:`single_source`.
-
-    Also counts for obs when it is enabled, so engaging faults never
-    silences the cost counters.
-    """
-    budget = _FAULTS.budget
-    remaining = set(targets) if targets is not None else None
-    dist: dict[int, float] = {}
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    pops = 0
-    pushes = 1
     relaxed = 0
     while heap:
         d, node = heapq.heappop(heap)
@@ -194,7 +159,7 @@ def _single_source_guarded(
             remaining.discard(node)
             if not remaining:
                 break
-        for nbr, weight in network.neighbors(node):
+        for nbr, weight in neighbors(node):
             relaxed += 1
             if budget is not None:
                 budget.spend_distance_computations(1, partial=dist)
@@ -221,18 +186,13 @@ def single_source_with_paths(
     """Like :func:`single_source` but also returns a predecessor map.
 
     The predecessor map sends each settled node (except the source) to the
-    previous node on one shortest path from the source.  Twin discipline
-    matches :func:`single_source` exactly: the guarded path charges the
-    budget per settle *and* per relaxed edge, and the counted path emits
-    the full ``dijkstra.*`` counter set.
+    previous node on one shortest path from the source.  The instrumented
+    loop charges the budget and emits counters exactly as
+    :func:`single_source` does.
     """
-    kernel = getattr(network, "dijkstra_single_source_with_paths", None)
-    if kernel is not None:
-        return kernel(source, cutoff=cutoff)
-    if _FAULTS.engaged or _RES.engaged:
-        return _with_paths_guarded(network, source, cutoff)
-    if _OBS.enabled:
-        return _with_paths_counted(network, source, cutoff)
+    if _FAULTS.engaged or _RES.engaged or _OBS.enabled:
+        return _with_paths_instrumented(network, source, cutoff)
+    neighbors = network.neighbors
     dist: dict[int, float] = {}
     pred: dict[int, int] = {}
     heap: list[tuple[float, int, int]] = [(0.0, source, source)]
@@ -243,7 +203,7 @@ def single_source_with_paths(
         dist[node] = d
         if node != source:
             pred[node] = parent
-        for nbr, weight in network.neighbors(node):
+        for nbr, weight in neighbors(node):
             if nbr in dist:
                 continue
             nd = d + weight
@@ -252,54 +212,19 @@ def single_source_with_paths(
     return dist, pred
 
 
-def _with_paths_counted(
+def _with_paths_instrumented(
     network,
     source: int,
     cutoff: float,
 ) -> tuple[dict[int, float], dict[int, int]]:
-    """Counting twin of :func:`single_source_with_paths` (obs enabled)."""
+    """Fault/budget/deadline/obs twin of :func:`single_source_with_paths`."""
+    budget = _FAULTS.budget
+    neighbors = network.neighbors
     dist: dict[int, float] = {}
     pred: dict[int, int] = {}
     heap: list[tuple[float, int, int]] = [(0.0, source, source)]
     pops = 0
     pushes = 1  # the seed entry
-    relaxed = 0
-    while heap:
-        d, node, parent = heapq.heappop(heap)
-        pops += 1
-        if node in dist:
-            continue
-        dist[node] = d
-        if node != source:
-            pred[node] = parent
-        for nbr, weight in network.neighbors(node):
-            relaxed += 1
-            if nbr in dist:
-                continue
-            nd = d + weight
-            if nd <= cutoff:
-                heapq.heappush(heap, (nd, nbr, node))
-                pushes += 1
-    _obs_add("dijkstra.runs")
-    _obs_add("dijkstra.heap_pops", pops)
-    _obs_add("dijkstra.heap_pushes", pushes)
-    _obs_add("dijkstra.edges_relaxed", relaxed)
-    _obs_add("dijkstra.nodes_settled", len(dist))
-    return dist, pred
-
-
-def _with_paths_guarded(
-    network,
-    source: int,
-    cutoff: float,
-) -> tuple[dict[int, float], dict[int, int]]:
-    """Fault/budget/deadline twin of :func:`single_source_with_paths`."""
-    budget = _FAULTS.budget
-    dist: dict[int, float] = {}
-    pred: dict[int, int] = {}
-    heap: list[tuple[float, int, int]] = [(0.0, source, source)]
-    pops = 0
-    pushes = 1
     relaxed = 0
     while heap:
         d, node, parent = heapq.heappop(heap)
@@ -314,7 +239,7 @@ def _with_paths_guarded(
         dist[node] = d
         if node != source:
             pred[node] = parent
-        for nbr, weight in network.neighbors(node):
+        for nbr, weight in neighbors(node):
             relaxed += 1
             if budget is not None:
                 budget.spend_distance_computations(1, partial=dist)
@@ -375,14 +300,10 @@ def multi_source(
     else:
         entries = list(seeds)
 
-    kernel = getattr(network, "dijkstra_multi_source", None)
-    if kernel is not None:
-        return kernel(entries, cutoff=cutoff)
-    if _FAULTS.engaged or _RES.engaged:
-        return _multi_source_guarded(network, entries, cutoff)
-    if _OBS.enabled:
-        return _multi_source_counted(network, entries, cutoff)
+    if _FAULTS.engaged or _RES.engaged or _OBS.enabled:
+        return _multi_source_instrumented(network, entries, cutoff)
 
+    neighbors = network.neighbors
     dist: dict[int, float] = {}
     label: dict[int, object] = {}
     counter = 0  # tie-breaker so heterogeneous labels never get compared
@@ -399,7 +320,7 @@ def multi_source(
             continue
         dist[node] = d
         label[node] = lab
-        for nbr, weight in network.neighbors(node):
+        for nbr, weight in neighbors(node):
             if nbr in dist:
                 continue
             nd = d + weight
@@ -409,56 +330,14 @@ def multi_source(
     return dist, label
 
 
-def _multi_source_counted(
+def _multi_source_instrumented(
     network,
     entries: list[tuple[float, int, object]],
     cutoff: float,
 ) -> tuple[dict[int, float], dict[int, object]]:
-    """Counting twin of :func:`multi_source` (obs enabled)."""
-    dist: dict[int, float] = {}
-    label: dict[int, object] = {}
-    counter = 0
-    heap: list[tuple[float, int, int, object]] = []
-    for d0, node, lab in entries:
-        if d0 <= cutoff:
-            heap.append((d0, counter, node, lab))
-            counter += 1
-    heapq.heapify(heap)
-    pops = 0
-    pushes = len(heap)
-    relaxed = 0
-
-    while heap:
-        d, _, node, lab = heapq.heappop(heap)
-        pops += 1
-        if node in dist:
-            continue
-        dist[node] = d
-        label[node] = lab
-        for nbr, weight in network.neighbors(node):
-            relaxed += 1
-            if nbr in dist:
-                continue
-            nd = d + weight
-            if nd <= cutoff:
-                counter += 1
-                heapq.heappush(heap, (nd, counter, nbr, lab))
-                pushes += 1
-    _obs_add("dijkstra.multi_source_runs")
-    _obs_add("dijkstra.heap_pops", pops)
-    _obs_add("dijkstra.heap_pushes", pushes)
-    _obs_add("dijkstra.edges_relaxed", relaxed)
-    _obs_add("dijkstra.nodes_settled", len(dist))
-    return dist, label
-
-
-def _multi_source_guarded(
-    network,
-    entries: list[tuple[float, int, object]],
-    cutoff: float,
-) -> tuple[dict[int, float], dict[int, object]]:
-    """Fault/budget/deadline twin of :func:`multi_source`."""
+    """Fault/budget/deadline/obs twin of :func:`multi_source`."""
     budget = _FAULTS.budget
+    neighbors = network.neighbors
     dist: dict[int, float] = {}
     label: dict[int, object] = {}
     counter = 0
@@ -484,7 +363,7 @@ def _multi_source_guarded(
             budget.spend_expansions(1, partial=(dist, label))
         dist[node] = d
         label[node] = lab
-        for nbr, weight in network.neighbors(node):
+        for nbr, weight in neighbors(node):
             relaxed += 1
             if budget is not None:
                 budget.spend_distance_computations(1, partial=(dist, label))

@@ -22,7 +22,6 @@ library uses internally.
 
 from __future__ import annotations
 
-import heapq
 import math
 
 from repro.exceptions import UnreachableError
@@ -101,23 +100,14 @@ def network_distance(
     """
     if p.point_id == q.point_id:
         return 0.0
-    source = point_vertex(p.point_id)
     target = point_vertex(q.point_id)
-    dist: dict = {}
-    heap: list[tuple[float, tuple[int, int]]] = [(0.0, source)]
-    while heap:
-        d, vertex = heapq.heappop(heap)
-        if vertex in dist:
-            continue
-        dist[vertex] = d
-        if vertex == target:
-            return d
-        for nbr, weight in aug.neighbors(vertex):
-            if nbr not in dist:
-                heapq.heappush(heap, (d + weight, nbr))
-    raise UnreachableError(
-        f"point {q.point_id} is not reachable from point {p.point_id}"
-    )
+    dist = single_source(aug, point_vertex(p.point_id), targets=(target,))
+    try:
+        return dist[target]
+    except KeyError:
+        raise UnreachableError(
+            f"point {q.point_id} is not reachable from point {p.point_id}"
+        ) from None
 
 
 def pairwise_point_distances(
@@ -140,18 +130,11 @@ def pairwise_point_distances(
         later = ids[i + 1 :]
         if not later:
             break
-        remaining = {point_vertex(other) for other in later}
-        dist: dict = {}
-        heap: list[tuple[float, tuple[int, int]]] = [(0.0, point_vertex(pid))]
-        while heap and remaining:
-            d, vertex = heapq.heappop(heap)
-            if vertex in dist:
-                continue
-            dist[vertex] = d
-            remaining.discard(vertex)
-            for nbr, weight in aug.neighbors(vertex):
-                if nbr not in dist:
-                    heapq.heappush(heap, (d + weight, nbr))
+        dist = single_source(
+            aug,
+            point_vertex(pid),
+            targets=[point_vertex(other) for other in later],
+        )
         for other in later:
             out[(pid, other)] = dist.get(point_vertex(other), math.inf)
     return out

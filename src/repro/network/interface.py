@@ -22,16 +22,17 @@ Two guarantees matter for bit-identical results across backends:
   adjacency order feeds directly into label assignment on exact distance
   ties).
 
-Optional traversal kernels
---------------------------
-A backend may additionally provide array-native Dijkstra kernels —
-``dijkstra_single_source``, ``dijkstra_single_source_with_paths``, and
-``dijkstra_multi_source``.  The generic traversals in
-:mod:`repro.network.dijkstra` duck-dispatch to them when present and fall
-back to the portable heap loops otherwise.  A kernel must be a drop-in
-twin: bit-identical distances, settle order, and tie-breaking, and the
-same guarded/counted/plain dispatch (fault sites, budget charges, deadline
-checkpoints, ``dijkstra.*`` counters) as the generic loops.
+Optional traversal kernel
+-------------------------
+A backend may additionally provide one array-native kernel,
+``dijkstra_single_source(source, cutoff)``, for untargeted single-source
+searches.  :func:`repro.network.dijkstra.single_source` calls it only
+when no instrumentation (obs, faults, budgets, deadlines) is engaged;
+every other search — targeted, path tree, concurrent expansion, and every
+instrumented run — takes the generic loops over ``neighbors()``.  The
+kernel must be a drop-in twin of the plain loop: bit-identical distances,
+settle (dict insertion) order, and tie-breaking, and it must raise
+:class:`~repro.exceptions.NodeNotFoundError` for an unknown source.
 """
 
 from __future__ import annotations

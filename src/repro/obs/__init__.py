@@ -19,8 +19,8 @@ place all of those measurements flow through:
 
 Everything is off by default and the disabled path is designed to be
 invisible: ``span()`` returns a pre-allocated no-op singleton, ``add()`` is
-a single flag check, and the hottest traversal loops only run their counting
-twins when recording is on.
+a single flag check, and the hottest traversal loops only run their
+instrumented variants when recording is on.
 
 Usage::
 

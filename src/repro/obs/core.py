@@ -30,8 +30,8 @@ trace cost for — or flooding the file with — every other request.
 
 Hot loops that cannot afford even a per-operation function call (the
 Dijkstra inner loops) instead check ``STATE.enabled`` once on entry and run
-a counting twin of the loop only when observability is on — the disabled
-path executes the exact pre-instrumentation bytecode.
+the instrumented variant of the loop only when observability is on — the
+disabled path executes the exact pre-instrumentation bytecode.
 """
 
 from __future__ import annotations

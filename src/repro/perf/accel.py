@@ -66,6 +66,7 @@ import math
 from repro.exceptions import UnreachableError
 from repro.faults.core import STATE as _FAULTS, fire as _fault
 from repro.network.augmented import AugmentedView, NODE, POINT, point_vertex
+from repro.network.dijkstra import single_source
 from repro.network.points import NetworkPoint
 from repro.network.queries import (
     _result_order,
@@ -105,21 +106,9 @@ def unaccelerated_point_distance(
     """
     if p.point_id == q.point_id:
         return 0.0, 0
-    source = point_vertex(p.point_id)
     target = point_vertex(q.point_id)
-    dist: dict = {}
-    heap: list[tuple[float, tuple[int, int]]] = [(0.0, source)]
-    while heap:
-        d, vertex = heapq.heappop(heap)
-        if vertex in dist:
-            continue
-        dist[vertex] = d
-        if vertex == target:
-            return d, len(dist)
-        for nbr, seg in aug.neighbors(vertex):
-            if nbr not in dist:
-                heapq.heappush(heap, (d + seg, nbr))
-    return math.inf, len(dist)
+    dist = single_source(aug, point_vertex(p.point_id), targets=(target,))
+    return dist.get(target, math.inf), len(dist)
 
 
 class DistanceAccelerator:

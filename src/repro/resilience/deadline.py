@@ -14,7 +14,7 @@ Zero overhead while disarmed
 The same discipline as :mod:`repro.faults` and :mod:`repro.obs`: a
 process-global :data:`STATE` holds an ``engaged`` count of active
 deadlines.  Hot loops read ``STATE.engaged`` once on entry (dijkstra's
-twin-loop dispatch) or per iteration behind an existing guard; while no
+plain/instrumented dispatch) or per iteration behind an existing guard; while no
 deadline is active anywhere in the process this costs one attribute check
 and the traversal bytecode is otherwise unchanged.
 

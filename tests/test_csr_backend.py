@@ -109,9 +109,53 @@ class TestFreeze:
             csr.has_node(0)
         with pytest.raises(StaleBackendError):
             single_source(csr, 0)
+        # Every traversal shape detects staleness at its first adjacency
+        # read, whichever loop (or kernel) serves it.
+        shapes = [
+            lambda: single_source(csr, 0, targets=(8,)),
+            lambda: single_source(csr, 0, cutoff=2.0),
+            lambda: single_source_with_paths(csr, 0),
+            lambda: multi_source(csr, [(0.0, 0, "a"), (0.0, 8, "b")]),
+        ]
+        for shape in shapes:
+            with pytest.raises(StaleBackendError):
+                shape()
+        with pytest.raises(StaleBackendError):
+            with OpBudget().activate():
+                single_source(csr, 0)
+        # A search met at its source reads no adjacency, so it answers
+        # as any backend does for any node id.
+        assert single_source(csr, 0, targets=(0,)) == {0: 0.0}
+        # The stale view stays printable for error messages.
+        assert "CSRNetwork(" in repr(csr)
         # Re-freezing the mutated source yields a fresh, serving view.
         fresh = CSRNetwork.freeze(net)
         assert fresh.has_edge(0, 8)
+
+    def test_stale_accessors_raise(self):
+        """Regression: size/weight/coords accessors skipped the check."""
+        net = SpatialNetwork()
+        for i in range(3):
+            net.add_node(i, x=float(i), y=0.0)
+        net.add_edge(0, 1, 1.0)
+        net.add_edge(1, 2, 1.0)
+        csr = CSRNetwork.freeze(net)
+        assert csr.total_weight() == 2.0
+        assert (csr.num_nodes, csr.num_edges, len(csr)) == (3, 2, 3)
+        assert csr.has_coords(0)
+        net.add_edge(0, 2, 5.0)
+        accessors = [
+            lambda: csr.has_coords(0),
+            csr.total_weight,
+            lambda: csr.num_nodes,
+            lambda: csr.num_edges,
+            lambda: len(csr),
+        ]
+        for accessor in accessors:
+            with pytest.raises(StaleBackendError):
+                accessor()
+        assert repr(csr).startswith("CSRNetwork(")
+        assert CSRNetwork.freeze(net).total_weight() == 7.0
 
     def test_unknown_source_matches_dict_timing(self):
         net = make_grid_network(2, 2)

@@ -13,8 +13,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.exceptions import UnreachableError
-from repro.network.augmented import AugmentedView
+from repro.exceptions import BudgetExceededError, UnreachableError
+from repro.faults import OpBudget
+from repro.network.augmented import AugmentedView, point_vertex
 from repro.network.distance import (
     direct_distance,
     direct_point_node_distance,
@@ -125,6 +126,23 @@ class TestPairwiseMatrix:
     def test_matches_pointwise(self, small_network, small_points):
         dists = pairwise_point_distances(small_network, small_points)
         assert dists == pytest.approx(TestNetworkDistanceKnownValues.EXPECTED)
+
+
+class TestGuarded:
+    """Point distances run the shared Dijkstra loop, budget included."""
+
+    def test_budget_interrupts_network_distance(self, small_network, small_points):
+        aug = AugmentedView(small_network, small_points)
+        p, q = small_points.get(0), small_points.get(3)
+        budget = OpBudget()
+        with budget.activate():
+            want = network_distance(aug, p, q)
+        assert want == pytest.approx(5.5)
+        assert budget.expansions > 1
+        with OpBudget(max_expansions=budget.expansions - 1).activate():
+            with pytest.raises(BudgetExceededError) as exc:
+                network_distance(aug, p, q)
+        assert point_vertex(q.point_id) not in exc.value.partial
 
 
 # ---------------------------------------------------------------------------
