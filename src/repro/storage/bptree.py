@@ -17,11 +17,18 @@ convention.  Deletion removes keys without rebalancing (standard lazy
 deletion: lookups and scans remain correct, occupancy may drop below half
 until a rebuild), which matches the build-once/read-many workload of the
 network store.
+
+Reads go through :meth:`BufferManager.read_decoded`: a node is decoded
+with one bulk ``unpack_from`` into immutable ``keys``/``values`` tuples
+that stay with the page frame while it is resident, so a hot inner node
+is parsed once rather than on every descent.  Every node visit is still
+one buffer read; mutating paths copy the decoded tuples before editing.
 """
 
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 
 from repro.exceptions import TreeError
@@ -32,6 +39,32 @@ __all__ = ["BPlusTree"]
 
 _NODE_HEADER = struct.Struct("<BHQ")  # is_leaf, count, next_leaf / child0
 _ENTRY = struct.Struct("<qq")  # key, value-or-child (children stored signed too)
+_REPEATS: dict[tuple[str, int], struct.Struct] = {}
+
+
+def _repeat(entry: struct.Struct, count: int) -> struct.Struct:
+    """``count`` consecutive ``entry`` records as one struct, so a node or
+    record decodes with one ``unpack_from``.  Cached per (entry, count):
+    a store holds few distinct counts."""
+    key = (entry.format, count)
+    block = _REPEATS.get(key)
+    if block is None:
+        block = _REPEATS[key] = struct.Struct("<" + entry.format[1:] * count)
+    return block
+
+
+def _decode_node(raw: bytes) -> tuple[bool, tuple[int, ...], tuple[int, ...], int]:
+    """(is_leaf, keys, values, extra) of a node page; extra is next_leaf
+    or child0.  Shared read-only once memoised with the frame."""
+    is_leaf, count, extra = _NODE_HEADER.unpack_from(raw, 0)
+    capacity = (len(raw) - _NODE_HEADER.size) // _ENTRY.size
+    if count > capacity:
+        raise TreeError(
+            f"entry count {count} exceeds page capacity {capacity} — page "
+            "is not a valid tree node"
+        )
+    flat = _repeat(_ENTRY, count).unpack_from(raw, _NODE_HEADER.size)
+    return bool(is_leaf), flat[0::2], flat[1::2], extra
 
 
 class BPlusTree:
@@ -66,20 +99,17 @@ class BPlusTree:
         self._store(pid, is_leaf, [], 0)
         return pid
 
-    def _load(self, pid: int) -> tuple[bool, list[tuple[int, int]], int]:
-        """(is_leaf, entries, extra) where extra is next_leaf or child0."""
-        raw = self.buffer.read(pid)
-        is_leaf, count, extra = _NODE_HEADER.unpack_from(raw, 0)
-        if count > self._capacity:
-            raise TreeError(
-                f"node {pid}: entry count {count} exceeds page capacity "
-                f"{self._capacity} — page is not a valid tree node"
-            )
-        entries = [
-            _ENTRY.unpack_from(raw, _NODE_HEADER.size + i * _ENTRY.size)
-            for i in range(count)
-        ]
-        return bool(is_leaf), entries, extra
+    def _load(
+        self, pid: int
+    ) -> tuple[bool, tuple[int, ...], tuple[int, ...], int]:
+        """(is_leaf, keys, values, extra) where extra is next_leaf or child0.
+
+        The tuples are shared with the buffer's decoded-page memo.
+        """
+        try:
+            return self.buffer.read_decoded(pid, _decode_node)
+        except TreeError as exc:
+            raise TreeError(f"node {pid}: {exc}") from None
 
     def _store(
         self, pid: int, is_leaf: bool, entries: list[tuple[int, int]], extra: int
@@ -92,50 +122,33 @@ class BPlusTree:
             _fault("bptree.store")
         raw = bytearray(self.buffer.file.page_size)
         _NODE_HEADER.pack_into(raw, 0, int(is_leaf), len(entries), extra)
-        for i, (key, value) in enumerate(entries):
-            _ENTRY.pack_into(raw, _NODE_HEADER.size + i * _ENTRY.size, key, value)
+        flat = [field for entry in entries for field in entry]
+        _repeat(_ENTRY, len(entries)).pack_into(raw, _NODE_HEADER.size, *flat)
         self.buffer.write(pid, bytes(raw))
 
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
-    @staticmethod
-    def _child_index(entries: list[tuple[int, int]], key: int) -> int:
-        """Index of the child to descend into for ``key``.
+    def _find_leaf(self, key: int) -> tuple[int, tuple[int, ...], tuple[int, ...], int]:
+        """(pid, keys, values, next_leaf) of the leaf that would hold ``key``.
 
-        Entry i holds the separator key of child i+1: descend into the
-        rightmost child whose separator is <= key.
+        Entry i of an internal node holds the separator key of child i+1:
+        descend into the rightmost child whose separator is <= key.
         """
-        lo, hi = 0, len(entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if entries[mid][0] <= key:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo  # 0 = child0, i+1 = entries[i]'s child
-
-    def _find_leaf(self, key: int) -> tuple[int, list[tuple[int, int]], int]:
         pid = self.root_pid
         while True:
-            is_leaf, entries, extra = self._load(pid)
+            is_leaf, keys, values, extra = self._load(pid)
             if is_leaf:
-                return pid, entries, extra
-            idx = self._child_index(entries, key)
-            pid = extra if idx == 0 else entries[idx - 1][1]
+                return pid, keys, values, extra
+            idx = bisect_right(keys, key)
+            pid = extra if idx == 0 else values[idx - 1]
 
     def search(self, key: int) -> int | None:
         """The value stored under ``key``, or ``None``."""
-        _, entries, _ = self._find_leaf(key)
-        lo, hi = 0, len(entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if entries[mid][0] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(entries) and entries[lo][0] == key:
-            return entries[lo][1]
+        _, keys, values, _ = self._find_leaf(key)
+        idx = bisect_left(keys, key)
+        if idx < len(keys) and keys[idx] == key:
+            return values[idx]
         return None
 
     def __contains__(self, key: int) -> bool:
@@ -143,15 +156,10 @@ class BPlusTree:
 
     def floor(self, key: int) -> tuple[int, int] | None:
         """The entry with the largest key <= ``key`` (sparse-index lookup)."""
-        pid, entries, _ = self._find_leaf(key)
-        best = None
-        for k, v in entries:
-            if k <= key:
-                best = (k, v)
-            else:
-                break
-        if best is not None:
-            return best
+        _, keys, values, _ = self._find_leaf(key)
+        idx = bisect_right(keys, key)
+        if idx:
+            return keys[idx - 1], values[idx - 1]
         # The answer may sit in an earlier leaf (this leaf's keys all exceed
         # the probe, which happens only at the leftmost occupied leaf or
         # after deletions).  Fall back to a scan from the left.
@@ -175,28 +183,24 @@ class BPlusTree:
             self.root_pid = new_root
 
     def _insert(self, pid: int, key: int, value: int) -> tuple[int, int] | None:
-        is_leaf, entries, extra = self._load(pid)
+        is_leaf, keys, values, extra = self._load(pid)
+        # A private copy: the decoded tuples are shared with the buffer.
+        entries = list(zip(keys, values))
         if is_leaf:
-            lo, hi = 0, len(entries)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if entries[mid][0] < key:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            if lo < len(entries) and entries[lo][0] == key:
-                entries[lo] = (key, value)  # replace
+            idx = bisect_left(keys, key)
+            if idx < len(keys) and keys[idx] == key:
+                entries[idx] = (key, value)  # replace
                 self._store(pid, True, entries, extra)
                 return None
-            entries.insert(lo, (key, value))
+            entries.insert(idx, (key, value))
             if self._size is not None:
                 self._size += 1
             if len(entries) <= self._capacity:
                 self._store(pid, True, entries, extra)
                 return None
             return self._split_leaf(pid, entries, extra)
-        idx = self._child_index(entries, key)
-        child = extra if idx == 0 else entries[idx - 1][1]
+        idx = bisect_right(keys, key)
+        child = extra if idx == 0 else values[idx - 1]
         result = self._insert(child, key, value)
         if result is None:
             return None
@@ -231,17 +235,16 @@ class BPlusTree:
     # ------------------------------------------------------------------
     def delete(self, key: int) -> bool:
         """Remove ``key``; returns True when it was present."""
-        pid, entries, extra = self._find_leaf(key)
-        for i, (k, _) in enumerate(entries):
-            if k == key:
-                del entries[i]
-                self._store(pid, True, entries, extra)
-                if self._size is not None:
-                    self._size -= 1
-                return True
-            if k > key:
-                break
-        return False
+        pid, keys, values, extra = self._find_leaf(key)
+        idx = bisect_left(keys, key)
+        if idx == len(keys) or keys[idx] != key:
+            return False
+        entries = list(zip(keys, values))
+        del entries[idx]
+        self._store(pid, True, entries, extra)
+        if self._size is not None:
+            self._size -= 1
+        return True
 
     # ------------------------------------------------------------------
     # Iteration
@@ -249,7 +252,7 @@ class BPlusTree:
     def _leftmost_leaf(self) -> int:
         pid = self.root_pid
         while True:
-            is_leaf, entries, extra = self._load(pid)
+            is_leaf, _, _, extra = self._load(pid)
             if is_leaf:
                 return pid
             pid = extra  # child0
@@ -258,23 +261,24 @@ class BPlusTree:
         """All (key, value) pairs in ascending key order (leaf chain scan)."""
         pid = self._leftmost_leaf()
         while pid:
-            _, entries, next_leaf = self._load(pid)
-            yield from entries
+            _, keys, values, next_leaf = self._load(pid)
+            yield from zip(keys, values)
             pid = next_leaf
 
     def range(self, lo: int, hi: int) -> Iterator[tuple[int, int]]:
         """(key, value) pairs with lo <= key <= hi, ascending."""
-        pid, entries, next_leaf = self._find_leaf(lo)
+        _, keys, values, next_leaf = self._find_leaf(lo)
+        idx = bisect_left(keys, lo)
         while True:
-            for key, value in entries:
+            for i in range(idx, len(keys)):
+                key = keys[i]
                 if key > hi:
                     return
-                if key >= lo:
-                    yield (key, value)
+                yield (key, values[i])
             if not next_leaf:
                 return
-            pid = next_leaf
-            _, entries, next_leaf = self._load(pid)
+            _, keys, values, next_leaf = self._load(next_leaf)
+            idx = 0
 
     def __len__(self) -> int:
         if self._size is None:
@@ -345,7 +349,7 @@ class BPlusTree:
         levels = 1
         pid = self.root_pid
         while True:
-            is_leaf, entries, extra = self._load(pid)
+            is_leaf, _, _, extra = self._load(pid)
             if is_leaf:
                 return levels
             levels += 1
@@ -366,8 +370,8 @@ class BPlusTree:
     def _check_subtree(
         self, pid: int, lo: int | None, hi: int | None
     ) -> None:
-        is_leaf, entries, extra = self._load(pid)
-        keys = [k for k, _ in entries]
+        is_leaf, keys, values, extra = self._load(pid)
+        keys = list(keys)
         if keys != sorted(keys):
             raise TreeError(f"node {pid} keys unsorted")
         for k in keys:
@@ -377,7 +381,7 @@ class BPlusTree:
                 raise TreeError(f"node {pid} key {k} at/above bound {hi}")
         if is_leaf:
             return
-        children = [extra] + [child for _, child in entries]
+        children = [extra, *values]
         bounds = [lo] + keys + [hi]
         for i, child in enumerate(children):
             self._check_subtree(child, bounds[i], bounds[i + 1])

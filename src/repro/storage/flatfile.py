@@ -15,11 +15,19 @@ Page layout (slotted page)::
 Overflow records are stored as a stub in the slotted page —
 ``(OVERFLOW_TAG: u16, total_len: u32, first_overflow_pid: u64)`` — with the
 payload in a chain of dedicated pages, each ``[next_pid: u64][payload]``.
+
+:meth:`RecordFile.read_decoded` memoises a caller's decode of an inline
+record beside its page frame (see :meth:`BufferManager.read_decoded`), so
+a record read again while its page is resident is not parsed again.
+Overflow records span pages with independent lifetimes and are decoded
+afresh on every read.
 """
 
 from __future__ import annotations
 
 import struct
+from collections.abc import Callable
+from typing import Any
 
 from repro.exceptions import PageError, StorageError
 from repro.faults.core import STATE as _FAULTS, fire as _fault
@@ -44,6 +52,32 @@ def rid_encode(page_id: int, slot: int) -> int:
 def rid_decode(rid: int) -> tuple[int, int]:
     """Unpack a record id into (page, slot)."""
     return rid >> 16, rid & 0xFFFF
+
+
+class _SlottedPage:
+    """A parsed slotted page, memoised with its frame by the buffer.
+
+    ``memo`` maps a slot to ``(decode, decode(record))`` for callers of
+    :meth:`RecordFile.read_decoded`; it dies with the frame.
+    """
+
+    __slots__ = ("raw", "n_slots", "memo")
+
+    def __init__(self, raw: bytes) -> None:
+        self.raw = raw
+        self.n_slots = _PAGE_HEADER.unpack_from(raw, 0)[0]
+        self.memo: dict[int, tuple[Callable[[bytes], Any], Any]] = {}
+
+    def record(self, rid: int, slot: int) -> tuple[bytes, bool]:
+        """(bytes, is_overflow_stub) of one slot."""
+        if slot >= self.n_slots:
+            raise PageError(f"rid {rid}: slot {slot} beyond {self.n_slots} slots")
+        offset, length = _SLOT.unpack_from(
+            self.raw, _PAGE_HEADER.size + slot * _SLOT.size
+        )
+        is_overflow = bool(length & _OVERFLOW_FLAG)
+        length &= ~_OVERFLOW_FLAG
+        return self.raw[offset : offset + length], is_overflow
 
 
 class RecordFile:
@@ -127,18 +161,35 @@ class RecordFile:
     def read(self, rid: int) -> bytes:
         """Record contents for a rid returned by :meth:`append`."""
         pid, slot = rid_decode(rid)
-        raw = self.buffer.read(pid)
-        n_slots, _ = _PAGE_HEADER.unpack_from(raw, 0)
-        if slot >= n_slots:
-            raise PageError(f"rid {rid}: slot {slot} beyond {n_slots} slots")
-        offset, length = _SLOT.unpack_from(raw, _PAGE_HEADER.size + slot * _SLOT.size)
-        is_overflow = bool(length & _OVERFLOW_FLAG)
-        length &= ~_OVERFLOW_FLAG
-        data = bytes(raw[offset : offset + length])
+        page = self.buffer.read_decoded(pid, _SlottedPage)
+        data, is_overflow = page.record(rid, slot)
         if is_overflow:
-            total_len, first_pid = _OVERFLOW_STUB.unpack(data)
-            return self._read_chain(first_pid, total_len)
+            return self._read_overflow(data)
         return data
+
+    def read_decoded(self, rid: int, decode: Callable[[bytes], Any]) -> Any:
+        """``decode(record)``, decoded once while the record's page is
+        resident; the same page reads as :meth:`read`.
+
+        The result is shared by later callers: treat it as read-only.
+        ``decode`` is matched by identity, as in
+        :meth:`BufferManager.read_decoded`.
+        """
+        pid, slot = rid_decode(rid)
+        page = self.buffer.read_decoded(pid, _SlottedPage)
+        memo = page.memo.get(slot)
+        if memo is not None and memo[0] is decode:
+            return memo[1]
+        data, is_overflow = page.record(rid, slot)
+        if is_overflow:
+            return decode(self._read_overflow(data))
+        value = decode(data)
+        page.memo[slot] = (decode, value)
+        return value
+
+    def _read_overflow(self, stub: bytes) -> bytes:
+        total_len, first_pid = _OVERFLOW_STUB.unpack(stub)
+        return self._read_chain(first_pid, total_len)
 
     def _read_chain(self, first_pid: int, total_len: int) -> bytes:
         out = bytearray()

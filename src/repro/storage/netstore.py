@@ -22,12 +22,21 @@ then indexed by B+ trees."  Concretely:
 protocol — so every clustering algorithm in :mod:`repro.core` runs unchanged
 on the disk-backed representation, with all page traffic measured by the
 buffer manager.
+
+Adjacency and point-group records are decoded through
+:meth:`~repro.storage.flatfile.RecordFile.read_decoded`: each record is
+parsed with one bulk ``unpack_from`` at most once while its page stays in
+the buffer, and the decoded tuples are shared read-only.  This saves CPU
+only — every index probe and record read still goes through the buffer,
+so the hit/miss/eviction counts are those of a store that re-parses every
+record.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import weakref
 from collections.abc import Iterator
 
 from repro.eval.metrics import NOISE
@@ -42,7 +51,7 @@ from repro.faults.core import STATE as _FAULTS, CrashPoint, fire as _fault
 from repro.network.graph import normalize_edge
 from repro.network.points import NetworkPoint, PointSet
 from repro.obs.core import add as _obs_add, span as _span
-from repro.storage.bptree import BPlusTree
+from repro.storage.bptree import BPlusTree, _repeat
 from repro.storage.ccam import ccam_order
 from repro.storage.flatfile import RecordFile
 from repro.storage.pager import (
@@ -64,6 +73,39 @@ _GROUP_HEADER = struct.Struct("<qqI")  # u, v, point count
 _GROUP_ENTRY = struct.Struct("<qdq")  # point id, offset, label (NOISE-2 = None)
 
 _NO_LABEL = NOISE - 1  # sentinel distinct from every real label and NOISE
+
+
+def _decode_adjacency(record: bytes) -> tuple[tuple[int, float, int], ...]:
+    """(neighbour, weight, first point id) per neighbour of one record."""
+    if len(record) < _ADJ_HEADER.size:
+        raise CorruptRecordError("shorter than its header")
+    (count,) = _ADJ_HEADER.unpack_from(record, 0)
+    if _ADJ_HEADER.size + count * _ADJ_ENTRY.size > len(record):
+        raise CorruptRecordError(
+            f"neighbour count {count} overruns the {len(record)}-byte record"
+        )
+    flat = _repeat(_ADJ_ENTRY, count).unpack_from(record, _ADJ_HEADER.size)
+    return tuple(zip(flat[0::3], flat[1::3], flat[2::3]))
+
+
+def _decode_group(
+    record: bytes,
+) -> tuple[tuple[int, int], tuple[NetworkPoint, ...]]:
+    """(edge, points in offset order) of one point-group record."""
+    if len(record) < _GROUP_HEADER.size:
+        raise CorruptRecordError("point-group record is shorter than its header")
+    u, v, count = _GROUP_HEADER.unpack_from(record, 0)
+    if _GROUP_HEADER.size + count * _GROUP_ENTRY.size > len(record):
+        raise CorruptRecordError(
+            f"point group ({u}, {v}): point count {count} overruns the "
+            f"{len(record)}-byte record"
+        )
+    flat = _repeat(_GROUP_ENTRY, count).unpack_from(record, _GROUP_HEADER.size)
+    pts = tuple(
+        NetworkPoint(pid, u, v, offset, label=None if label == _NO_LABEL else label)
+        for pid, offset, label in zip(flat[0::3], flat[1::3], flat[2::3])
+    )
+    return (u, v), pts
 
 
 class NetworkStore:
@@ -107,8 +149,11 @@ class NetworkStore:
         self._point_tree = BPlusTree(self.buffer, root_pid=point_root)
         # Small decode caches keep the CPU cost of re-parsing records down
         # without hiding page traffic (the page reads still hit the buffer).
-        self._adj_cache: dict[int, list[tuple[int, float, int]]] = {}
+        self._adj_cache: dict[int, tuple[tuple[int, float, int], ...]] = {}
         self._adj_cache_cap = 4096
+        # Every point set handed out, so drop_caches() reaches their
+        # group and id caches too.
+        self._point_sets: weakref.WeakSet[StoredPointSet] = weakref.WeakSet()
 
     # ------------------------------------------------------------------
     # Construction
@@ -274,7 +319,7 @@ class NetworkStore:
     def has_node(self, node: int) -> bool:
         return node in self._node_tree
 
-    def _adjacency(self, node: int) -> list[tuple[int, float, int]]:
+    def _adjacency(self, node: int) -> tuple[tuple[int, float, int], ...]:
         cached = self._adj_cache.get(node)
         if cached is not None:
             return cached
@@ -282,21 +327,12 @@ class NetworkStore:
         if rid is None:
             raise NodeNotFoundError(node)
         _obs_add("storage.adj_record_reads")
-        record = self._adj_file.read(rid)
-        if len(record) < _ADJ_HEADER.size:
+        try:
+            entries = self._adj_file.read_decoded(rid, _decode_adjacency)
+        except CorruptRecordError as exc:
             raise CorruptRecordError(
-                f"adjacency record for node {node} is shorter than its header"
-            )
-        (count,) = _ADJ_HEADER.unpack_from(record, 0)
-        if _ADJ_HEADER.size + count * _ADJ_ENTRY.size > len(record):
-            raise CorruptRecordError(
-                f"adjacency record for node {node}: neighbour count {count} "
-                f"overruns the {len(record)}-byte record"
-            )
-        entries = [
-            _ADJ_ENTRY.unpack_from(record, _ADJ_HEADER.size + i * _ADJ_ENTRY.size)
-            for i in range(count)
-        ]
+                f"adjacency record for node {node}: {exc}"
+            ) from None
         if len(self._adj_cache) >= self._adj_cache_cap:
             self._adj_cache.clear()
         self._adj_cache[node] = entries
@@ -341,36 +377,14 @@ class NetworkStore:
                 return first
         raise EdgeNotFoundError(a, b)
 
-    def _read_group(self, first_pid: int) -> tuple[tuple[int, int], list[NetworkPoint]]:
+    def _read_group(
+        self, first_pid: int
+    ) -> tuple[tuple[int, int], tuple[NetworkPoint, ...]]:
         rid = self._point_tree.search(first_pid)
         if rid is None:
             raise StorageError(f"missing point group for first id {first_pid}")
         _obs_add("storage.group_record_reads")
-        return self._decode_group(self._pts_file.read(rid))
-
-    @staticmethod
-    def _decode_group(record: bytes) -> tuple[tuple[int, int], list[NetworkPoint]]:
-        if len(record) < _GROUP_HEADER.size:
-            raise CorruptRecordError(
-                "point-group record is shorter than its header"
-            )
-        u, v, count = _GROUP_HEADER.unpack_from(record, 0)
-        if _GROUP_HEADER.size + count * _GROUP_ENTRY.size > len(record):
-            raise CorruptRecordError(
-                f"point group ({u}, {v}): point count {count} overruns the "
-                f"{len(record)}-byte record"
-            )
-        pts = []
-        for i in range(count):
-            pid, offset, label = _GROUP_ENTRY.unpack_from(
-                record, _GROUP_HEADER.size + i * _GROUP_ENTRY.size
-            )
-            pts.append(
-                NetworkPoint(
-                    pid, u, v, offset, label=None if label == _NO_LABEL else label
-                )
-            )
-        return (u, v), pts
+        return self._pts_file.read_decoded(rid, _decode_group)
 
     # ------------------------------------------------------------------
     # Lifecycle / instrumentation
@@ -383,9 +397,13 @@ class NetworkStore:
         self.buffer.reset_stats()
 
     def drop_caches(self) -> None:
-        """Cold-start simulation: clear the page buffer and decode caches."""
+        """Cold-start simulation: clear the page buffer (with the decoded
+        pages kept beside its frames), the adjacency cache, and the group
+        and id caches of every point set this store has handed out."""
         self.buffer.drop_cache()
         self._adj_cache.clear()
+        for point_set in list(self._point_sets):
+            point_set._drop_caches()
 
     def close(self) -> None:
         self.buffer.close()
@@ -415,9 +433,14 @@ class StoredPointSet:
 
     def __init__(self, store: NetworkStore) -> None:
         self._store = store
-        self._group_cache: dict[int, list[NetworkPoint]] = {}
+        self._group_cache: dict[int, tuple[NetworkPoint, ...]] = {}
         self._group_cache_cap = 2048
         self._id_index: dict[int, NetworkPoint] | None = None
+        store._point_sets.add(self)
+
+    def _drop_caches(self) -> None:
+        self._group_cache.clear()
+        self._id_index = None
 
     @property
     def network(self) -> NetworkStore:
@@ -457,7 +480,7 @@ class StoredPointSet:
 
     def __iter__(self) -> Iterator[NetworkPoint]:
         for _, rid in self._store._point_tree.items():
-            _, pts = self._store._decode_group(self._store._pts_file.read(rid))
+            _, pts = self._store._pts_file.read_decoded(rid, _decode_group)
             yield from pts
 
     def point_ids(self) -> Iterator[int]:
@@ -483,16 +506,18 @@ class StoredPointSet:
         floor = self._store._point_tree.floor(point_id)
         if floor is not None:
             _, rid = floor
-            _, pts = self._store._decode_group(self._store._pts_file.read(rid))
+            _, pts = self._store._pts_file.read_decoded(rid, _decode_group)
             for p in pts:
                 if p.point_id == point_id:
                     return p
         # Sparse lookup failed: ids are not group-sequential.  Build (once)
-        # a full in-memory id index.
-        if self._id_index is None:
-            self._id_index = {p.point_id: p for p in self}
+        # a full in-memory id index.  Read it once: drop_caches() may
+        # reset the attribute from another thread.
+        index = self._id_index
+        if index is None:
+            index = self._id_index = {p.point_id: p for p in self}
         try:
-            return self._id_index[point_id]
+            return index[point_id]
         except KeyError:
             raise PointNotFoundError(point_id) from None
 

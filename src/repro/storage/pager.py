@@ -38,6 +38,18 @@ the wrong page's frame, whose CRC still validates), and a
 per-:class:`BufferManager` lock guards the LRU bookkeeping, whose
 ``move_to_end`` racing an eviction would otherwise raise.
 
+Decoded pages
+-------------
+:meth:`BufferManager.read_decoded` keeps the result of a caller's decode
+function beside the frame it came from, so a page that stays resident is
+decoded at most once per decoder.  The decoded object lives exactly as
+long as its frame: eviction, :meth:`BufferManager.write`,
+:meth:`BufferManager.drop_cache` and :meth:`BufferManager.abort` drop it,
+so it is bounded by the buffer's capacity and can never outlive the bytes
+it was decoded from.  Every call is still one logical read with the same
+hit/miss/eviction accounting as :meth:`BufferManager.read` — only the CPU
+cost of re-parsing a resident page goes away.
+
 The buffer statistics are the hardware-independent cost measure of the
 storage experiments: both layers keep their per-instance counters *and*
 mirror every event into the unified :mod:`repro.obs` registry
@@ -55,6 +67,8 @@ import struct
 import threading
 import zlib
 from collections import OrderedDict
+from collections.abc import Callable
+from typing import Any
 
 from repro.exceptions import PageCorruptError, PageError, StorageError
 from repro.faults.core import STATE as _FAULTS, CrashPoint, fire as _fault, tear as _tear
@@ -429,6 +443,9 @@ class BufferManager:
         self.file = file
         self.capacity_pages = max(1, capacity_bytes // file.page_size)
         self._frames: OrderedDict[int, bytes] = OrderedDict()
+        # pid -> (decode, decode(frame)) for resident frames only; every
+        # path that replaces or drops a frame drops its entry here too.
+        self._decoded: dict[int, tuple[Callable[[bytes], Any], Any]] = {}
         self._dirty: set[int] = set()
         # The LRU bookkeeping (OrderedDict moves/evictions) is shared by
         # every thread reading a served store; an unguarded move_to_end
@@ -443,17 +460,44 @@ class BufferManager:
     def read(self, pid: int) -> bytes:
         """Page contents, from cache when possible."""
         with self._lock:
-            frame = self._frames.get(pid)
-            if frame is not None:
+            return self._frame(pid)
+
+    def read_decoded(self, pid: int, decode: Callable[[bytes], Any]) -> Any:
+        """``decode(page)``, decoded once per resident frame.
+
+        One logical read, accounted exactly like :meth:`read`.  The
+        decoded object is shared by every later caller until the frame is
+        evicted, overwritten or dropped, so callers must treat it as
+        read-only.  ``decode`` is matched by identity: pass a module-level
+        function or class, not a fresh closure.  A ``decode`` that raises
+        caches nothing.
+        """
+        with self._lock:
+            memo = self._decoded.get(pid)
+            if memo is not None and memo[0] is decode:
+                # A memo implies a resident frame: account the hit as
+                # _frame() would.
                 self.hits += 1
                 _obs_add("storage.buffer_hits")
                 self._frames.move_to_end(pid)
-                return frame
-            self.misses += 1
-            _obs_add("storage.buffer_misses")
-            data = self.file.read_page(pid)
-            self._admit(pid, data)
-            return data
+                return memo[1]
+            value = decode(self._frame(pid))
+            self._decoded[pid] = (decode, value)
+            return value
+
+    def _frame(self, pid: int) -> bytes:
+        # Caller holds the lock.
+        frame = self._frames.get(pid)
+        if frame is not None:
+            self.hits += 1
+            _obs_add("storage.buffer_hits")
+            self._frames.move_to_end(pid)
+            return frame
+        self.misses += 1
+        _obs_add("storage.buffer_misses")
+        data = self.file.read_page(pid)
+        self._admit(pid, data)
+        return data
 
     def write(self, pid: int, data: bytes) -> None:
         """Replace page contents (write-back: flushed on eviction/close)."""
@@ -466,6 +510,7 @@ class BufferManager:
             if pid in self._frames:
                 self._frames[pid] = data
                 self._frames.move_to_end(pid)
+                self._decoded.pop(pid, None)
             else:
                 self._admit(pid, data)
             self._dirty.add(pid)
@@ -477,6 +522,7 @@ class BufferManager:
     def _admit(self, pid: int, data: bytes) -> None:
         while len(self._frames) >= self.capacity_pages:
             old_pid, old_data = self._frames.popitem(last=False)
+            self._decoded.pop(old_pid, None)
             self.evictions += 1
             _obs_add("storage.buffer_evictions")
             if old_pid in self._dirty:
@@ -503,6 +549,7 @@ class BufferManager:
         (crash simulation / error cleanup)."""
         with self._lock:
             self._frames.clear()
+            self._decoded.clear()
             self._dirty.clear()
             self.file.abort()
 
@@ -515,10 +562,12 @@ class BufferManager:
         self.file.writes = 0
 
     def drop_cache(self) -> None:
-        """Flush and empty the cache (simulates a cold start)."""
+        """Flush and empty the cache and its decoded pages (simulates a
+        cold start)."""
         with self._lock:
             self.flush()
             self._frames.clear()
+            self._decoded.clear()
 
     def stats(self) -> dict[str, int]:
         return {

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.exceptions import PageCorruptError
 from repro.storage.bptree import BPlusTree
 from repro.storage.pager import BufferManager, PagedFile
 
@@ -282,3 +283,152 @@ def test_property_matches_dict(tmp_path_factory, inserts, deletes):
         assert tree.search(k) == reference[k]
     tree.check_invariants()
     buf.close()
+
+
+def _reads(buf: BufferManager) -> int:
+    """Logical buffer reads so far: hits plus misses."""
+    return buf.hits + buf.misses
+
+
+def _leaf_chain(tree: BPlusTree) -> list[tuple[int, ...]]:
+    """The keys of every leaf, left to right."""
+    chain = []
+    pid = tree._leftmost_leaf()
+    while pid:
+        _, keys, _, pid = tree._load(pid)
+        chain.append(keys)
+    return chain
+
+
+class TestLogicalReadAccounting:
+    """Every node visit is exactly one buffer read, memo or not.
+
+    A decode memo that skipped ``buffer.read`` on a resident node would
+    under-count the page accesses the storage experiments measure.
+    """
+
+    @staticmethod
+    def _floor_cost(tree: BPlusTree, key: int, height: int) -> int:
+        # The descent reads one node per level.  When the probe's leaf
+        # holds no key <= probe, floor() scans from the left: another
+        # descent, then leaves up to the first one holding a key > probe.
+        _, keys, _, _ = tree._find_leaf(key)
+        if keys and keys[0] <= key:
+            return height
+        scanned = 0
+        for keys in _leaf_chain(tree):
+            scanned += 1
+            if keys and keys[-1] > key:
+                break
+        return 2 * height + scanned
+
+    @pytest.mark.parametrize("pages", [1, 2, 4])
+    def test_interleaved_ops_against_oracle(self, tmp_path, pages):
+        f = PagedFile(tmp_path / "acct.db", page_size=512)
+        buf = BufferManager(f, capacity_bytes=512 * pages)
+        tree = BPlusTree(buf)
+        rng = random.Random(7 + pages)
+        oracle: dict[int, int] = {}
+        ops = ["insert"] * 5 + ["delete", "search", "in", "floor", "range"]
+        heights = set()
+        for step in range(2500):
+            op = "items" if step % 250 == 249 else rng.choice(ops)
+            key = rng.randrange(-100, 1500)
+            height = tree.height()
+            heights.add(height)
+            before = _reads(buf)
+            if op == "insert":
+                tree.insert(key, step)
+                oracle[key] = step
+            elif op == "delete":
+                assert tree.delete(key) == (key in oracle)
+                oracle.pop(key, None)
+            elif op == "search":
+                assert tree.search(key) == oracle.get(key)
+                assert _reads(buf) - before == height
+            elif op == "in":
+                assert (key in tree) == (key in oracle)
+                assert _reads(buf) - before == height
+            elif op == "floor":
+                expected_cost = self._floor_cost(tree, key, height)
+                before = _reads(buf)
+                below = [k for k in oracle if k <= key]
+                expected = (max(below), oracle[max(below)]) if below else None
+                assert tree.floor(key) == expected
+                assert _reads(buf) - before == expected_cost
+            elif op == "range":
+                hi = key + rng.randrange(0, 200)
+                assert list(tree.range(key, hi)) == sorted(
+                    (k, v) for k, v in oracle.items() if key <= k <= hi
+                )
+            else:
+                leaves = len(_leaf_chain(tree))
+                before = _reads(buf)
+                assert list(tree.items()) == sorted(oracle.items())
+                # The leftmost descent reads the first leaf, then the
+                # chain scan reads every leaf (the first one again).
+                assert _reads(buf) - before == height + leaves
+        assert heights >= {1, 2, 3}
+        tree.check_invariants()
+        buf.close()
+
+
+class TestDecodeMemo:
+    """Decoded nodes are shared with the buffer but never stale."""
+
+    def test_same_leaf_insert_and_delete_are_seen(self, tree):
+        for k in (10, 20, 30):
+            tree.insert(k, k)
+        assert tree.search(20) == 20  # the root leaf's decode is now cached
+        tree.insert(25, 250)
+        assert tree.search(25) == 250
+        assert tree.floor(27) == (25, 250)
+        assert tree.delete(20)
+        assert tree.search(20) is None
+        assert tree.floor(24) == (10, 10)
+        assert list(tree.items()) == [(10, 10), (25, 250), (30, 30)]
+        assert list(tree.range(0, 100)) == [(10, 10), (25, 250), (30, 30)]
+
+    def test_returned_results_do_not_alias_the_memo(self, tree):
+        for k in range(40):
+            tree.insert(k, k)
+        items = list(tree.items())
+        items.clear()
+        scanned = list(tree.range(5, 9))
+        scanned[0] = (5, -1)
+        assert tree.floor(5) == (5, 5)
+        assert list(tree.range(5, 9)) == [(k, k) for k in range(5, 10)]
+        assert list(tree.items()) == [(k, k) for k in range(40)]
+
+    def test_corrupt_page_is_not_answered_from_the_memo(self, tmp_path):
+        f = PagedFile(tmp_path / "flip.db", page_size=512)
+        buf = BufferManager(f, capacity_bytes=512)  # a single frame
+        tree = BPlusTree(buf)
+        for k in range(10):
+            tree.insert(k, k * 10)
+        buf.flush()
+        assert tree.search(3) == 30  # decode cached with the frame
+        other = buf.allocate()
+        buf.read(other)  # evicts the tree's only node
+        offset = tree.root_pid * f.stride + 20  # inside the first entry
+        with f._io_lock:
+            f._fh.seek(offset)
+            (byte,) = f._fh.read(1)
+            f._fh.seek(offset)
+            f._fh.write(bytes([byte ^ 0xFF]))
+            f._fh.flush()
+        with pytest.raises(PageCorruptError):
+            tree.search(3)
+        buf.abort()
+
+    def test_drop_cache_makes_the_next_read_physical(self, tree):
+        for k in range(100):
+            tree.insert(k, k)
+        height = tree.height()
+        tree.search(42)
+        before = tree.buffer.file.reads
+        tree.search(42)
+        assert tree.buffer.file.reads == before
+        tree.buffer.drop_cache()
+        assert tree.search(42) == 42
+        assert tree.buffer.file.reads == before + height

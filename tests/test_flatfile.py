@@ -141,3 +141,64 @@ def test_property_roundtrip(tmp_path_factory, records):
     for rid, data in zip(rids, records):
         assert rf2.read(rid) == data
     buf2.close()
+
+
+class TestReadDecoded:
+    """Record decodes are memoised with the page frame; overflow records
+    are decoded afresh; page reads match read()."""
+
+    @staticmethod
+    def _decoder():
+        calls = []
+
+        def decode(record: bytes) -> bytes:
+            calls.append(len(record))
+            return record.upper()
+
+        return decode, calls
+
+    def test_inline_record_decoded_once_per_frame(self, recfile):
+        rids = [recfile.append(b"rec%d" % i) for i in range(5)]
+        decode, calls = self._decoder()
+        for _ in range(3):
+            assert [recfile.read_decoded(r, decode) for r in rids] == [
+                b"REC%d" % i for i in range(5)
+            ]
+        assert len(calls) == 5
+        recfile.buffer.drop_cache()
+        recfile.read_decoded(rids[0], decode)
+        assert len(calls) == 6
+
+    def test_overflow_record_decoded_every_time(self, recfile):
+        rid = recfile.append(b"x" * 2000)
+        decode, calls = self._decoder()
+        assert recfile.read_decoded(rid, decode) == b"X" * 2000
+        assert recfile.read_decoded(rid, decode) == b"X" * 2000
+        assert calls == [2000, 2000]
+
+    def test_same_page_reads_as_read(self, recfile):
+        rids = [recfile.append(bytes([i]) * 40) for i in range(30)]
+        rids.append(recfile.append(b"y" * 1500))  # an overflow chain
+        buf = recfile.buffer
+        order = random.Random(3).choices(rids, k=200)
+        decode, _ = self._decoder()
+
+        def cold_stats(read) -> dict:
+            buf.flush()
+            buf.drop_cache()
+            buf.reset_stats()
+            for rid in order:
+                read(rid)
+            return buf.stats()
+
+        plain = cold_stats(recfile.read)
+        assert cold_stats(lambda r: recfile.read_decoded(r, decode)) == plain
+
+    def test_bad_slot_still_raises(self, recfile):
+        from repro.exceptions import PageError
+
+        rid = recfile.append(b"only")
+        page, slot = rid_decode(rid)
+        decode, _ = self._decoder()
+        with pytest.raises(PageError):
+            recfile.read_decoded(rid_encode(page, slot + 5), decode)

@@ -8,12 +8,15 @@ produce identical results on either backend.
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 
 from repro.core.epslink import EpsLink
 from repro.core.kmedoids import NetworkKMedoids
 from repro.core.singlelink import SingleLink
+from repro.datagen import load_network
 from repro.exceptions import EdgeNotFoundError, NodeNotFoundError, PointNotFoundError
 from repro.storage.ccam import ccam_order, random_order
 from repro.storage.netstore import NetworkStore
@@ -251,3 +254,110 @@ class TestNodeOrdering:
             NetworkStore.build(
                 tmp_path / "bad.db", small_network, small_points, node_order=[1, 2]
             )
+
+
+class TestDecodeCaches:
+    """drop_caches() reaches every decode cache, and none serves stale or
+    aliased data."""
+
+    @staticmethod
+    def _sf_store(tmp_path, buffer_pages: int = 16):
+        network = load_network("SF", scale=1 / 200, seed=0)
+        points = scatter_points(random.Random(0), network, 300)
+        store = NetworkStore.build(
+            tmp_path / "sf.db", network, points, buffer_bytes=buffer_pages * 4096
+        )
+        return store, network, points
+
+    @staticmethod
+    def _cold(store, run) -> dict:
+        store.drop_caches()
+        store.reset_stats()
+        run()
+        return store.stats()
+
+    def test_drop_caches_reaches_held_point_sets(self, tmp_path):
+        store, _, _ = self._sf_store(tmp_path)
+        with store:
+            held = store.points()
+            edges = sorted(held.populated_edges())[:50]
+
+            def scan(point_set):
+                return lambda: [point_set.points_on_edge(u, v) for u, v in edges]
+
+            first = self._cold(store, scan(held))
+            assert self._cold(store, scan(held)) == first
+            assert self._cold(store, scan(store.points())) == first
+
+    def test_drop_caches_resets_the_id_index(self, tmp_path):
+        # scatter_points numbers points in placement order, so most ids
+        # are not group-sequential and get() builds the full id index.
+        store, _, points = self._sf_store(tmp_path)
+        with store:
+            held = store.points()
+            ids = [p.point_id for p in points][:40]
+
+            def lookups():
+                for point_id in ids:
+                    held.get(point_id)
+
+            first = self._cold(store, lookups)
+            assert self._cold(store, lookups) == first
+
+    def test_returned_lists_do_not_alias_the_memo(self, store):
+        sp = store.points()
+        expected = sp.points_on_edge(1, 2)
+        assert len(expected) == 2
+        got = sp.points_on_edge(1, 2)
+        got.clear()
+        reverse = sp.points_from(2, 1)
+        reverse.append(None)
+        assert sp.points_on_edge(1, 2) == expected
+        fresh = store.points()  # empty group cache: served by the page memo
+        assert fresh.points_on_edge(1, 2) == expected
+        assert fresh.points_from(2, 1) == expected[::-1]
+        assert fresh.points_from(1, 2) == expected
+        assert [fresh.get(p.point_id) for p in expected] == expected
+
+    def test_shared_store_is_thread_safe(self, tmp_path):
+        # A two-page buffer keeps frames, and their decoded pages, churning;
+        # more threads than cores and a short switch interval interleave
+        # the lookups finely.
+        store, network, points = self._sf_store(tmp_path, buffer_pages=2)
+        nodes = list(network.nodes())
+        by_id = {p.point_id: p for p in points}
+        ids = list(by_id)
+        shared = store.points()
+        errors: list[BaseException] = []
+
+        def worker(seed: int) -> None:
+            rng = random.Random(seed)
+            try:
+                for _ in range(300):
+                    point_id = rng.choice(ids)
+                    assert shared.get(point_id) == by_id[point_id]
+                    node = rng.choice(nodes)
+                    assert store.has_node(node)
+                    assert not store.has_node(-1 - node)
+                    assert dict(store.neighbors(node)) == dict(
+                        network.neighbors(node)
+                    )
+            except BaseException as exc:  # surfaced on the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with store:
+                threads = [
+                    threading.Thread(target=worker, args=(i,), daemon=True)
+                    for i in range(4)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(120)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors[0]

@@ -225,3 +225,90 @@ class TestConcurrentReads:
         pids = self._fill(buf)
         buf.flush()
         self._hammer(buf.read, pids)
+
+
+class TestReadDecoded:
+    """The decoded-page memo: same accounting as read(), frame lifetime."""
+
+    @staticmethod
+    def _counting_decoder():
+        calls = []
+
+        def decode(raw: bytes) -> tuple[bytes, int]:
+            calls.append(raw[:4])
+            return (raw[:4], len(calls))
+
+        return decode, calls
+
+    def _pages(self, buf: BufferManager, n: int) -> list[int]:
+        pids = [buf.allocate() for _ in range(n)]
+        for pid in pids:
+            buf.write(pid, pid.to_bytes(4, "little"))
+        buf.flush()
+        buf.drop_cache()
+        buf.reset_stats()
+        return pids
+
+    def test_accounting_matches_read(self, paged):
+        buf = BufferManager(paged, capacity_bytes=512 * 2)
+        pids = self._pages(buf, 3)
+        pattern = [pids[0], pids[0], pids[1], pids[2], pids[0], pids[2]]
+        for pid in pattern:
+            buf.read(pid)
+        plain = buf.stats()
+        buf.drop_cache()
+        buf.reset_stats()
+        decode, _ = self._counting_decoder()
+        for pid in pattern:
+            buf.read_decoded(pid, decode)
+        assert buf.stats() == plain
+
+    def test_decodes_once_per_resident_frame(self, paged):
+        buf = BufferManager(paged, capacity_bytes=512 * 4)
+        (pid,) = self._pages(buf, 1)
+        decode, calls = self._counting_decoder()
+        first = buf.read_decoded(pid, decode)
+        assert buf.read_decoded(pid, decode) is first
+        assert len(calls) == 1
+        assert buf.hits == 1 and buf.misses == 1
+
+    def test_eviction_drops_the_decode(self, paged):
+        buf = BufferManager(paged, capacity_bytes=512)  # one frame
+        a, b = self._pages(buf, 2)
+        decode, calls = self._counting_decoder()
+        buf.read_decoded(a, decode)
+        buf.read(b)  # evicts a
+        buf.read_decoded(a, decode)
+        assert len(calls) == 2
+        assert buf.stats()["physical_reads"] == 3
+
+    def test_write_drops_the_decode(self, paged):
+        buf = BufferManager(paged, capacity_bytes=512 * 4)
+        (pid,) = self._pages(buf, 1)
+        decode, _ = self._counting_decoder()
+        assert buf.read_decoded(pid, decode)[0] == pid.to_bytes(4, "little")
+        buf.write(pid, b"NEW!")
+        assert buf.read_decoded(pid, decode)[0] == b"NEW!"
+
+    def test_another_decoder_decodes_afresh(self, paged):
+        buf = BufferManager(paged, capacity_bytes=512 * 4)
+        (pid,) = self._pages(buf, 1)
+        decode, calls = self._counting_decoder()
+        assert buf.read_decoded(pid, bytes.hex) == buf.read(pid).hex()
+        buf.read_decoded(pid, decode)
+        assert len(calls) == 1
+
+    def test_a_raising_decoder_caches_nothing(self, paged):
+        buf = BufferManager(paged, capacity_bytes=512 * 4)
+        (pid,) = self._pages(buf, 1)
+        calls = []
+
+        def broken(raw: bytes) -> None:
+            calls.append(1)
+            raise ValueError("bad page")
+
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                buf.read_decoded(pid, broken)
+        assert len(calls) == 2
+        assert buf.hits == 1 and buf.misses == 1
