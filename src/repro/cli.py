@@ -57,7 +57,7 @@ from repro.datagen import (
 )
 from repro.datagen.clusters import well_separated_seed_edges
 from repro.eval import adjusted_rand_index, normalized_mutual_information, purity
-from repro.exceptions import Cancelled, Interrupted, WalCorruptError
+from repro.exceptions import Cancelled, Interrupted, ParameterError, WalCorruptError
 from repro.io import (
     load_result_file,
     load_workload_file,
@@ -595,10 +595,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """
     from repro.serve import (
         QueryService,
+        SupervisedPool,
         error_response,
         parse_request,
         result_response,
     )
+    from repro.serve.frontend import check_backend, open_live_session
 
     network, points = load_workload_file(args.workload)
     if len(points) == 0:
@@ -609,11 +611,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"--metrics-interval-s must be > 0, got {args.metrics_interval_s}"
         )
-    if args.backend == "csr" and args.wal:
-        raise SystemExit(
-            "--backend csr cannot serve live mutations (--wal): the frozen "
-            "arrays would go stale on the first reweigh; use --backend dict"
-        )
+    try:
+        check_backend(args.backend, live=bool(args.wal))
+    except ParameterError as exc:
+        raise SystemExit(str(exc))
     # Serve-specific enable: --metrics-file alone turns telemetry on, and
     # --trace records *request-scoped* spans (only requests that carry
     # "trace": true), not the whole serving session.
@@ -659,10 +660,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             if args.output else sys.stdout
         )
         session = None
-        if args.processes > 0:
-            from repro.serve import SupervisedPool
-
-            try:
+        try:
+            if args.processes > 0:
                 service = SupervisedPool(
                     args.workload,
                     processes=args.processes,
@@ -677,54 +676,41 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     live_eps=args.live_eps,
                     backend=args.backend,
                 )
-            except WalCorruptError as exc:
-                raise SystemExit(
-                    f"cannot open mutation log {args.wal}: {exc}"
-                )
-            if args.wal:
-                print(
-                    f"mutation log {args.wal} at epoch "
-                    f"{service.session.epoch}",
-                    file=sys.stderr,
-                )
-            pool_desc = f"{args.processes} process(es)"
-        else:
-            if args.wal:
-                from repro.live import LiveSession, WriteAheadLog
-
-                try:
-                    wal = WriteAheadLog(args.wal)
-                except (OSError, WalCorruptError) as exc:
-                    raise SystemExit(
-                        f"cannot open mutation log {args.wal}: {exc}"
+                pool_desc = f"{args.processes} process(es)"
+            else:
+                if args.wal:
+                    # The threaded executor borrows its session; this
+                    # command owns it and closes it after the service.
+                    session = open_live_session(
+                        network, points, args.wal, eps=args.live_eps
                     )
-                session = LiveSession(
-                    network, points, eps=args.live_eps, wal=wal
+                service = QueryService(
+                    network, points,
+                    workers=args.workers,
+                    queue_depth=args.queue_depth,
+                    default_timeout_s=default_timeout_s,
+                    landmarks=args.landmarks,
+                    distance_cache_mb=args.distance_cache_mb,
+                    index_path=args.index,
+                    session=session,
+                    backend=args.backend,
                 )
-                replayed = session.replay_wal()
-                print(
-                    f"mutation log {args.wal} at epoch {session.epoch} "
-                    f"({replayed} mutation(s) replayed)",
-                    file=sys.stderr,
-                )
-            service = QueryService(
-                network, points,
-                workers=args.workers,
-                queue_depth=args.queue_depth,
-                default_timeout_s=default_timeout_s,
-                landmarks=args.landmarks,
-                distance_cache_mb=args.distance_cache_mb,
-                index_path=args.index,
-                session=session,
-                backend=args.backend,
+                pool_desc = f"{args.workers} worker(s)"
+                if service.index_degrade_reason is not None:
+                    print(
+                        f"landmark index degraded: "
+                        f"{service.index_degrade_reason}",
+                        file=sys.stderr,
+                    )
+        except (OSError, WalCorruptError) as exc:
+            if not args.wal:
+                raise
+            raise SystemExit(f"cannot open mutation log {args.wal}: {exc}")
+        if args.wal:
+            print(
+                f"mutation log {args.wal} at epoch {service.session.epoch}",
+                file=sys.stderr,
             )
-            pool_desc = f"{args.workers} worker(s)"
-            if args.index and service.index_source == "degraded":
-                print(
-                    f"landmark index degraded: "
-                    f"{service.index_degrade_reason}",
-                    file=sys.stderr,
-                )
         pending: list[tuple[dict, object]] = []  # (request, future-or-error)
         served = 0
         interrupted = None

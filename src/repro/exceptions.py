@@ -259,12 +259,16 @@ class Cancelled(Interrupted):
 
 
 class Overloaded(ReproError):
-    """A request was shed because the service admission queue is full.
+    """A request was shed: the service cannot take more work now.
 
-    Load-shedding rejection from :class:`repro.serve.QueryService`: the
-    bounded queue already holds ``queue_depth`` requests, so admitting more
-    would only grow latency unboundedly.  The caller should back off and
-    retry; nothing was executed.
+    Load-shedding rejection from either serve tier
+    (:class:`repro.serve.QueryService`, :class:`repro.serve.SupervisedPool`):
+    the bounded admission queue already holds ``queue_depth`` requests, so
+    admitting more would only grow latency unboundedly — or, on the
+    supervised pool, every worker slot's restart circuit is open (fully
+    degraded), so no worker is left to run it.  The message names the
+    queue bound either way.  The caller should back off and retry;
+    nothing was executed.
     """
 
     def __init__(self, queue_depth: int) -> None:

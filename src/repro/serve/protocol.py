@@ -66,6 +66,7 @@ __all__ = [
     "error_response",
     "parse_request",
     "result_response",
+    "timeout_ms_seconds",
 ]
 
 OPS = ("range", "knn", "cluster", "stats", "mutate", "subscribe_epoch",
@@ -86,17 +87,29 @@ def parse_request(line: str, lineno: int = 0) -> dict:
         raise ParameterError(
             f"{where}: op must be one of {list(OPS)}, got {op!r}"
         )
-    timeout_ms = doc.get("timeout_ms")
-    if timeout_ms is not None and (
-        isinstance(timeout_ms, bool)
-        or not isinstance(timeout_ms, (int, float))
-        or timeout_ms != timeout_ms  # NaN
-        or timeout_ms < 0
-    ):
-        raise ParameterError(
-            f"{where}: timeout_ms must be a number >= 0, got {timeout_ms!r}"
-        )
+    if doc.get("timeout_ms") is not None:
+        timeout_ms_seconds(doc["timeout_ms"], where)
     return doc
+
+
+def timeout_ms_seconds(raw: object, where: str = "") -> float:
+    """A request's ``timeout_ms`` in seconds, or :class:`ParameterError`.
+
+    The one validation of the field: the line parser and the front end's
+    admission both call it, so a bad value is refused with the same words
+    whichever door it comes through (``where`` prefixes the message).
+    """
+    if (
+        isinstance(raw, bool)
+        or not isinstance(raw, (int, float))
+        or raw != raw  # NaN
+        or raw < 0
+    ):
+        prefix = f"{where}: " if where else ""
+        raise ParameterError(
+            f"{prefix}timeout_ms must be a number >= 0, got {raw!r}"
+        )
+    return float(raw) / 1000.0
 
 
 def error_name(exc: BaseException) -> str:

@@ -1,48 +1,22 @@
-"""Threaded query executor with admission control and per-request deadlines.
+"""The threaded executor of the serve tier, and the request execution path.
 
-:class:`QueryService` is the runtime the resilience layer exists for: a
-worker pool answering ε-range / kNN / clustering requests over one served
-workload, engineered so that load and failure stay bounded:
+:class:`QueryService` answers ε-range / kNN / clustering requests over one
+served workload on worker threads inside this process, behind the
+admission, deadline, live-op, telemetry and drain rules of
+:class:`~repro.serve.frontend.ServeFrontEnd`.  A worker activates each
+request's deadline for its scope, so the cooperative checkpoints inside
+the traversals enforce it; catches every ``Exception`` a request raises,
+so a poisoned request fails alone and the worker lives on; and keeps its
+own :class:`~repro.network.augmented.AugmentedView` and accelerator facade
+over the shared landmark index and distance cache.  Requests run in this
+process, so an installed :class:`~repro.recovery.RetryPolicy` or
+:class:`~repro.resilience.CircuitBreaker` (the ``breaker.state`` gauge)
+applies to them as is, and a request carrying ``"trace": true`` runs under
+a trace-sampled ``serve.request`` root span stamped with its
+``request_id`` (``obs.enable(sample_requests=True)``).
 
-* **Bounded admission.**  Requests wait in a ``queue.Queue(queue_depth)``;
-  when it is full, :meth:`submit` *sheds* the request with a typed
-  :class:`~repro.exceptions.Overloaded` instead of queueing unboundedly —
-  the caller learns immediately and can back off.
-* **Per-request deadlines.**  Every request gets a
-  :class:`~repro.resilience.Deadline` stamped at *admission*, so time spent
-  queued counts against it; a worker activates it for the request's scope
-  and the cooperative checkpoints inside the traversals enforce it.
-  Requests whose deadline expired while queued are dropped at dequeue
-  without doing any work.
-* **Per-request isolation.**  Workers catch every ``Exception`` a request
-  raises and deliver it through the request's future; a poisoned request
-  (corrupt store page, injected crash, bad parameters) fails alone and the
-  worker lives on.
-* **Graceful drain.**  :meth:`close` stops admissions, lets queued work
-  finish (or cancels it with ``drain=False``), and joins the workers.
-
-The service composes with the rest of the robustness stack without special
-cases: an installed :class:`~repro.recovery.RetryPolicy` absorbs transient
-I/O blips inside requests, an installed
-:class:`~repro.resilience.CircuitBreaker` converts persistent store
-failures into fast :class:`~repro.exceptions.CircuitOpenError` rejections,
-and ``serve.*`` obs counters expose the flow.
-
-Live telemetry (all gated on one ``obs`` flag check per request, so the
-hot path is untouched while observability is off):
-
-* ``serve.latency`` / ``serve.queue_wait`` / ``serve.exec`` histograms —
-  admission→response, admission→dequeue, and dequeue→response, measured on
-  the service clock so virtual-clock tests see deterministic values;
-* gauges for queue depth, live workers, in-flight requests, the installed
-  circuit breaker's state, and the shared distance cache's hit ratio,
-  sampled only when something reads them;
-* the ``{"op": "stats"}`` wire request and :meth:`QueryService.stats_snapshot`
-  return all of it plus uptime as one JSON-ready document;
-* requests carrying ``"trace": true`` run inside a trace-sampled scope
-  under a ``serve.request`` root span stamped with their ``request_id``,
-  so a single request's full span tree lands in the trace file without
-  tracing the whole service (``obs.enable(sample_requests=True)``).
+:func:`run_query` is the one execution path of ``range`` / ``knn`` /
+``cluster``, shared with the supervised pool's worker processes.
 """
 
 from __future__ import annotations
@@ -51,34 +25,29 @@ import itertools
 import queue
 import threading
 import time
-from concurrent.futures import Future
 from typing import Callable
 
-from repro.exceptions import (
-    Cancelled,
-    DeadlineExceeded,
-    Overloaded,
-    ParameterError,
-    PointNotFoundError,
-)
+from repro.exceptions import ParameterError, PointNotFoundError
 from repro.network.augmented import AugmentedView
+from repro.network.csr import resolve_backend
 from repro.network.queries import knn_query, range_query
 from repro.obs.core import STATE as _OBS
-from repro.obs.core import add as _obs_add
 from repro.obs.core import sampled as _obs_sampled
 from repro.obs.core import span as _obs_span
-from repro.obs.metrics import REGISTRY as _METRICS
 from repro.resilience.breaker import installed_state_code as _breaker_state
-from repro.resilience.deadline import Deadline
+from repro.serve.frontend import (
+    LIVE_OPS,
+    STOP,
+    ServeFrontEnd,
+    accelerator,
+    check_backend,
+    degrade_on_reweigh,
+    open_acceleration,
+    settle,
+)
 from repro.serve.protocol import OPS
 
-#: Wire ops that require a live-mutation session (``repro serve --wal``).
-LIVE_OPS = frozenset({"mutate", "subscribe_epoch", "snapshot"})
-
 __all__ = ["LIVE_OPS", "QueryService", "build_algorithm", "run_query"]
-
-_STOP = object()
-_UNSET = object()
 
 #: fallback request ids for traced requests that carry no client ``id``
 _REQUEST_IDS = itertools.count(1)
@@ -198,8 +167,9 @@ def run_query(request: dict, aug: AugmentedView, *, accel=None):
     raise ParameterError(f"op must be one of {list(OPS)}, got {op!r}")
 
 
-class QueryService:
-    """A bounded worker pool answering queries over one workload.
+class QueryService(ServeFrontEnd):
+    """The threaded executor: a bounded worker pool answering queries over
+    one workload.
 
     Parameters
     ----------
@@ -230,27 +200,20 @@ class QueryService:
         uninstrumented primitives.
     index_path:
         Path to a persisted landmark index (``repro index build``), mapped
-        read-only instead of running the landmark Dijkstras at startup.
-        Overrides ``landmarks``: with an artifact supplied the service
-        never builds an index in-process.  A missing, corrupt, stale, or
-        version-skewed artifact *degrades* — the service starts and serves
-        the unaccelerated bit-identical path, ``perf.index.degraded`` is
-        bumped, and :attr:`index_source` reads ``"degraded"`` (with the
-        cause in :attr:`index_degrade_reason`) — it never refuses to
-        serve.
+        read-only instead of building one; overrides ``landmarks``.  A
+        bad artifact *degrades* (``frontend.open_acceleration``):
+        :attr:`index_source` reads ``"degraded"``,
+        the cause is in :attr:`index_degrade_reason`, and the service
+        serves the bit-identical unaccelerated path — it never refuses to.
     session:
-        A :class:`~repro.live.LiveSession` enabling the ``mutate`` /
-        ``subscribe_epoch`` / ``snapshot`` wire ops.  Queries and
-        mutations are then serialized on the session lock (the threaded
-        tier trades mutation-window parallelism for a consistent world;
-        the supervised pool keeps full parallelism because each worker
-        process applies between requests).  ``subscribe_epoch`` is
-        answered on a dedicated waiter thread, never a pool worker, so
-        parked subscribers cannot starve the mutate that would wake
-        them.  A reweigh degrades the
-        landmark acceleration through the session's reweigh hook — the
-        fingerprint-checked ``load_index_or_degrade`` path for a
-        persisted artifact — never a silent rebuild.
+        A :class:`~repro.live.LiveSession` (borrowed: the caller closes
+        it) enabling the ``mutate`` / ``subscribe_epoch`` / ``snapshot``
+        wire ops.  Queries and mutations are then serialized on the
+        session lock (the threaded tier trades mutation-window
+        parallelism for a consistent world; the supervised pool keeps
+        full parallelism because each worker process applies between
+        requests).  A reweigh degrades the landmark acceleration
+        (:func:`~repro.serve.frontend.degrade_on_reweigh`).
     backend:
         ``None``/``"dict"`` serve the network as given;  ``"csr"``
         freezes it once into a :class:`~repro.network.CSRNetwork` before
@@ -276,118 +239,44 @@ class QueryService:
     ) -> None:
         if workers < 1:
             raise ParameterError(f"workers must be >= 1, got {workers}")
-        if queue_depth < 1:
-            raise ParameterError(f"queue_depth must be >= 1, got {queue_depth}")
         if landmarks < 0:
             raise ParameterError(f"landmarks must be >= 0, got {landmarks}")
         if distance_cache_mb < 0:
             raise ParameterError(
                 f"distance_cache_mb must be >= 0, got {distance_cache_mb}"
             )
-        if backend not in (None, "dict", "csr"):
-            raise ParameterError(
-                f"unknown network backend {backend!r} (expected 'dict' or 'csr')"
-            )
-        if backend == "csr":
-            if session is not None:
-                # Live mutations rewrite the network under the service; a
-                # frozen snapshot would go stale on the first reweigh, so
-                # the combination is refused up front rather than failing
-                # mid-serve with StaleBackendError.
-                raise ParameterError(
-                    "backend='csr' cannot serve live mutations; "
-                    "use the dict backend with a session"
-                )
-            from repro.network.csr import CSRNetwork
-
-            # Freeze once, before the workers start: every worker thread's
-            # AugmentedView then traverses the same shared arrays, and the
-            # landmark build below reuses the frozen kernels.
-            network = CSRNetwork.freeze(network)
         #: ``"dict"`` or ``"csr"`` — which traversal backend serves.
-        self.backend = "csr" if backend == "csr" else "dict"
-        self.network = network
+        self.backend = check_backend(backend, live=session is not None)
+        super().__init__(
+            queue_depth=queue_depth, default_timeout_s=default_timeout_s,
+            clock=clock,
+        )
+        # Frozen once, before the workers start: every worker thread's
+        # AugmentedView then traverses the same shared arrays, and the
+        # landmark build below reuses the frozen kernels.
+        self.network = network = resolve_backend(network, self.backend)
         self.points = points
-        self.default_timeout_s = default_timeout_s
-        self._clock = clock
-        # The shared acceleration state is built *before* the workers
+        # The shared acceleration state is opened *before* the workers
         # start: they construct per-worker accelerators from it in their
         # own threads, and the landmark Dijkstras must not race admission.
-        self._landmark_index = None
-        self._distance_cache = None
-        self._accelerated = landmarks > 0 or distance_cache_mb > 0
-        #: "mmap" / "degraded" / "built" / "none" — where the landmark
-        #: acceleration state came from (mirrors the worker-process ready
-        #: frames, so both tiers audit identically).
-        self.index_source = "none"
-        self.index_degrade_reason: str | None = None
-        if index_path is not None:
-            # A supplied artifact replaces the in-process build outright:
-            # loading it costs one checksummed read, and when it cannot be
-            # trusted the service degrades rather than silently re-paying
-            # the landmark Dijkstras it exists to avoid.
-            from repro.perf import load_index_or_degrade
-
-            index, reason = load_index_or_degrade(index_path, network)
-            if index is not None:
-                self._landmark_index = index
-                self._accelerated = True
-                self.index_source = "mmap"
-            else:
-                self._accelerated = distance_cache_mb > 0
-                self.index_source = "degraded"
-                self.index_degrade_reason = reason
-        elif landmarks > 0:
-            from repro.perf import LandmarkIndex
-
-            self._landmark_index = LandmarkIndex(network, landmarks)
-            self.index_source = "built"
-        if distance_cache_mb > 0:
-            from repro.perf import DistanceCache
-
-            self._distance_cache = DistanceCache(distance_cache_mb)
-        self._session = session
+        # ``index_source`` ("mmap" / "degraded" / "built" / "none") is what
+        # worker processes report in their ready frames: both tiers audit
+        # identically.
+        (self._landmark_index, self._distance_cache, self.index_source,
+         self.index_degrade_reason) = open_acceleration(
+            network, landmarks=landmarks, cache_mb=distance_cache_mb,
+            index_path=index_path,
+        )
         self._index_path = index_path
         # Bumped when the shared acceleration state changes (a reweigh
         # degrading the landmark index); worker threads compare their
         # per-thread generation against it and rebuild their accelerator.
         self._accel_gen = 0
+        self.session = session
         if session is not None:
             session.add_reweigh_hook(self._on_reweigh)
         self._worker_state = threading.local()
-        self._queue: queue.Queue = queue.Queue(maxsize=queue_depth)
-        self._closed = False
-        self._close_lock = threading.Lock()
-        self._started_at = clock()
-        self._inflight = 0
-        # Shared instruments, created once so the per-request path does a
-        # single flag check plus direct observe() calls — no dict lookups.
-        self._h_latency = _METRICS.histogram("serve.latency")
-        self._h_queue_wait = _METRICS.histogram("serve.queue_wait")
-        self._h_exec = _METRICS.histogram("serve.exec")
-        # Gauges are sampled only when read (stats op / exporter), so
-        # registering them costs the request path nothing.  Kept for
-        # unregistration on close: a later service re-registering the same
-        # names takes them over, and close() only removes its own.
-        self._gauges = [
-            _METRICS.gauge("serve.queue_depth", self._queue.qsize),
-            _METRICS.gauge(
-                "serve.workers_live",
-                lambda: sum(t.is_alive() for t in self._threads),
-            ),
-            _METRICS.gauge("serve.inflight", lambda: self._inflight),
-            _METRICS.gauge("breaker.state", _breaker_state),
-        ]
-        if self._distance_cache is not None:
-            self._gauges.append(
-                _METRICS.gauge(
-                    "perf.cache.hit_ratio", self._distance_cache.hit_ratio
-                )
-            )
-        if session is not None:
-            self._gauges.append(
-                _METRICS.gauge("serve.epoch", lambda: self._session.epoch)
-            )
+        self._register_gauges()
         self._threads = [
             threading.Thread(
                 target=self._worker, name=f"repro-serve-{i}", daemon=True
@@ -397,69 +286,26 @@ class QueryService:
         for thread in self._threads:
             thread.start()
 
-    # -- client side -----------------------------------------------------
+    # -- executor hooks ----------------------------------------------------
 
-    def submit(self, request: dict, timeout_s: object = _UNSET) -> Future:
-        """Admit a request; returns its future or raises ``Overloaded``.
+    # ``stats`` and ``mutate`` are queued and answered on a worker thread
+    # like any query (``_inline_ops`` stays empty): a worker thread sees
+    # this process's telemetry and session directly, and running them
+    # there keeps them behind the admission queue and its deadline check.
+    # ``serve.inflight`` therefore counts a stats request itself.
 
-        The request's deadline starts *now*: queue wait is part of the
-        budget the caller granted.  A malformed ``timeout_ms`` raises
-        :class:`ParameterError` (wire name ``BadRequest``), never a bare
-        conversion error.
-        """
-        if timeout_s is _UNSET:
-            timeout_s = self._request_timeout_s(request)
-        if request.get("op") == "subscribe_epoch" and self._session is not None:
-            # Answered off the worker pool on a dedicated waiter thread
-            # (mirroring SupervisedPool): a no-deadline subscriber would
-            # otherwise park a pool thread in a condition wait, and
-            # enough of them starve out the very mutate that would wake
-            # them — permanent deadlock.
-            with self._close_lock:
-                if self._closed:
-                    raise RuntimeError("QueryService is closed")
-            future: Future = Future()
-            self._subscribe_epoch(request, timeout_s, future)
-            _obs_add("serve.submitted")
-            return future
-        deadline = Deadline(timeout_s, clock=self._clock)
-        future: Future = Future()
-        # One flag check: with observability off no clock is read and the
-        # queue item carries None, so the worker skips all histogram work.
-        admitted_at = self._clock() if _OBS.enabled else None
-        # The closed check and the enqueue are one atomic step against
-        # close(): otherwise a request could slip into the queue after
-        # close() drained it and enqueued the stop sentinels, leaving its
-        # future unresolved forever.
-        with self._close_lock:
-            if self._closed:
-                raise RuntimeError("QueryService is closed")
-            try:
-                self._queue.put_nowait((request, deadline, future, admitted_at))
-            except queue.Full:
-                _obs_add("serve.shed")
-                raise Overloaded(self._queue.maxsize) from None
-        _obs_add("serve.submitted")
-        return future
+    def _live_workers(self) -> int:
+        return sum(t.is_alive() for t in self._threads)
 
-    def _request_timeout_s(self, request: dict) -> float | None:
-        raw = request.get("timeout_ms")
-        if raw is None:
-            return self.default_timeout_s
-        if (
-            isinstance(raw, bool)
-            or not isinstance(raw, (int, float))
-            or raw != raw  # NaN
-            or raw < 0
-        ):
-            raise ParameterError(
-                f"timeout_ms must be a number >= 0, got {raw!r}"
+    def _extra_gauges(self) -> list:
+        # Requests run in this process, so the installed circuit breaker
+        # and the shared distance cache are the ones they use.
+        gauges = [("breaker.state", _breaker_state)]
+        if self._distance_cache is not None:
+            gauges.append(
+                ("perf.cache.hit_ratio", self._distance_cache.hit_ratio)
             )
-        return float(raw) / 1000.0
-
-    def call(self, request: dict, timeout_s: object = _UNSET) -> object:
-        """Blocking convenience wrapper: submit and wait for the result."""
-        return self.submit(request, timeout_s).result()
+        return gauges
 
     # -- worker side -----------------------------------------------------
 
@@ -476,17 +322,7 @@ class QueryService:
         state = self._worker_state
         if getattr(state, "accel_gen", None) == self._accel_gen:
             return state.accel
-        accel = None
-        if self._accelerated:
-            from repro.perf import DistanceAccelerator
-
-            accel = DistanceAccelerator(
-                aug,
-                landmarks=0,
-                cache_mb=0.0,
-                index=self._landmark_index,
-                cache=self._distance_cache,
-            )
+        accel = accelerator(aug, self._landmark_index, self._distance_cache)
         state.accel = accel
         state.accel_gen = self._accel_gen
         attachment = getattr(state, "attachment", None)
@@ -495,59 +331,38 @@ class QueryService:
         return accel
 
     def _on_reweigh(self, u: int, v: int) -> None:
-        """Session reweigh hook: the landmark index binds to edge weights,
-        so it must not serve bounds over the reweighed network.
-
-        A persisted artifact is re-checked through the one honest path —
-        :func:`repro.perf.load_index_or_degrade` against the *current*
-        network, whose fingerprint the reweigh changed — and degrades; an
-        in-process build degrades directly.  Never a silent rebuild: the
-        operator rebuilds with ``repro index build`` when they choose to.
-        Runs under the session lock, with queries serialized out.
-        """
+        """Session reweigh hook: retire the landmark index through the
+        shared :func:`~repro.serve.frontend.degrade_on_reweigh` policy.
+        Runs under the session lock, with queries serialized out."""
         if self._landmark_index is None:
             return
-        if self._index_path is not None:
-            from repro.perf import load_index_or_degrade
-
-            index, reason = load_index_or_degrade(
-                self._index_path, self.network
-            )
-            if index is not None:  # pragma: no cover - fingerprint changed
-                index.close()
-            self.index_degrade_reason = reason or (
-                "network reweighed under the mapped index"
-            )
-            old = self._landmark_index
-            if hasattr(old, "close"):
-                old.close()
-        else:
-            self.index_degrade_reason = (
-                f"edge ({u}, {v}) reweighed under the built index"
-            )
+        self.index_degrade_reason = degrade_on_reweigh(
+            self._landmark_index, self._index_path, self.network, u, v
+        )
         self._landmark_index = None
-        self._accelerated = self._distance_cache is not None
         self.index_source = "degraded"
         self._accel_gen += 1
 
     def _worker(self) -> None:
         aug = AugmentedView(self.network, self.points)
-        if self._session is not None:
-            self._worker_state.attachment = self._session.attach(aug)
+        if self.session is not None:
+            self._worker_state.attachment = self.session.attach(aug)
         self._ensure_accel(aug)
         while True:
             item = self._queue.get()
-            if item is _STOP:
+            if item is STOP:
                 return
-            request, deadline, future, admitted_at = item
+            future = item.future
             if not future.set_running_or_notify_cancel():
                 continue
+            request = item.request
             exec_start = None
-            if admitted_at is not None:
+            if item.admitted_at is not None:
                 exec_start = self._clock()
-                self._h_queue_wait.observe(exec_start - admitted_at)
+                self._h_queue_wait.observe(exec_start - item.admitted_at)
             self._inflight += 1
             try:
+                deadline = item.deadline
                 with deadline.activate():
                     # Sheds requests that aged out while queued before any
                     # work happens on their behalf.
@@ -562,19 +377,12 @@ class QueryService:
                 # Per-request isolation: whatever a request raises —
                 # injected crash, corrupt page, bad parameters — is its
                 # own failure; the worker and its siblings live on.
-                _obs_add("serve.errors")
-                if isinstance(exc, DeadlineExceeded):
-                    _obs_add("serve.deadline_exceeded")
-                future.set_exception(exc)
+                settle(future, exc=exc)
             else:
-                _obs_add("serve.completed")
-                future.set_result(result)
+                settle(future, result)
             finally:
                 self._inflight -= 1
-            if exec_start is not None:
-                done = self._clock()
-                self._h_exec.observe(done - exec_start)
-                self._h_latency.observe(done - admitted_at)
+            self._observe_done(item, exec_start)
 
     def _execute_traced(self, request: dict, aug: AugmentedView) -> object:
         """Run one request inside a trace-sampled ``serve.request`` root
@@ -593,16 +401,12 @@ class QueryService:
         # here; everything else runs through the shared module-level
         # executor — the same code path the supervised pool's worker
         # processes run, which is what keeps the two tiers bit-identical.
+        # (The front end refused live ops without a session at submit.)
         op = request.get("op")
         if op == "stats":
             return self.stats_snapshot()
-        session = self._session
+        session = self.session
         if session is None:
-            if op in LIVE_OPS:
-                raise ParameterError(
-                    f"op {op!r} requires live mutations — start the "
-                    "service with a --wal mutation log"
-                )
             return run_query(request, aug, accel=self._ensure_accel(aug))
         if op == "mutate":
             return session.mutate(request.get("mutation"))
@@ -613,114 +417,17 @@ class QueryService:
         with session.lock:
             return run_query(request, aug, accel=self._ensure_accel(aug))
 
-    def _subscribe_epoch(self, request: dict, timeout_s, future) -> None:
-        """Park one ``subscribe_epoch`` on its own daemon thread.
-
-        The waiter resolves the future itself — success, typed error, or
-        :class:`~repro.exceptions.Cancelled` when :meth:`close` shuts the
-        session down — so the worker pool never blocks on an epoch that
-        only a queued mutate could produce.
-        """
-        session = self._session
-
-        def _wait() -> None:
-            if not future.set_running_or_notify_cancel():
-                return
-            try:
-                from_epoch = request.get("from_epoch", 0)
-                if isinstance(from_epoch, bool) or not isinstance(
-                    from_epoch, int
-                ):
-                    raise ParameterError(
-                        f"from_epoch must be an integer, got {from_epoch!r}"
-                    )
-                result = session.wait_for_epoch(
-                    from_epoch, timeout_s=timeout_s
-                )
-            except Exception as exc:
-                _obs_add("serve.errors")
-                if isinstance(exc, DeadlineExceeded):
-                    _obs_add("serve.deadline_exceeded")
-                future.set_exception(exc)
-            else:
-                _obs_add("serve.completed")
-                future.set_result(result)
-
-        threading.Thread(
-            target=_wait, name="repro-serve-subscribe", daemon=True
-        ).start()
-
-    def stats_snapshot(self) -> dict:
-        """The live telemetry document served by the ``stats`` wire op.
-
-        JSON-ready: uptime on the service clock, the obs counters, every
-        histogram (buckets plus exact count/sum and p50/p90/p99), and the
-        gauges sampled now.  Works regardless of whether obs is enabled —
-        with it off the counters are empty and the histograms all-zero.
-        """
-        from repro.obs.report import snapshot as _obs_snapshot
-
-        metrics = _METRICS.snapshot()
-        doc = {
-            "uptime_s": max(self._clock() - self._started_at, 0.0),
-            "counters": _obs_snapshot()["counters"],
-            "histograms": metrics["histograms"],
-            "gauges": metrics["gauges"],
-        }
-        if self._session is not None:
-            doc.update(self._session.stats())
-        return doc
-
     # -- lifecycle -------------------------------------------------------
 
-    def close(self, drain: bool = True, timeout_s: float = 30.0) -> bool:
-        """Stop admissions and shut the pool down.
-
-        ``drain=True`` (graceful) lets already-admitted requests run to
-        completion; ``drain=False`` fails queued requests with
-        :class:`~repro.exceptions.Cancelled` (in-flight requests still
-        finish — preemption happens only at their own cooperative
-        checkpoints).  Returns True when every worker exited within
-        ``timeout_s``.
-        """
-        with self._close_lock:
-            if self._closed:
-                return self._joined()
-            self._closed = True
-        if self._session is not None:
-            # Wake blocked subscribe_epoch waiters (they raise Cancelled)
-            # so the drain below cannot deadlock on a worker parked in a
-            # condition wait.
-            self._session.shutdown()
-        if not drain:
-            while True:
-                try:
-                    item = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if item is not _STOP:
-                    _request, _deadline, future, _admitted_at = item
-                    if future.set_running_or_notify_cancel():
-                        future.set_exception(Cancelled("service shutdown"))
+    def _stop_executor(self, timeout_s: float) -> bool:
         for _ in self._threads:
-            self._queue.put(_STOP)
+            self._queue.put(STOP)
         for thread in self._threads:
             thread.join(timeout_s)
         # Workers that exited cleanly leave nothing behind; if any timed
         # out or died, fail whatever is still queued so no caller blocks
         # on a future nobody will ever resolve.
-        stops_swept = 0
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is _STOP:
-                stops_swept += 1
-                continue
-            _request, _deadline, future, _admitted_at = item
-            if future.set_running_or_notify_cancel():
-                future.set_exception(Cancelled("service shutdown"))
+        stops_swept = self._cancel_queued()
         joined = self._joined()
         if not joined:
             # Straggling workers still need their stop sentinels back so
@@ -728,22 +435,10 @@ class QueryService:
             # daemons, so a stuck pool cannot block process exit either).
             for _ in range(stops_swept):
                 try:
-                    self._queue.put_nowait(_STOP)
+                    self._queue.put_nowait(STOP)
                 except queue.Full:  # pragma: no cover - depth < stragglers
                     break
-        # Gauges close over this service's queue and threads; leaving them
-        # registered would have a later stats read sampling a dead pool.
-        # Ownership-checked so a successor service that already re-registered
-        # the same names is untouched.
-        for gauge in self._gauges:
-            _METRICS.unregister_gauge(gauge.name, owner=gauge)
         return joined
 
     def _joined(self) -> bool:
         return all(not t.is_alive() for t in self._threads)
-
-    def __enter__(self) -> QueryService:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -1,8 +1,9 @@
 """Supervised multi-process worker pool for the serve tier.
 
-:class:`SupervisedPool` is the process-level sibling of the threaded
-:class:`~repro.serve.QueryService`: the same bounded-admission,
-deadline-stamped request surface, but each worker is a separate OS
+:class:`SupervisedPool` is the process executor behind the serve front
+end (:class:`~repro.serve.frontend.ServeFrontEnd`, shared with the
+threaded :class:`~repro.serve.QueryService`): the same admission,
+deadline and live-op surface, but each worker is a separate OS
 process (:mod:`repro.serve.worker`) that opens the served workload
 itself, read-only, and speaks length-prefixed JSON frames
 (:mod:`repro.serve.frames`) over its stdin/stdout.  A worker can
@@ -27,7 +28,7 @@ into typed, bounded behaviour:
   audit trail, and :attr:`restart_log` records every restart's timing.
 * **In-flight failover.**  A request that was on a dead worker is
   retried once on another worker when idempotent-safe (``range`` /
-  ``knn`` / ``stats`` — read-only by construction); a ``cluster``
+  ``knn`` / ``snapshot`` — read-only by construction); a ``cluster``
   request, or a second failure, surfaces as a typed
   :class:`~repro.exceptions.WorkerCrashed`.
 * **Poison quarantine.**  Every in-flight request at a death is
@@ -72,28 +73,29 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import Future
 from typing import Callable
 
 from repro.exceptions import (
-    Cancelled,
     DeadlineExceeded,
     Overloaded,
     ParameterError,
     PoisonRequest,
     WorkerCrashed,
 )
-from repro.obs.core import STATE as _OBS
 from repro.obs.core import add as _obs_add
-from repro.obs.metrics import REGISTRY as _METRICS
 from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.deadline import Deadline
 from repro.serve.frames import read_frame, write_frame
+from repro.serve.frontend import (
+    STOP,
+    Admitted,
+    ServeFrontEnd,
+    check_backend,
+    open_live_session,
+    settle,
+    start,
+)
 
 __all__ = ["ProcessWorker", "SupervisedPool"]
-
-_STOP = object()
-_UNSET = object()
 
 #: Ops that are safe to replay on another worker after a death: read-only
 #: queries whose single execution cannot have had side effects a retry
@@ -101,9 +103,9 @@ _UNSET = object()
 #: are read-only) but because replaying a long run doubles its cost and a
 #: crash mid-cluster is the poison signature worth surfacing eagerly.
 #: ``snapshot`` reads the worker's maintained clustering — pure, cheap,
-#: retry-safe.  ``mutate`` is deliberately absent: it is answered by the
-#: supervisor itself and never rides the dispatch queue at all.
-IDEMPOTENT_OPS = frozenset({"range", "knn", "stats", "snapshot"})
+#: retry-safe.  ``stats`` and ``mutate`` are absent: the supervisor
+#: answers them itself and they never ride the dispatch queue at all.
+IDEMPOTENT_OPS = frozenset({"range", "knn", "snapshot"})
 
 # Slot states.
 _STARTING = "starting"
@@ -165,36 +167,6 @@ class ProcessWorker:
         return self._proc.poll() is None
 
 
-class _Item:
-    """One admitted request riding through the pool."""
-
-    __slots__ = (
-        "request", "deadline", "future", "admitted_at", "retried", "seq",
-        "dispatched_at", "started",
-    )
-
-    def __init__(self, request, deadline, future, admitted_at) -> None:
-        self.request = request
-        self.deadline = deadline
-        self.future = future
-        self.admitted_at = admitted_at
-        self.retried = False
-        self.seq = -1
-        self.dispatched_at = None
-        self.started = False
-
-    def begin(self) -> bool:
-        """Move the future to RUNNING exactly once (idempotent: a failover
-        re-dispatch must not trip the future's one-shot state machine).
-        Returns False when the client cancelled the future first."""
-        if self.started:
-            return True
-        if not self.future.set_running_or_notify_cancel():
-            return False
-        self.started = True
-        return True
-
-
 class _Slot:
     """One supervised worker position: handle + breaker + restart state."""
 
@@ -209,7 +181,7 @@ class _Slot:
         self.state = _STARTING
         self.handle = None
         self.breaker = breaker
-        self.busy: _Item | None = None
+        self.busy: Admitted | None = None
         self.send_lock = threading.Lock()
         self.consecutive_failures = 0
         self.seq = 0
@@ -220,8 +192,9 @@ class _Slot:
         self.applied_epoch = 0
 
 
-class SupervisedPool:
-    """A multi-process query pool with restart, failover, and quarantine.
+class SupervisedPool(ServeFrontEnd):
+    """The process executor: a multi-process query pool with restart,
+    failover, and quarantine.
 
     Parameters
     ----------
@@ -229,20 +202,12 @@ class SupervisedPool:
         Path to the served workload JSON; every worker process opens it
         itself, read-only.
     processes / queue_depth / default_timeout_s / landmarks /
-    distance_cache_mb:
+    distance_cache_mb / index_path / backend:
         As on :class:`~repro.serve.QueryService`, but per *process*:
-        each worker builds its own accelerator state.
-    index_path:
-        Path to a persisted landmark index (``repro index build``).
-        Shipped in every worker's spec: workers mmap the artifact
-        read-only instead of running landmark Dijkstras — one offline
-        build shared by all processes and by every crash-restart — and
-        degrade to the unaccelerated bit-identical path (bumping
-        ``perf.index.degraded``) when the artifact is missing, corrupt,
-        or stale.  Overrides ``landmarks``: with an artifact supplied,
-        no worker ever builds an index in-process.  Each worker's ready
-        frame reports its index source, collected in
-        :attr:`index_sources`.
+        each worker (restarts included) opens its own accelerator state
+        and freezes its own CSR arrays.  A persisted index is one offline
+        build mapped by every process; each worker's ready frame reports
+        its index source, collected in :attr:`index_sources`.
     max_restarts / restart_window_s:
         The restart-storm circuit: a slot may be restarted at most
         ``max_restarts`` times in a row before its breaker
@@ -273,14 +238,6 @@ class SupervisedPool:
         spec so workers replay it read-only.  ``live_eps`` /
         ``live_min_sup`` are the maintained ε-Link clustering's
         parameters and must match across restarts of the same log.
-    backend:
-        ``None``/``"dict"`` serve the workload as loaded; ``"csr"`` ships
-        ``backend: csr`` in every worker spec, so each worker (including
-        restarts) freezes the workload into a
-        :class:`~repro.network.CSRNetwork` at startup and serves off the
-        frozen arrays.  Responses are bit-identical either way.
-        Incompatible with ``wal_path`` (live mutations would stale the
-        frozen snapshot).
     clock / sleep / worker_factory:
         Injectables for deterministic tests: the pool's monotonic clock,
         the backoff sleep, and a ``worker_factory(slot_index)`` that
@@ -317,8 +274,6 @@ class SupervisedPool:
     ) -> None:
         if processes < 1:
             raise ParameterError(f"processes must be >= 1, got {processes}")
-        if queue_depth < 1:
-            raise ParameterError(f"queue_depth must be >= 1, got {queue_depth}")
         if max_restarts < 0:
             raise ParameterError(
                 f"max_restarts must be >= 0, got {max_restarts}"
@@ -327,24 +282,27 @@ class SupervisedPool:
             raise ParameterError(
                 f"poison_threshold must be >= 1, got {poison_threshold}"
             )
-        if backend not in (None, "dict", "csr"):
-            raise ParameterError(
-                f"unknown network backend {backend!r} (expected 'dict' or 'csr')"
-            )
-        if backend == "csr" and wal_path is not None:
-            # Workers freeze the workload at startup; live mutations would
-            # stale the frozen arrays on the first reweigh, so the
-            # combination is refused up front.
-            raise ParameterError(
-                "backend='csr' cannot serve live mutations; "
-                "use the dict backend with a mutation log"
-            )
-        self._backend = "csr" if backend == "csr" else "dict"
-        self._workload = workload
-        self._landmarks = landmarks
-        self._distance_cache_mb = distance_cache_mb
-        self._index_path = index_path
-        self.default_timeout_s = default_timeout_s
+        # Workers freeze the workload at startup under ``csr``.
+        backend = check_backend(backend, live=wal_path is not None)
+        super().__init__(
+            queue_depth=queue_depth, default_timeout_s=default_timeout_s,
+            clock=clock,
+        )
+        #: Every worker's spec; each spawn pins the pool epoch in it.
+        self._spec = {"workload": workload, "landmarks": landmarks,
+                      "distance_cache_mb": distance_cache_mb}
+        if backend != "dict":
+            self._spec["backend"] = backend
+        if index_path is not None:
+            self._spec["index_path"] = index_path
+        if wal_path is not None:
+            self._spec.update(wal=wal_path, epoch=0, live_eps=live_eps,
+                              live_min_sup=live_min_sup)
+        if fault_rules:
+            self._spec["faults"] = {
+                "seed": fault_seed, "kill_real": True,
+                "rules": [rule.to_dict() for rule in fault_rules],
+            }
         self.max_restarts = max_restarts
         self.restart_window_s = restart_window_s
         self.backoff_base_s = backoff_base_s
@@ -352,38 +310,23 @@ class SupervisedPool:
         self.hang_timeout_s = hang_timeout_s
         self.monitor_interval_s = monitor_interval_s
         self.poison_threshold = poison_threshold
-        self._fault_rules = tuple(fault_rules)
-        self._fault_seed = fault_seed
-        self._wal_path = wal_path
-        self._live_eps = live_eps
-        self._live_min_sup = live_min_sup
-        #: The pool's oracle live state (``None`` without ``wal_path``):
-        #: the supervisor applies every mutation here first, and worker
-        #: convergence is always measured against this session.
-        self.session = None
         if wal_path is not None:
             from repro.io import load_workload_file
-            from repro.live import LiveSession, WriteAheadLog
 
+            # The pool's oracle live state: the supervisor applies every
+            # mutation here first, and worker convergence is always
+            # measured against this session.  Crash-consistent startup:
+            # whatever a previous incarnation acknowledged is in the log,
+            # replayed before any worker can be spawned (their specs pin
+            # this epoch).
             network, points = load_workload_file(workload)
-            self.session = LiveSession(
-                network, points, eps=live_eps, min_sup=live_min_sup,
-                wal=WriteAheadLog(wal_path),
+            self.session = open_live_session(
+                network, points, wal_path, eps=live_eps, min_sup=live_min_sup,
             )
-            # Crash-consistent startup: whatever a previous incarnation
-            # acknowledged is in the log; replay it before any worker can
-            # be spawned (their specs pin this epoch).
-            self.session.replay_wal()
-        self._clock = clock
         self._sleep = sleep
         self._worker_factory = worker_factory or self._spawn_process_worker
-        self._queue: queue.Queue = queue.Queue(maxsize=queue_depth)
-        self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
-        self._closed = False
         self._stopping = False
-        self._started_at = clock()
-        self._inflight = 0
         #: fingerprint -> worker deaths it was in flight for
         self._death_counts: dict[str, int] = {}
         self._quarantined: set[str] = set()
@@ -398,21 +341,6 @@ class SupervisedPool:
         #: trail: with a persisted index no entry may ever read "built",
         #: including entries appended by kill-fault restarts.
         self.index_sources: list[str] = []
-        self._h_latency = _METRICS.histogram("serve.latency")
-        self._h_queue_wait = _METRICS.histogram("serve.queue_wait")
-        self._h_exec = _METRICS.histogram("serve.exec")
-        self._gauge_fns = [
-            ("serve.queue_depth", self._queue.qsize),
-            ("serve.workers_live", self._live_workers),
-            ("serve.inflight", lambda: self._inflight),
-        ]
-        if self.session is not None:
-            self._gauge_fns.append(
-                ("serve.epoch", lambda: self.session.epoch)
-            )
-        self._gauges = [
-            _METRICS.gauge(name, fn) for name, fn in self._gauge_fns
-        ]
         self._slots = [
             _Slot(i, CircuitBreaker(
                 failure_threshold=max_restarts + 1,
@@ -422,6 +350,7 @@ class SupervisedPool:
             ))
             for i in range(processes)
         ]
+        self._register_gauges()
         for slot in self._slots:
             slot.thread = threading.Thread(
                 target=self._slot_loop, args=(slot,),
@@ -442,99 +371,40 @@ class SupervisedPool:
         if self._monitor is not None:
             self._monitor.start()
 
-    # -- client side -----------------------------------------------------
+    # -- executor hooks ----------------------------------------------------
 
-    def submit(self, request: dict, timeout_s: object = _UNSET) -> Future:
-        """Admit a request; its future resolves to exactly one terminal
-        outcome — a result, or one typed error from the taxonomy
-        (``Overloaded`` / ``PoisonRequest`` raised here synchronously)."""
-        if timeout_s is _UNSET:
-            timeout_s = self._request_timeout_s(request)
-        op = request.get("op")
-        if self.session is None and op in (
-            "mutate", "subscribe_epoch", "snapshot"
-        ):
-            raise ParameterError(
-                f"op {op!r} requires live mutations — start the pool "
-                "with a --wal mutation log"
-            )
-        if op in ("mutate", "subscribe_epoch"):
-            # Centralised ops: the supervisor owns the log and the epoch,
-            # so neither rides the dispatch queue.  ``mutate`` is answered
-            # synchronously (append + apply + broadcast, all under the
-            # session lock); ``subscribe_epoch`` parks on a waiter thread
-            # so it never occupies a worker process.
-            with self._lock:
-                if self._closed:
-                    raise RuntimeError("SupervisedPool is closed")
-            _obs_add("serve.submitted")
-            future: Future = Future()
-            if op == "mutate":
-                self._answer_mutate(request, future)
-            else:
-                self._subscribe_epoch(request, timeout_s, future)
-            return future
-        fingerprint = request_fingerprint(request)
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("SupervisedPool is closed")
+    # ``stats`` and ``mutate`` are answered on the submitting thread, never
+    # dispatched: worker processes have no view of pool telemetry (and
+    # stats must work even mid-storm, with every slot degraded), and the
+    # supervisor is the mutation log's single writer — it appends, applies
+    # and broadcasts, so no worker process ever holds the log for write.
+    _inline_ops = frozenset({"stats", "mutate"})
+
+    def _admit(self, item: Admitted) -> None:
+        """Refuse quarantined work and shed when fully degraded, else
+        queue for the dispatcher (caller holds the pool lock)."""
+        # Fingerprinting is a JSON encode under the pool lock: skip it
+        # until something has been quarantined.
+        if self._quarantined:
+            fingerprint = request_fingerprint(item.request)
             if fingerprint in self._quarantined:
                 raise PoisonRequest(
                     fingerprint, self._death_counts.get(fingerprint, 0)
                 )
-            if not any(s.state != _DEAD for s in self._slots):
-                # Fully degraded: every slot's restart circuit is open.
-                _obs_add("serve.shed")
-                raise Overloaded(self._queue.maxsize)
-            deadline = Deadline(timeout_s, clock=self._clock)
-            future: Future = Future()
-            admitted_at = self._clock() if _OBS.enabled else None
-            is_stats = request.get("op") == "stats"
-            if not is_stats:
-                try:
-                    self._queue.put_nowait(
-                        _Item(request, deadline, future, admitted_at)
-                    )
-                except queue.Full:
-                    _obs_add("serve.shed")
-                    raise Overloaded(self._queue.maxsize) from None
-        if is_stats:
-            # Answered from supervisor state (outside the pool lock —
-            # stats_snapshot takes it): workers have no view of pool
-            # telemetry, and stats must work even mid-storm.
-            future.set_result(self.stats_snapshot())
-            _obs_add("serve.submitted")
-            _obs_add("serve.completed")
-            return future
-        _obs_add("serve.submitted")
-        return future
-
-    def _request_timeout_s(self, request: dict) -> float | None:
-        raw = request.get("timeout_ms")
-        if raw is None:
-            return self.default_timeout_s
-        if (
-            isinstance(raw, bool)
-            or not isinstance(raw, (int, float))
-            or raw != raw  # NaN
-            or raw < 0
-        ):
-            raise ParameterError(
-                f"timeout_ms must be a number >= 0, got {raw!r}"
-            )
-        return float(raw) / 1000.0
-
-    def call(self, request: dict, timeout_s: object = _UNSET) -> object:
-        return self.submit(request, timeout_s).result()
+        if not any(s.state != _DEAD for s in self._slots):
+            # Fully degraded: every slot's restart circuit is open.
+            _obs_add("serve.shed")
+            raise Overloaded(self._queue.maxsize)
+        super()._admit(item)
 
     # -- dispatcher ------------------------------------------------------
 
     def _dispatch_loop(self) -> None:
         while True:
             item = self._queue.get()
-            if item is _STOP:
+            if item is STOP:
                 return
-            if not item.begin():
+            if not start(item.future):
                 continue
             try:
                 item.deadline.check("serve.dequeue")
@@ -582,29 +452,21 @@ class SupervisedPool:
 
     # -- live mutations --------------------------------------------------
 
-    def _answer_mutate(self, request: dict, future: Future) -> None:
-        """Append, apply, broadcast, then resolve — in that order.
+    def _mutate(self, request: dict) -> dict:
+        """Append, apply, broadcast, then answer — in that order.
 
         The session lock is held from the conflict check through the
         broadcast: mutations reach every worker pipe in epoch order, and
-        the future resolves only after the last send, so any query the
-        client submits after seeing the ack is FIFO-ordered behind the
-        apply frame on whichever worker pipe carries it.  Worker acks are
-        *not* awaited — they only feed lag telemetry.
+        the ack is returned only after the last send, so any query the
+        client submits after seeing it is FIFO-ordered behind the apply
+        frame on whichever worker pipe carries it.  Worker acks are *not*
+        awaited — they only feed lag telemetry.
         """
-        if not future.set_running_or_notify_cancel():
-            return
         session = self.session
-        try:
-            with session.lock:
-                ack = session.mutate(request.get("mutation"))
-                self._broadcast_apply(session.last_mutation, session.epoch)
-        except Exception as exc:
-            _obs_add("serve.errors")
-            future.set_exception(exc)
-        else:
-            _obs_add("serve.completed")
-            future.set_result(ack)
+        with session.lock:
+            ack = session.mutate(request.get("mutation"))
+            self._broadcast_apply(session.last_mutation, session.epoch)
+        return ack
 
     def _broadcast_apply(self, mutation: dict, epoch: int) -> None:
         """Send one apply frame to every live worker (caller holds the
@@ -626,40 +488,6 @@ class SupervisedPool:
             except (OSError, ValueError):
                 pass
 
-    def _subscribe_epoch(self, request: dict, timeout_s, future) -> None:
-        """Answer ``subscribe_epoch`` from the supervisor's session on a
-        dedicated waiter thread (worker processes are single-threaded
-        request loops — parking one on a condition would stall its
-        slot)."""
-        session = self.session
-
-        def _wait() -> None:
-            if not future.set_running_or_notify_cancel():
-                return
-            try:
-                from_epoch = request.get("from_epoch", 0)
-                if isinstance(from_epoch, bool) or not isinstance(
-                    from_epoch, int
-                ):
-                    raise ParameterError(
-                        f"from_epoch must be an integer, got {from_epoch!r}"
-                    )
-                result = session.wait_for_epoch(
-                    from_epoch, timeout_s=timeout_s
-                )
-            except Exception as exc:
-                _obs_add("serve.errors")
-                if isinstance(exc, DeadlineExceeded):
-                    _obs_add("serve.deadline_exceeded")
-                future.set_exception(exc)
-            else:
-                _obs_add("serve.completed")
-                future.set_result(result)
-
-        threading.Thread(
-            target=_wait, name="repro-subscribe", daemon=True
-        ).start()
-
     def _catch_up(self, slot: _Slot, handle, worker_epoch: int) -> bool:
         """Bring a freshly-ready worker to the pool epoch, then mark it
         idle — atomically against broadcasts.
@@ -673,12 +501,13 @@ class SupervisedPool:
         idle-marking runs under the pool condition: a concurrent mutate
         broadcasts under the same condition, so every mutation is either
         seen by the final epoch comparison here or broadcast to the slot
-        after it turns idle — never neither.
+        after it turns idle — never neither.  Without a session there is
+        nothing to catch up: the worker is marked idle at once.
         """
         session = self.session
         while not self._stopping:
             with self._cond:
-                if session.epoch <= worker_epoch:
+                if session is None or session.epoch <= worker_epoch:
                     slot.handle = handle
                     slot.state = _IDLE
                     slot.applied_epoch = worker_epoch
@@ -754,11 +583,13 @@ class SupervisedPool:
             try:
                 slot.breaker.allow("serve.supervisor.restart")
             except Exception:
+                # The notify wakes the dispatcher: once no slot is left it
+                # resolves what it holds, and everything still queued,
+                # with Overloaded.
                 with self._cond:
                     slot.state = _DEAD
                     self._cond.notify_all()
                 _obs_add("serve.supervisor.degraded")
-                self._shed_if_dead()
                 return False
             attempt = slot.consecutive_failures
             if attempt > 0:
@@ -780,11 +611,7 @@ class SupervisedPool:
             handle = self._worker_factory(slot.index)
             ready = handle.recv()
             if ready is None or not ready.get("ready"):
-                handle.kill()
-                handle.join(5.0)
-                slot.consecutive_failures += 1
-                slot.breaker.record_failure()
-                _obs_add("serve.supervisor.worker_deaths")
+                self._reap_failed(slot, handle)
                 continue
             if handle.pid is not None:
                 self.spawned_pids.append(handle.pid)
@@ -794,34 +621,30 @@ class SupervisedPool:
                 # by another component since; re-assert them on every
                 # worker replacement so `serve.workers_live` and friends
                 # reflect the pool that actually owns the workers now.
-                self._reregister_gauges()
-            if self.session is not None:
-                # The ready frame's epoch is how far the worker's own WAL
-                # replay got; close the gap to the pool epoch before any
-                # request can be dispatched to it (idle-marking happens
-                # inside _catch_up, atomically against broadcasts).
-                if self._catch_up(slot, handle, int(ready.get("epoch", 0))):
-                    return True
-                if self._stopping:
-                    # The pool is closing and this worker was never
-                    # registered on the slot: reap it here or nobody will
-                    # (close() only walks slot handles).
-                    handle.kill()
-                    handle.join(5.0)
-                    return False
+                self._register_gauges()
+            # The ready frame's epoch is how far the worker's own WAL
+            # replay got; close the gap to the pool epoch before any
+            # request can be dispatched to it (idle-marking happens inside
+            # _catch_up, atomically against broadcasts).
+            if self._catch_up(slot, handle, int(ready.get("epoch", 0))):
+                return True
+            if self._stopping:
+                # The pool is closing and this worker was never registered
+                # on the slot: reap it here or nobody will (close() only
+                # walks slot handles).
                 handle.kill()
                 handle.join(5.0)
-                slot.consecutive_failures += 1
-                slot.breaker.record_failure()
-                _obs_add("serve.supervisor.worker_deaths")
-                continue
-            with self._cond:
-                slot.handle = handle
-                slot.state = _IDLE
-                slot.last_seen = self._clock()
-                self._cond.notify_all()
-            return True
+                return False
+            self._reap_failed(slot, handle)
         return False
+
+    def _reap_failed(self, slot: _Slot, handle) -> None:
+        """Kill and reap a failed worker; charge its slot's storm breaker."""
+        handle.kill()  # idempotent: ensures hung-but-writable dies too
+        handle.join(5.0)
+        slot.consecutive_failures += 1
+        slot.breaker.record_failure()
+        _obs_add("serve.supervisor.worker_deaths")
 
     def _on_worker_death(self, slot: _Slot) -> None:
         with self._cond:
@@ -832,11 +655,7 @@ class SupervisedPool:
                 self._inflight -= 1
             self._cond.notify_all()
         pid = getattr(handle, "pid", None)
-        handle.kill()  # idempotent: ensures hung-but-writable dies too
-        handle.join(5.0)
-        slot.consecutive_failures += 1
-        slot.breaker.record_failure()
-        _obs_add("serve.supervisor.worker_deaths")
+        self._reap_failed(slot, handle)
         if item is None:
             return
         fingerprint = request_fingerprint(item.request)
@@ -887,52 +706,18 @@ class SupervisedPool:
         slot.consecutive_failures = 0
         slot.breaker.record_success()
         if doc.get("ok"):
-            _obs_add("serve.completed")
-            item.future.set_result(doc.get("result"))
-            self._observe_done(item)
+            settle(item.future, doc.get("result"))
         else:
             from repro.serve.remote import RemoteRequestError
 
-            exc = RemoteRequestError(
+            settle(item.future, exc=RemoteRequestError(
                 doc.get("error", "InternalError"), doc.get("message", "")
-            )
-            if exc.wire_name == "DeadlineExceeded":
-                _obs_add("serve.deadline_exceeded")
-            _obs_add("serve.errors")
-            item.future.set_exception(exc)
-            self._observe_done(item)
+            ))
+        self._observe_done(item, item.dispatched_at)
 
-    def _resolve_error(self, item: _Item, exc: Exception) -> None:
-        _obs_add("serve.errors")
-        if isinstance(exc, DeadlineExceeded):
-            _obs_add("serve.deadline_exceeded")
-        if not item.begin():
-            return
-        item.future.set_exception(exc)
-        self._observe_done(item)
-
-    def _observe_done(self, item: _Item) -> None:
-        if item.admitted_at is None:
-            return
-        done = self._clock()
-        if item.dispatched_at is not None:
-            self._h_exec.observe(done - item.dispatched_at)
-        self._h_latency.observe(done - item.admitted_at)
-
-    def _shed_if_dead(self) -> None:
-        """Fail everything queued once no slot can ever run it."""
-        with self._lock:
-            if any(s.state != _DEAD for s in self._slots):
-                return
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                return
-            if item is _STOP:
-                self._queue.put(item)
-                return
-            self._resolve_error(item, Overloaded(self._queue.maxsize))
+    def _resolve_error(self, item: Admitted, exc: Exception) -> None:
+        if settle(item.future, exc=exc):
+            self._observe_done(item, item.dispatched_at)
 
     # -- monitor ---------------------------------------------------------
 
@@ -970,16 +755,7 @@ class SupervisedPool:
     def _live_workers(self) -> int:
         return sum(1 for s in self._slots if s.state in (_IDLE, _BUSY))
 
-    def _reregister_gauges(self) -> None:
-        """Re-assert this pool's gauges (see close() for ownership rules)."""
-        self._gauges = [
-            _METRICS.gauge(name, fn) for name, fn in self._gauge_fns
-        ]
-
-    def stats_snapshot(self) -> dict:
-        from repro.obs.report import snapshot as _obs_snapshot
-
-        metrics = _METRICS.snapshot()
+    def _executor_stats(self) -> dict:
         with self._lock:
             supervisor = {
                 "processes": len(self._slots),
@@ -997,43 +773,17 @@ class SupervisedPool:
                 supervisor["worker_epochs"] = [
                     s.applied_epoch for s in self._slots
                 ]
-        doc = {
-            "uptime_s": max(self._clock() - self._started_at, 0.0),
-            "counters": _obs_snapshot()["counters"],
-            "histograms": metrics["histograms"],
-            "gauges": metrics["gauges"],
-            "supervisor": supervisor,
-        }
-        if self.session is not None:
-            doc.update(self.session.stats())
-        return doc
+        return {"supervisor": supervisor}
 
     # -- worker spawning -------------------------------------------------
 
     def _spawn_process_worker(self, slot_index: int) -> ProcessWorker:
-        spec = {
-            "workload": self._workload,
-            "landmarks": self._landmarks,
-            "distance_cache_mb": self._distance_cache_mb,
-        }
-        if self._backend != "dict":
-            spec["backend"] = self._backend
-        if self._index_path is not None:
-            spec["index_path"] = self._index_path
-        if self._wal_path is not None:
+        spec = self._spec
+        if self.session is not None:
             # Pin the pool epoch at spawn time: the worker must replay at
             # least this far before reporting ready (mutations landing
             # after the snapshot of this field are closed by catch-up).
-            spec["wal"] = self._wal_path
-            spec["epoch"] = self.session.epoch
-            spec["live_eps"] = self._live_eps
-            spec["live_min_sup"] = self._live_min_sup
-        if self._fault_rules:
-            spec["faults"] = {
-                "seed": self._fault_seed,
-                "kill_real": True,
-                "rules": [rule.to_dict() for rule in self._fault_rules],
-            }
+            spec = dict(spec, epoch=self.session.epoch)
         import repro
 
         src_dir = os.path.dirname(os.path.dirname(os.path.abspath(
@@ -1054,35 +804,20 @@ class SupervisedPool:
 
     # -- lifecycle -------------------------------------------------------
 
-    def close(self, drain: bool = True, timeout_s: float = 30.0) -> bool:
-        """Stop admissions, drain (or cancel) queued work, reap every
-        worker process.  Returns True when no worker survived — the
-        no-orphans guarantee the chaos CI job asserts with a ``ps`` delta.
-        """
-        with self._lock:
-            if self._closed:
-                return self._reaped()
-            self._closed = True
-        if self.session is not None:
-            # Wake every parked subscribe_epoch waiter (they raise
-            # Cancelled) before anything below can block on them.
-            self.session.shutdown()
-        if not drain:
-            while True:
-                try:
-                    item = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if item is _STOP:
-                    continue
-                if item.begin():
-                    item.future.set_exception(Cancelled("service shutdown"))
-        self._queue.put(_STOP)
+    def _stop_executor(self, timeout_s: float) -> bool:
+        """Reap every worker process.  Returns True when no worker
+        survived — the no-orphans guarantee the chaos CI job asserts with
+        a ``ps`` delta."""
+        self._queue.put(STOP)
         deadline = time.monotonic() + timeout_s
+        # The dispatcher exits at the stop sentinel, after handing every
+        # request admitted before it to a worker; only then may stopping
+        # be set, or a request it still held would be shed, not drained.
+        self._dispatcher.join(timeout_s)
         with self._cond:
             self._cond.wait_for(
                 lambda: all(s.busy is None for s in self._slots),
-                timeout=timeout_s,
+                timeout=max(deadline - time.monotonic(), 0.0),
             )
             self._stopping = True
             self._cond.notify_all()
@@ -1107,29 +842,13 @@ class SupervisedPool:
                 handle.join(5.0)
         # Whatever is still queued (racing submissions, failovers that
         # crossed the close) must not leave futures unresolved forever.
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is _STOP:
-                continue
-            if item.begin():
-                item.future.set_exception(Cancelled("service shutdown"))
-        for gauge in self._gauges:
-            _METRICS.unregister_gauge(gauge.name, owner=gauge)
+        self._cancel_queued()
         if self.session is not None:
             self.session.close()  # releases the single-writer WAL handle
-        return self._reaped()
+        return self._joined()
 
-    def _reaped(self) -> bool:
+    def _joined(self) -> bool:
         return all(
             slot.handle is None or not slot.handle.alive()
             for slot in self._slots
         )
-
-    def __enter__(self) -> SupervisedPool:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -65,8 +65,15 @@ from repro.exceptions import ParameterError
 from repro.faults import FaultRule, STATE, WorkerKilled, clear, install, reseed
 from repro.io import load_workload_file
 from repro.network.augmented import AugmentedView
+from repro.network.csr import resolve_backend
 from repro.resilience.deadline import Deadline
 from repro.serve.frames import read_frame, write_frame
+from repro.serve.frontend import (
+    LIVE_OPS,
+    accelerator,
+    degrade_on_reweigh,
+    open_acceleration,
+)
 from repro.serve.protocol import error_name
 from repro.serve.service import run_query
 
@@ -93,46 +100,26 @@ def _build_view(spec: dict):
     index mapped read-only), ``"degraded"`` (an ``index_path`` was supplied
     but failed to load — the worker serves the unaccelerated bit-identical
     path and ``perf.index.degraded`` was bumped), ``"built"`` (landmark
-    Dijkstras ran in-process), or ``"none"``.
-
-    When ``index_path`` is set the worker *never* builds a landmark index
-    from scratch: the whole point of the persisted artifact is that one
-    offline build is shared by every process, including restarts, so a bad
-    artifact degrades rather than silently re-paying N build costs.
+    Dijkstras ran in-process), or ``"none"`` — the policy of
+    :func:`~repro.serve.frontend.open_acceleration`, which the threaded
+    tier applies too.  With ``index_path`` set no worker ever builds an
+    index, restarts included: one offline build serves every process.
     """
     network, points = load_workload_file(spec["workload"])
-    if spec.get("backend") == "csr":
-        # Freeze once at startup (also on every restart): the worker then
-        # serves off the flat arrays, and the landmark paths below — mmap
-        # load, in-process build — run against the frozen kernels.  The
-        # supervisor refuses csr + wal, so no mutation can stale this.
-        from repro.network.csr import CSRNetwork
-
-        network = CSRNetwork.freeze(network)
+    # Frozen once at startup (also on every restart) under ``csr``: the
+    # landmark paths below run against the frozen kernels, and the
+    # supervisor refuses csr + wal, so no mutation can stale the arrays.
+    network = resolve_backend(network, spec.get("backend"))
     aug = AugmentedView(network, points)
-    accel = None
-    landmarks = int(spec.get("landmarks", 0))
-    cache_mb = float(spec.get("distance_cache_mb", 0.0))
-    index_path = spec.get("index_path")
-    if index_path:
-        from repro.perf import DistanceAccelerator, load_index_or_degrade
-
-        index, reason = load_index_or_degrade(index_path, network)
-        if index is not None:
-            accel = DistanceAccelerator(
-                aug, landmarks=0, cache_mb=cache_mb, index=index
-            )
-            return aug, accel, "mmap"
+    index, cache, source, reason = open_acceleration(
+        network,
+        landmarks=int(spec.get("landmarks", 0)),
+        cache_mb=float(spec.get("distance_cache_mb", 0.0)),
+        index_path=spec.get("index_path"),
+    )
+    if reason is not None:
         print(f"landmark index degraded: {reason}", file=sys.stderr)
-        if cache_mb > 0:
-            accel = DistanceAccelerator(aug, landmarks=0, cache_mb=cache_mb)
-        return aug, accel, "degraded"
-    if landmarks > 0 or cache_mb > 0:
-        from repro.perf import DistanceAccelerator
-
-        accel = DistanceAccelerator(aug, landmarks=landmarks, cache_mb=cache_mb)
-        return aug, accel, "built" if landmarks > 0 else "none"
-    return aug, accel, "none"
+    return aug, accelerator(aug, index, cache), source
 
 
 def _build_session(spec: dict, aug, accel):
@@ -163,31 +150,16 @@ def _build_session(spec: dict, aug, accel):
     session.attach(aug, accel)
 
     def _degrade_on_reweigh(u: int, v: int) -> None:
-        # Landmark node tables bind to edge weights: after a reweigh the
-        # index must not serve bounds.  A persisted artifact is re-checked
-        # through the honest fingerprint path (the reweigh changed the
-        # network fingerprint, so it degrades and bumps
-        # ``perf.index.degraded``); either way the worker drops — never
-        # silently rebuilds — its bounds machinery and keeps serving the
-        # plain bit-identical primitives.
+        # The worker drops — never silently rebuilds — its bounds
+        # machinery and keeps serving the plain bit-identical primitives.
         if accel is None or accel.index is None:
             return
         index = accel.index
-        index_path = spec.get("index_path")
-        if index_path:
-            from repro.perf import load_index_or_degrade
-
-            reloaded, reason = load_index_or_degrade(index_path, aug.network)
-            if reloaded is not None:  # pragma: no cover - fingerprint changed
-                reloaded.close()
-            print(
-                "landmark index degraded: "
-                f"{reason or f'edge ({u}, {v}) reweighed under the index'}",
-                file=sys.stderr,
-            )
         accel.degrade_index()
-        if hasattr(index, "close"):
-            index.close()
+        reason = degrade_on_reweigh(
+            index, spec.get("index_path"), aug.network, u, v
+        )
+        print(f"landmark index degraded: {reason}", file=sys.stderr)
 
     # Registered *before* replay: _build_view fingerprint-checked the
     # artifact against the pre-replay network, so a reweigh_edge record
@@ -248,17 +220,13 @@ def _apply_frame(doc: dict, session) -> dict:
 
 def _run_request(request: dict, aug, accel, session):
     op = request.get("op")
-    if op in ("mutate", "subscribe_epoch"):
-        # Centralised ops: the supervisor owns the log and the epoch
-        # waiters; dispatching them here is a routing bug upstream.
-        raise ParameterError(f"op {op!r} is answered by the supervisor")
-    if op == "snapshot":
-        if session is None:
-            raise ParameterError(
-                "op 'snapshot' requires live mutations — start the pool "
-                "with a --wal mutation log"
-            )
+    if op == "snapshot" and session is not None:
         return session.snapshot()
+    if op in LIVE_OPS:
+        # The supervisor answers mutate / subscribe_epoch itself, and the
+        # front end refuses every live op without a session: reaching
+        # here is a routing bug upstream.
+        raise ParameterError(f"op {op!r} is not answered by a worker")
     return run_query(request, aug, accel=accel)
 
 
@@ -278,12 +246,9 @@ def _serve_one(doc: dict, aug, accel, session=None) -> dict:
         }
     deadline_s = doc.get("deadline_s")
     try:
-        if deadline_s is not None:
-            deadline = Deadline(float(deadline_s))
-            with deadline.activate():
-                deadline.check("serve.worker.dispatch")
-                result = _run_request(request, aug, accel, session)
-        else:
+        deadline = Deadline(None if deadline_s is None else float(deadline_s))
+        with deadline.activate():
+            deadline.check("serve.worker.dispatch")
             result = _run_request(request, aug, accel, session)
     except Exception as exc:
         return {
