@@ -195,7 +195,7 @@ def report_ablation_implementations(entries) -> None:
 
 
 def report_ablation_incremental(entries) -> None:
-    header("Ablation - incremental maintenance vs recluster-per-insert (OL)")
+    header("Ablation - incremental maintenance vs recluster-per-update (OL)")
     for name, mean, info in sorted(entries):
         label = name.replace("bench_", "").replace("_", " ")
         updates = info.get("updates", 1)
@@ -203,6 +203,7 @@ def report_ablation_incremental(entries) -> None:
         print(f"{label:<34}{mean:>8.3f}s total "
               f"({per_update * 1e3:8.3f} ms per update)")
     print("\ninsertion into a live clustering is a localized range query;"
+          " removal and reweigh re-expand only the affected components;"
           " re-clustering repeats the whole traversal per update.")
 
 

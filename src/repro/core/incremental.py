@@ -3,22 +3,27 @@
 A location-based service rarely re-clusters from scratch: restaurants open
 and close one at a time.  Because ε-Link's clusters are exactly the
 connected components of the ≤ε network-distance graph, they can be
-maintained under updates:
+maintained under updates.  The components live in a
+:class:`~repro.core.unionfind.UnionFind` that keeps each set's members, so
+every update costs only what it touches:
 
-* **insert** — one network range query around the new object; it joins the
-  (union of the) clusters it can reach within ε, possibly bridging several
-  into one.  Cost: one localized expansion.
+* **insert** — one network range query around the new object plus one
+  union per object found; it joins the (union of the) clusters it can
+  reach within ε, possibly bridging several into one.
 * **remove** — deleting an object can *split* its cluster (it may have been
-  the bridge), so the affected component — and only it — is re-clustered by
-  local expansions; every other cluster is untouched.
+  the bridge), so its component — and only it — is dissolved into
+  singletons and re-expanded; every other cluster keeps its union-find
+  sets and representatives.  Cost: the component's size plus its
+  expansions.
 * **reweigh** — an edge's traversal cost changes (traffic).  Links can
   appear or vanish only between points within ε of the edge: the objects
   on the edge itself plus everything within ε of either endpoint, in the
-  old *or* the new network.  Those points' components — and only those —
-  are re-linked; objects on the edge keep their relative position (offsets
-  rescale by ``new/old``).
+  old *or* the new network (four ε-bounded expansions).  Those points'
+  components — and only those — are dissolved and re-expanded; objects on
+  the edge keep their relative position (offsets rescale by ``new/old``).
 
-The maintained clustering is always identical to running
+No update touches the other components or scans all objects.  The
+maintained clustering is always identical to running
 :class:`~repro.core.epslink.EpsLink` from scratch on the current point set
 (a tested invariant).
 """
@@ -133,20 +138,11 @@ class IncrementalEpsLink:
     def remove(self, point_id: int) -> None:
         """Delete an object, re-clustering (only) its component."""
         self._points.get(point_id)  # raises PointNotFoundError when absent
-        root = self._uf.find(point_id)
-        affected = [pid for pid in self._component_members(root) if pid != point_id]
-        self.last_affected = set(affected) | {point_id}
+        members = self._uf.dissolve([point_id])
+        self._uf.drop(point_id)
         self._points.remove(point_id)
-        # Rebuild the union-find: untouched components keep their unions,
-        # the affected component is re-linked by local expansions.
-        rebuilt = UnionFind(self._points.point_ids())
-        for comp_root, members in self._uf.sets().items():
-            if comp_root == root:
-                continue
-            for other in members[1:]:
-                rebuilt.union(members[0], other)
-        self._uf = rebuilt
-        self._relink(affected)
+        self.last_affected = set(members)
+        self._relink(sorted(pid for pid in members if pid != point_id))
 
     def reweigh(self, u: int, v: int, weight: float) -> None:
         """Change an edge's traversal cost, re-linking only what can move.
@@ -188,19 +184,8 @@ class IncrementalEpsLink:
         # Expand to whole components: a vanished link can split a
         # component at any depth, so everything reachable from an
         # affected point must be re-discovered.
-        members: set[int] = set()
-        roots = {self._uf.find(pid) for pid in affected}
-        for comp_root, comp in self._uf.sets().items():
-            if comp_root in roots:
-                members.update(comp)
-        self.last_affected = members
-        rebuilt = UnionFind(self._points.point_ids())
-        for comp_root, comp in self._uf.sets().items():
-            if comp_root in roots:
-                continue
-            for other in comp[1:]:
-                rebuilt.union(comp[0], other)
-        self._uf = rebuilt
+        members = self._uf.dissolve(affected)
+        self.last_affected = set(members)
         self._relink(sorted(members))
 
     def _points_within_eps_of_node(self, node: int) -> set[int]:
@@ -223,14 +208,13 @@ class IncrementalEpsLink:
                     heapq.heappush(heap, (nd, nbr))
         return found
 
-    def _component_members(self, root) -> list[int]:
-        return self._uf.sets().get(root, [])
-
     def _relink(self, affected: list[int]) -> None:
         """Re-discover the ≤ε components among the affected points.
 
-        Uses ε-Link's expansion machinery seeded only inside the affected
-        set; the expansions cannot reach any other cluster (they are farther
+        The affected points are singletons in the union-find (new, or just
+        dissolved); each component found is merged in one step.  Uses
+        ε-Link's expansion machinery seeded only inside the affected set;
+        the expansions cannot reach any other cluster (they are farther
         than ε by definition of components), so the rest of the clustering
         is provably unchanged.
         """
@@ -244,9 +228,7 @@ class IncrementalEpsLink:
                 continue
             members, _ = helper._expand_cluster(aug, seed, {})
             seen |= members
-            first = next(iter(members))
-            for other in members:
-                self._uf.union(first, other)
+            self._uf.union_all(members)
 
     # ------------------------------------------------------------------
     # Reporting

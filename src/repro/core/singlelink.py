@@ -220,13 +220,10 @@ class SingleLink(NetworkClusterer):
         stats: dict,
         resume: dict | None = None,
     ) -> Dendrogram:
-        point_ids = sorted(self.points.point_ids())
-        uf = UnionFind(point_ids)
-
         if resume is not None and resume["phase"] == "kruskal":
-            uf._parent = {int(k): v for k, v in resume["uf_parent"].items()}
-            uf._size = {int(k): v for k, v in resume["uf_size"].items()}
-            uf.num_sets = resume["uf_num_sets"]
+            uf = UnionFind.from_parents(
+                {int(k): v for k, v in resume["uf_parent"].items()}
+            )
             split = resume["split"]
             leaf_members = [list(m) for m in resume["leaf_members"]]
             cluster_of_root = {
@@ -238,6 +235,7 @@ class SingleLink(NetworkClusterer):
             stats["initial_clusters"] = len(leaf_members)
             stats["premerged_pairs"] = split
         else:
+            uf = UnionFind(sorted(self.points.point_ids()))
             # Delta pre-merge phase: apply cheap merges without recording
             # them (Section 4.4.2 -- "we immediately merge points whose
             # distance is at most delta ... we lose the first merges of the
@@ -318,8 +316,6 @@ class SingleLink(NetworkClusterer):
             uf = live["uf"]
             state.update(
                 uf_parent=uf._parent,
-                uf_size=uf._size,
-                uf_num_sets=uf.num_sets,
                 split=live["split"],
                 leaf_members=live["leaf_members"],
                 cluster_of_root=live["cluster_of_root"],

@@ -3,6 +3,13 @@
 The paper's Single-Link uses "the weighted-union heuristic of Union Find
 [Cormen et al.]" for efficient merging of clusters; this implementation adds
 path compression as well, giving near-constant amortised operations.
+
+Each multi-member set also keeps its member list at its root (the larger
+list absorbs the smaller on union, so the lists cost O(n log n) appends
+overall).  That lets a set be taken apart again — :meth:`dissolve` and
+:meth:`drop` — in time proportional to its size, which incremental ε-Link
+maintenance needs to re-cluster one component without touching the rest.
+Singletons carry no list.
 """
 
 from __future__ import annotations
@@ -24,20 +31,37 @@ class UnionFind:
     False
     >>> uf.num_sets
     2
+    >>> sorted(uf.dissolve([2]))
+    [1, 2]
+    >>> uf.num_sets
+    3
     """
 
     def __init__(self, items: Iterable[Hashable] = ()) -> None:
         self._parent: dict = {}
-        self._size: dict = {}
+        #: root -> member list, for roots of sets with two or more members
+        self._members: dict = {}
         self.num_sets = 0
         for item in items:
             self.add(item)
+
+    @classmethod
+    def from_parents(cls, parent: dict) -> UnionFind:
+        """Rebuild from a ``item -> parent`` map (e.g. a checkpoint),
+        keeping every set's representative."""
+        uf = cls()
+        uf._parent = dict(parent)
+        for item in parent:
+            root = uf.find(item)
+            if root != item:
+                uf._members.setdefault(root, [root]).append(item)
+        uf.num_sets = sum(1 for item, up in parent.items() if item == up)
+        return uf
 
     def add(self, item: Hashable) -> None:
         """Register an item as a singleton set (no-op when present)."""
         if item not in self._parent:
             self._parent[item] = item
-            self._size[item] = 1
             self.num_sets += 1
 
     def __contains__(self, item: Hashable) -> bool:
@@ -67,11 +91,43 @@ class UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
+        members = self._members
+        ma, mb = members.get(ra), members.get(rb)
+        if (1 if ma is None else len(ma)) < (1 if mb is None else len(mb)):
+            ra, rb, ma, mb = rb, ra, mb, ma
         self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
+        if ma is None:
+            ma = members[ra] = [ra]
+        if mb is None:
+            ma.append(rb)
+        else:
+            ma.extend(mb)
+            del members[rb]
         self.num_sets -= 1
+        return True
+
+    def union_all(self, items: Iterable[Hashable]) -> bool:
+        """Merge the sets of all ``items`` into one in a single step.
+
+        The largest set (the first among equals) absorbs the others.
+        Returns True when at least one merge happened.
+        """
+        roots = list(dict.fromkeys(map(self.find, items)))
+        if len(roots) < 2:
+            return False
+        members = self._members
+        big = max(roots, key=lambda root: len(members.get(root, ())))
+        merged = members.setdefault(big, [big])
+        parent = self._parent
+        for root in roots:
+            if root != big:
+                parent[root] = big
+                other = members.pop(root, None)
+                if other is None:
+                    merged.append(root)
+                else:
+                    merged.extend(other)
+        self.num_sets -= len(roots) - 1
         return True
 
     def connected(self, a: Hashable, b: Hashable) -> bool:
@@ -79,7 +135,35 @@ class UnionFind:
 
     def set_size(self, item: Hashable) -> int:
         """Size of the set containing ``item``."""
-        return self._size[self.find(item)]
+        members = self._members.get(self.find(item))
+        return 1 if members is None else len(members)
+
+    def dissolve(self, items: Iterable[Hashable]) -> list:
+        """Split every set containing one of ``items`` back into singletons.
+
+        Returns the members of the dissolved sets; every other set keeps
+        its members and its representative.  Cost is proportional to the
+        dissolved sets' sizes.
+        """
+        parent = self._parent
+        freed: list = []
+        for root in dict.fromkeys(map(self.find, items)):
+            members = self._members.pop(root, None)
+            if members is None:
+                freed.append(root)
+                continue
+            for item in members:
+                parent[item] = item
+            self.num_sets += len(members) - 1
+            freed.extend(members)
+        return freed
+
+    def drop(self, item: Hashable) -> None:
+        """Remove ``item``, which must be a singleton set."""
+        if self._parent[item] != item or item in self._members:
+            raise ValueError(f"{item!r} is not a singleton set")
+        del self._parent[item]
+        self.num_sets -= 1
 
     def sets(self) -> dict:
         """Mapping ``representative -> sorted member list``."""

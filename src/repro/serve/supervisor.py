@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import queue
 import subprocess
@@ -439,7 +440,9 @@ class SupervisedPool(ServeFrontEnd):
                 handle = slot.handle
             frame = {"seq": item.seq, "request": item.request}
             remaining = item.deadline.remaining()
-            if remaining is not None:
+            if math.isfinite(remaining):
+                # No key means "no limit" to the worker; ``inf`` would
+                # encode as the non-standard JSON token ``Infinity``.
                 frame["deadline_s"] = remaining
             try:
                 with slot.send_lock:

@@ -23,7 +23,8 @@ echoes it verbatim so answers can never be mis-matched across a
 restart (a fresh worker starts a fresh pipe).  ``deadline_s`` is the
 request's *remaining* budget at dispatch time — the supervisor already
 charged queue wait against it — enforced here with a local
-:class:`~repro.resilience.Deadline` on the real monotonic clock.
+:class:`~repro.resilience.Deadline` on the real monotonic clock.  A
+request without a deadline carries no ``deadline_s`` key.
 
 When the pool serves live mutations the spec also carries ``wal`` (the
 supervisor's mutation-log path), ``epoch`` (the pool epoch at spawn

@@ -156,6 +156,72 @@ class TestReweigh:
         assert live.result().same_clustering(scratch)
 
 
+@pytest.fixture
+def far_apart():
+    """Clusters on a path 1 -(20)- 2 -(5)- 3 -(20)- 4 with ε = 1.5.
+
+    A = {0, 1, 2} mid-edge 1-2 (1 is its bridge); C = {11, 5, 4} runs up
+    to node 2, only 4 and 5 within ε of it; D = {6, 7} starts at node 3;
+    B = {8, 9, 10} sits far along 3-4, farther than ε from every node.
+    """
+    net = SpatialNetwork.from_edge_list(
+        [(1, 2, 20.0), (2, 3, 5.0), (3, 4, 20.0)]
+    )
+    live = IncrementalEpsLink(net, eps=1.5)
+    for pid, u, v, off in [
+        (0, 1, 2, 1.0), (1, 1, 2, 2.0), (2, 1, 2, 3.0),
+        (4, 1, 2, 19.5), (5, 1, 2, 18.5), (11, 1, 2, 17.2),
+        (6, 3, 4, 0.5), (7, 3, 4, 1.5),
+        (8, 3, 4, 15.0), (9, 3, 4, 16.0), (10, 3, 4, 17.0),
+    ]:
+        live.insert(u, v, off, point_id=pid)
+    assert live.num_clusters == 4
+    return live
+
+
+class TestComponentLocal:
+    """Remove and reweigh touch only the affected components."""
+
+    def _b_roots(self, live):
+        return [live._uf.find(pid) for pid in (8, 9, 10)]
+
+    def test_remove_keeps_other_representatives(self, far_apart):
+        live = far_apart
+        uf, before = live._uf, self._b_roots(live)
+        live.remove(1)
+        assert live._uf is uf
+        assert self._b_roots(live) == before
+        assert live.last_affected == {0, 1, 2}
+        assert live.num_clusters == 5  # A split in two
+
+    def test_reweigh_keeps_other_representatives(self, far_apart):
+        live = far_apart
+        uf, before = live._uf, self._b_roots(live)
+        live.reweigh(1, 2, 30.0)
+        assert live._uf is uf
+        assert self._b_roots(live) == before
+        # A and C sit on the edge; D is 5.5 from node 2, beyond ε.
+        assert live.last_affected == {0, 1, 2, 4, 5, 11}
+
+    def test_reweigh_affects_whole_components(self, far_apart):
+        live = far_apart
+        # No object on 2-3; 4, 5 (C) and 6, 7 (D) lie within ε of its
+        # endpoints, so C and D are re-linked whole — 11 included, though
+        # it is farther than ε from the edge.
+        live.reweigh(2, 3, 0.4)
+        assert live.last_affected == {4, 5, 11, 6, 7}
+        result = live.result()
+        assert result.cluster_of(11) == result.cluster_of(7)  # bridged
+        assert live.num_clusters == 3
+
+    def test_remove_singleton_affects_only_itself(self, far_apart):
+        live = far_apart
+        live.insert(1, 2, 10.0, point_id=12)
+        live.remove(12)
+        assert live.last_affected == {12}
+        assert live.num_clusters == 4
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**31),

@@ -420,6 +420,34 @@ def test_where_stats_and_mutate_run(tier, workload_path, tmp_path):
         close_tier(service)
 
 
+def test_worker_frames_carry_only_finite_deadlines(workload_path):
+    """No ``timeout_ms``: the frame has no ``deadline_s`` key (not
+    ``Infinity``) and is strict JSON; with one, a finite remaining budget
+    is shipped."""
+    frames = []
+
+    class Recording(InProcessWorker):
+        def send(self, doc):
+            frames.append(doc)
+            super().send(doc)
+
+    pool = SupervisedPool(
+        workload_path, processes=1,
+        worker_factory=lambda i: Recording(workload_path),
+    )
+    try:
+        _wait(lambda: pool.stats_snapshot()["supervisor"]["live"] == 1)
+        pool.call(_knn(0))
+        pool.call({**_knn(1), "timeout_ms": 5000})
+    finally:
+        assert pool.close()
+    unbounded, bounded = [f for f in frames if "request" in f]
+    assert "deadline_s" not in unbounded
+    json.dumps(unbounded, allow_nan=False)
+    assert 0 < bounded["deadline_s"] <= 5.0
+    json.dumps(bounded, allow_nan=False)
+
+
 def test_degraded_pool_still_answers_stats(workload_path, counters):
     """Every slot's restart circuit open: queries shed, stats answers."""
     pool = open_tier("supervised", workload_path, born_dead=True)

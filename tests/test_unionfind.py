@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.unionfind import UnionFind
@@ -83,3 +84,129 @@ def test_property_matches_naive_partition(n, seed):
             assert uf.connected(i, j) == (j in naive[i])
         assert uf.set_size(i) == len(naive[i])
     assert uf.num_sets == len({id(s) for s in naive.values()})
+
+
+class NaivePartition:
+    """List-of-sets oracle for the union-find's observable behaviour."""
+
+    def __init__(self):
+        self.blocks: list[set] = []
+
+    def block(self, item) -> set:
+        return next(b for b in self.blocks if item in b)
+
+    def items(self) -> set:
+        return set().union(*self.blocks)
+
+    def add(self, item):
+        if item not in self.items():
+            self.blocks.append({item})
+
+    def union(self, items):
+        hit = [b for b in self.blocks if b & set(items)]
+        self.blocks = [b for b in self.blocks if not b & set(items)]
+        self.blocks.append(set().union(*hit))
+
+    def dissolve(self, items) -> set:
+        hit = [b for b in self.blocks if b & set(items)]
+        freed = set().union(*hit)
+        self.blocks = [b for b in self.blocks if not b & set(items)]
+        self.blocks.extend({item} for item in freed)
+        return freed
+
+    def drop(self, item):
+        self.blocks.remove({item})
+
+
+def _assert_matches(uf: UnionFind, naive: NaivePartition) -> None:
+    items = naive.items()
+    assert len(uf) == len(items)
+    assert uf.num_sets == len(naive.blocks)
+    for item in items:
+        assert item in uf
+        block = naive.block(item)
+        assert uf.set_size(item) == len(block)
+        assert uf.find(item) in block
+        assert uf.find(item) == uf.find(min(block))
+    for a in items:
+        for b in items:
+            assert uf.connected(a, b) == (b in naive.block(a))
+    # Member lists: one per multi-member set, at its root; none for
+    # singletons.
+    assert {root: sorted(m) for root, m in uf._members.items()} == {
+        uf.find(min(b)): sorted(b) for b in naive.blocks if len(b) > 1
+    }
+    sets = uf.sets()
+    assert {root: tuple(m) for root, m in sets.items()} == {
+        uf.find(min(b)): tuple(sorted(b)) for b in naive.blocks
+    }
+
+
+# union_all twice: merges of two multi-member sets must come up often.
+_OPS = ["add", "union", "union_all", "union_all", "dissolve", "drop"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=2**31),
+)
+def test_property_dissolve_and_drop_match_naive_partition(n, seed):
+    """Random add / union / union_all / dissolve / drop sequences agree
+    with a list-of-sets oracle after every step; sets outside a dissolve
+    keep their representatives."""
+    rng = random.Random(seed)
+    uf = UnionFind(range(n))
+    naive = NaivePartition()
+    for item in range(n):
+        naive.add(item)
+    _assert_matches(uf, naive)
+    for _ in range(40):
+        op = rng.choice(_OPS)
+        args = [rng.randrange(n + 3) for _ in range(rng.randint(1, 4))]
+        present = [a for a in args if a in uf]
+        if op == "add":
+            for item in args:
+                uf.add(item)
+                naive.add(item)
+        elif op == "union" and len(present) >= 2:
+            merged = not uf.connected(present[0], present[1])
+            assert uf.union(present[0], present[1]) == merged
+            naive.union(present[:2])
+        elif op == "union_all" and present:
+            merged = len({uf.find(a) for a in present}) > 1
+            assert uf.union_all(present) == merged
+            naive.union(present)
+        elif op == "dissolve":
+            untouched = {
+                uf.find(item): item for item in naive.items()
+                if not naive.block(item) & set(present)
+            }
+            freed = uf.dissolve(present)
+            assert len(freed) == len(set(freed))
+            assert set(freed) == naive.dissolve(present)
+            for root, item in untouched.items():
+                assert uf.find(item) == root
+        elif op == "drop" and present:
+            item = present[0]
+            if naive.block(item) == {item}:
+                uf.drop(item)
+                naive.drop(item)
+                assert item not in uf
+            else:
+                with pytest.raises(ValueError):
+                    uf.drop(item)
+        _assert_matches(uf, naive)
+
+
+def test_from_parents_keeps_representatives():
+    uf = UnionFind(range(6))
+    uf.union(0, 1)
+    uf.union(2, 1)
+    uf.union(4, 5)
+    copy = UnionFind.from_parents(uf._parent)
+    assert copy.sets() == uf.sets()
+    assert copy.num_sets == uf.num_sets
+    assert all(copy.set_size(i) == uf.set_size(i) for i in range(6))
+    copy.union(3, 0)
+    assert copy.find(3) == uf.find(0)
