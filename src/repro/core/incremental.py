@@ -30,7 +30,6 @@ maintained clustering is always identical to running
 
 from __future__ import annotations
 
-import heapq
 import math
 
 from repro.core.epslink import EpsLink
@@ -39,6 +38,7 @@ from repro.core.unionfind import UnionFind
 from repro.eval.metrics import NOISE
 from repro.exceptions import InvalidWeightError, ParameterError
 from repro.network.augmented import POINT, AugmentedView, node_vertex
+from repro.network.dijkstra import single_source
 from repro.network.points import NetworkPoint, PointSet
 from repro.network.queries import range_query
 
@@ -191,22 +191,8 @@ class IncrementalEpsLink:
     def _points_within_eps_of_node(self, node: int) -> set[int]:
         """Ids of objects within ε network distance of ``node``."""
         aug = AugmentedView(self.network, self._points)
-        start = node_vertex(node)
-        dist: dict = {start: 0.0}
-        heap: list[tuple[float, tuple[int, int]]] = [(0.0, start)]
-        found: set[int] = set()
-        while heap:
-            d, vertex = heapq.heappop(heap)
-            if d > dist.get(vertex, math.inf):
-                continue
-            if vertex[0] == POINT:
-                found.add(vertex[1])
-            for nbr, seg in aug.neighbors(vertex):
-                nd = d + seg
-                if nd <= self.eps and nd < dist.get(nbr, math.inf):
-                    dist[nbr] = nd
-                    heapq.heappush(heap, (nd, nbr))
-        return found
+        dist = single_source(aug, node_vertex(node), cutoff=self.eps)
+        return {ident for kind, ident in dist if kind == POINT}
 
     def _relink(self, affected: list[int]) -> None:
         """Re-discover the ≤ε components among the affected points.

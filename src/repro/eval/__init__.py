@@ -1,6 +1,5 @@
-"""Evaluation utilities: clustering quality metrics and instrumentation."""
+"""Evaluation utilities: clustering quality metrics and parameter estimates."""
 
-from repro.eval.counters import OpCounter, StatsRegistry, Stopwatch
 from repro.eval.params import estimate_delta, estimate_eps, knn_distance_sample
 from repro.eval.metrics import (
     NOISE,
@@ -15,9 +14,6 @@ __all__ = [
     "estimate_delta",
     "estimate_eps",
     "knn_distance_sample",
-    "OpCounter",
-    "StatsRegistry",
-    "Stopwatch",
     "NOISE",
     "adjusted_rand_index",
     "confusion_counts",

@@ -92,22 +92,10 @@ def node_distance_astar(
     if source == target:
         return 0.0, 0
     h = _node_heuristic(network, target)
-    best: dict[int, float] = {source: 0.0}
-    settled: set[int] = set()
-    heap: list[tuple[float, float, int]] = [(h(source), 0.0, source)]
-    while heap:
-        _, g, node = heapq.heappop(heap)
-        if node in settled:
-            continue
-        settled.add(node)
-        if node == target:
-            return g, len(settled)
-        for nbr, weight in network.neighbors(node):
-            ng = g + weight
-            if ng < best.get(nbr, math.inf):
-                best[nbr] = ng
-                heapq.heappush(heap, (ng + h(nbr), ng, nbr))
-    raise UnreachableError(f"node {target} is not reachable from node {source}")
+    return _astar(
+        network.neighbors, source, target, h,
+        f"node {target} is not reachable from node {source}",
+    )
 
 
 def point_distance_astar(
@@ -149,11 +137,22 @@ def point_distance_astar(
                     return 0.0
                 return math.hypot(x - tx, y - ty)
 
-    source = point_vertex(p.point_id)
-    target = point_vertex(q.point_id)
+    return _astar(
+        aug.neighbors, point_vertex(p.point_id), point_vertex(q.point_id), h,
+        f"point {q.point_id} is not reachable from point {p.point_id}",
+    )
+
+
+def _astar(neighbors, source, target, h, unreachable: str) -> tuple[float, int]:
+    """The one A* loop: ``(distance, vertices settled)`` from ``source``
+    to ``target`` over ``neighbors``, ordered by ``g + h``.
+
+    Raises :class:`UnreachableError` with the message ``unreachable``
+    when the target is not reachable.
+    """
     best = {source: 0.0}
     settled: set = set()
-    heap: list[tuple[float, float, tuple[int, int]]] = [(h(source), 0.0, source)]
+    heap: list = [(h(source), 0.0, source)]
     while heap:
         _, g, vertex = heapq.heappop(heap)
         if vertex in settled:
@@ -161,11 +160,9 @@ def point_distance_astar(
         settled.add(vertex)
         if vertex == target:
             return g, len(settled)
-        for nbr, seg in aug.neighbors(vertex):
-            ng = g + seg
+        for nbr, weight in neighbors(vertex):
+            ng = g + weight
             if ng < best.get(nbr, math.inf):
                 best[nbr] = ng
                 heapq.heappush(heap, (ng + h(nbr), ng, nbr))
-    raise UnreachableError(
-        f"point {q.point_id} is not reachable from point {p.point_id}"
-    )
+    raise UnreachableError(unreachable)

@@ -6,6 +6,12 @@ find all objects within network distance ε (:func:`range_query`) or the k
 closest objects (:func:`knn_query`).  Both expand the point-augmented graph
 around the query with a Dijkstra whose frontier never exceeds the answer
 region, so cost is proportional to the part of the network within range.
+
+Each search has exactly one loop (:func:`_range_search`,
+:func:`_knn_search`).  The landmark accelerator in :mod:`repro.perf` runs
+the same loops with its prefilter passed in, so the plain and the
+accelerated searches share their heap discipline, fault and deadline
+site, budget charges and result ordering.
 """
 
 from __future__ import annotations
@@ -23,10 +29,7 @@ __all__ = ["range_query", "knn_query", "nearest_point"]
 
 
 def _result_order(hit: tuple[NetworkPoint, float]) -> tuple[float, int]:
-    """Canonical result ordering: ascending distance, ties by point id.
-
-    Shared by the plain searches here and the accelerated ones in
-    :mod:`repro.perf`, so the two code paths return bit-identical lists."""
+    """Canonical result ordering: ascending distance, ties by point id."""
     point, distance = hit
     return (distance, point.point_id)
 
@@ -47,8 +50,35 @@ def range_query(
     """
     if eps < 0:
         return []
+    results, settled = _range_search(aug, query, eps, include_query)
+    if _OBS.enabled:
+        _obs_add("queries.range_queries")
+        _obs_add("queries.vertices_settled", settled)
+        _obs_add("queries.points_found", len(results))
+    return results
+
+
+def _range_search(
+    aug: AugmentedView,
+    query: NetworkPoint,
+    eps: float,
+    include_query: bool,
+    candidates: set[int] | None = None,
+) -> tuple[list[tuple[NetworkPoint, float]], int]:
+    """The one range loop: ``(sorted results, vertices settled)``.
+
+    ``candidates``, when given, is a set of point ids that holds every
+    object within ``eps`` (the landmark prefilter of :mod:`repro.perf`).
+    The search discards each point it settles from the set and stops once
+    the set is empty: the remaining frontier can hold no result.  The set
+    is consumed.  Every settle hits the ``queries.settle`` fault site, the
+    deadline checkpoint and the active budget, with the hits found so far
+    as the partial result.
+    """
     guard = _FAULTS.engaged or _RES.engaged
     budget = _FAULTS.budget if guard else None
+    neighbors = aug.neighbors
+    get_point = aug.points.get
     results: list[tuple[NetworkPoint, float]] = []
     source = point_vertex(query.point_id)
     dist: dict = {}
@@ -69,8 +99,12 @@ def range_query(
         kind, ident = vertex
         if kind == POINT:
             if include_query or ident != query.point_id:
-                results.append((aug.points.get(ident), d))
-        for nbr, weight in aug.neighbors(vertex):
+                results.append((get_point(ident), d))
+            if candidates is not None:
+                candidates.discard(ident)
+                if not candidates:
+                    break
+        for nbr, weight in neighbors(vertex):
             if nbr in dist:
                 continue
             nd = d + weight
@@ -78,11 +112,7 @@ def range_query(
                 best[nbr] = nd
                 heapq.heappush(heap, (nd, nbr))
     results.sort(key=_result_order)
-    if _OBS.enabled:
-        _obs_add("queries.range_queries")
-        _obs_add("queries.vertices_settled", len(dist))
-        _obs_add("queries.points_found", len(results))
-    return results
+    return results, len(dist)
 
 
 def knn_query(
@@ -104,13 +134,37 @@ def knn_query(
     """
     if k <= 0:
         return []
+    results, settled, _ = _knn_search(aug, query, k, include_query)
+    if _OBS.enabled:
+        _obs_add("queries.knn_queries")
+        _obs_add("queries.vertices_settled", settled)
+    return results
+
+
+def _knn_search(
+    aug: AugmentedView,
+    query: NetworkPoint,
+    k: int,
+    include_query: bool,
+    cutoff: float = math.inf,
+) -> tuple[list[tuple[NetworkPoint, float]], int, int]:
+    """The one kNN loop: ``(sorted results, vertices settled, pushes pruned)``.
+
+    ``cutoff``, when finite, bounds the k-th neighbour's distance from
+    above (the landmark prefilter of :mod:`repro.perf`): a push beyond it
+    can neither be a result nor lie on a shortest path to one, so it is
+    dropped and counted.  Settles are guarded as in :func:`_range_search`.
+    """
     guard = _FAULTS.engaged or _RES.engaged
     budget = _FAULTS.budget if guard else None
+    neighbors = aug.neighbors
+    get_point = aug.points.get
     results: list[tuple[NetworkPoint, float]] = []
     source = point_vertex(query.point_id)
     dist: dict = {}
     best: dict = {source: 0.0}  # tentative distances: no dominated pushes
     heap: list[tuple[float, tuple[int, int]]] = [(0.0, source)]
+    pruned = 0
     while heap and len(results) < k:
         d, vertex = heapq.heappop(heap)
         if vertex in dist:
@@ -125,21 +179,21 @@ def knn_query(
         dist[vertex] = d
         kind, ident = vertex
         if kind == POINT and (include_query or ident != query.point_id):
-            results.append((aug.points.get(ident), d))
+            results.append((get_point(ident), d))
             if len(results) == k:
                 break
-        for nbr, weight in aug.neighbors(vertex):
+        for nbr, weight in neighbors(vertex):
             if nbr in dist:
                 continue
             nd = d + weight
+            if nd > cutoff:
+                pruned += 1
+                continue
             if nd < best.get(nbr, math.inf):
                 best[nbr] = nd
                 heapq.heappush(heap, (nd, nbr))
     results.sort(key=_result_order)
-    if _OBS.enabled:
-        _obs_add("queries.knn_queries")
-        _obs_add("queries.vertices_settled", len(dist))
-    return results
+    return results, len(dist), pruned
 
 
 def nearest_point(
@@ -153,8 +207,9 @@ def nearest_point(
 def eccentricity_upper_bound(aug: AugmentedView, query: NetworkPoint) -> float:
     """Distance from ``query`` to the farthest reachable object.
 
-    Used by parameter-selection helpers (e.g. sampling a sensible ε range,
-    as the paper suggests doing "by sampling on the network edges").
+    An upper bound for a sensible ε range (the paper suggests choosing ε
+    "by sampling on the network edges").  No parameter-selection helper
+    calls it; :mod:`repro.eval.params` samples kNN distances instead.
 
     The scan expands the query's entire reachable component, so it runs
     under the same guarded discipline as the queries above: each settle

@@ -1,8 +1,6 @@
 """Wall-clock timing helpers shared by the observability layer.
 
-:class:`Stopwatch` is the cumulative timer that used to live in
-:mod:`repro.eval.counters`; it moved here so both the legacy eval shims and
-the span machinery build on one implementation.
+:class:`Stopwatch` is the cumulative timer the span machinery builds on.
 """
 
 from __future__ import annotations

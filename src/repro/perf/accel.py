@@ -22,6 +22,11 @@ search would provably have wasted:
   heap pushes beyond it are dropped without changing the settle order of
   any vertex that matters.
 
+Range and kNN run the plain loops of :mod:`repro.network.queries` and
+differ from the plain searches only by the prefilter they pass in (the
+candidate set, the push cutoff): heap discipline, the ``queries.settle``
+fault and deadline site, budget charges and result ordering are shared.
+
 **Floating-point discipline.**  Bit-identity is structural, not hopeful.
 The accelerated searches keep the plain searches' heap ordering and
 relaxation arithmetic *exactly* — bounds only ever remove work, they never
@@ -64,14 +69,14 @@ import heapq
 import math
 
 from repro.exceptions import UnreachableError
-from repro.faults.core import STATE as _FAULTS, fire as _fault
-from repro.network.augmented import AugmentedView, NODE, POINT, point_vertex
+from repro.network.augmented import AugmentedView, NODE, point_vertex
 from repro.network.dijkstra import single_source
 from repro.network.points import NetworkPoint
 from repro.network.queries import (
-    _result_order,
-    knn_query as _plain_knn,
-    range_query as _plain_range,
+    _knn_search,
+    _range_search,
+    knn_query,
+    range_query,
 )
 from repro.obs.core import STATE as _OBS, add as _obs_add
 from repro.perf.cache import DistanceCache
@@ -80,7 +85,6 @@ from repro.perf.landmarks import (
     vector_lower_bound,
     vector_upper_bound,
 )
-from repro.resilience.deadline import STATE as _RES, check as _res_check
 
 __all__ = ["DistanceAccelerator", "unaccelerated_point_distance"]
 
@@ -371,7 +375,7 @@ class DistanceAccelerator:
             if hit is not _NO_ENTRY:
                 return list(hit)
         if self._index is None:
-            results = _plain_range(self._aug, query, eps, include_query)
+            results = range_query(self._aug, query, eps, include_query)
         else:
             results = self._range_accelerated(query, eps, include_query)
         if key is not None:
@@ -388,49 +392,18 @@ class DistanceAccelerator:
         # all of them are settled the expansion is done, even though the
         # eps-ball's frontier is still unexplored.
         cutoff = eps + _REL_SLACK * (eps + self._index.scale)
-        remaining = {
+        candidates = {
             p.point_id
             for p in aug.points
             if vector_lower_bound(qvec, self.point_vector(p)) <= cutoff
         }
-        n_candidates = len(remaining)
-        guard = _FAULTS.engaged or _RES.engaged
-        budget = _FAULTS.budget if guard else None
-        results: list[tuple[NetworkPoint, float]] = []
-        source = point_vertex(query.point_id)
-        dist: dict = {}
-        best: dict = {source: 0.0}
-        heap: list[tuple[float, tuple[int, int]]] = [(0.0, source)]
-        while heap:
-            d, vertex = heapq.heappop(heap)
-            if vertex in dist:
-                continue
-            if guard:
-                if _FAULTS.engaged:
-                    _fault("queries.settle")
-                if _RES.engaged:
-                    _res_check("queries.settle", partial=results)
-                if budget is not None:
-                    budget.spend_expansions(1, partial=results)
-            dist[vertex] = d
-            kind, ident = vertex
-            if kind == POINT:
-                if include_query or ident != query.point_id:
-                    results.append((aug.points.get(ident), d))
-                remaining.discard(ident)
-                if not remaining:
-                    break
-            for nbr, weight in aug.neighbors(vertex):
-                if nbr in dist:
-                    continue
-                nd = d + weight
-                if nd <= eps and nd < best.get(nbr, math.inf):
-                    best[nbr] = nd
-                    heapq.heappush(heap, (nd, nbr))
-        results.sort(key=_result_order)
+        n_candidates = len(candidates)
+        results, settled = _range_search(
+            aug, query, eps, include_query, candidates
+        )
         if _OBS.enabled:
             _obs_add("perf.range.queries")
-            _obs_add("perf.range.vertices_settled", len(dist))
+            _obs_add("perf.range.vertices_settled", settled)
             _obs_add("perf.range.candidates", n_candidates)
         return results
 
@@ -455,7 +428,7 @@ class DistanceAccelerator:
             if hit is not _NO_ENTRY:
                 return list(hit)
         if self._index is None:
-            results = _plain_knn(self._aug, query, k, include_query)
+            results = knn_query(self._aug, query, k, include_query)
         else:
             results = self._knn_accelerated(query, k, include_query)
         if key is not None:
@@ -479,45 +452,12 @@ class DistanceAccelerator:
         cutoff = cutoffs[-1] if len(cutoffs) == k else math.inf
         if not math.isinf(cutoff):
             cutoff += _REL_SLACK * (cutoff + self._index.scale)
-        guard = _FAULTS.engaged or _RES.engaged
-        budget = _FAULTS.budget if guard else None
-        results: list[tuple[NetworkPoint, float]] = []
-        source = point_vertex(query.point_id)
-        dist: dict = {}
-        best: dict = {source: 0.0}
-        heap: list[tuple[float, tuple[int, int]]] = [(0.0, source)]
-        pruned = 0
-        while heap and len(results) < k:
-            d, vertex = heapq.heappop(heap)
-            if vertex in dist:
-                continue
-            if guard:
-                if _FAULTS.engaged:
-                    _fault("queries.settle")
-                if _RES.engaged:
-                    _res_check("queries.settle", partial=results)
-                if budget is not None:
-                    budget.spend_expansions(1, partial=results)
-            dist[vertex] = d
-            kind, ident = vertex
-            if kind == POINT and (include_query or ident != query.point_id):
-                results.append((aug.points.get(ident), d))
-                if len(results) == k:
-                    break
-            for nbr, weight in aug.neighbors(vertex):
-                if nbr in dist:
-                    continue
-                nd = d + weight
-                if nd > cutoff:
-                    pruned += 1
-                    continue
-                if nd < best.get(nbr, math.inf):
-                    best[nbr] = nd
-                    heapq.heappush(heap, (nd, nbr))
-        results.sort(key=_result_order)
+        results, settled, pruned = _knn_search(
+            aug, query, k, include_query, cutoff
+        )
         if _OBS.enabled:
             _obs_add("perf.knn.queries")
-            _obs_add("perf.knn.vertices_settled", len(dist))
+            _obs_add("perf.knn.vertices_settled", settled)
             _obs_add("perf.knn.pruned_pushes", pruned)
         return results
 

@@ -23,7 +23,6 @@ import pytest
 
 from repro import obs
 from repro.datagen import grid_city
-from repro.eval.counters import OpCounter, StatsRegistry
 from repro.network.augmented import AugmentedView
 from repro.network.dijkstra import single_source
 from repro.network.points import PointSet
@@ -177,32 +176,6 @@ def test_storage_and_traversal_share_one_registry(tmp_path):
     assert counters["storage.buffer_misses"] > 0
     # netstore.build was traced as a span in the same state.
     assert obs.snapshot()["spans"]["netstore.build"]["count"] == 1
-
-
-def test_opcounter_shims_publish_into_obs():
-    ops = OpCounter(heap_pops=7, nodes_settled=3)
-    d = ops.as_dict()
-    assert d == {
-        "heap_pushes": 0,
-        "heap_pops": 7,
-        "nodes_settled": 3,
-        "edges_relaxed": 0,
-        "points_scanned": 0,
-    }
-    assert all(isinstance(k, str) for k in d)  # the documented dict[str, int]
-    obs.enable()
-    ops.publish("legacy")
-    assert obs.STATE.counters["legacy.heap_pops"] == 7
-    assert obs.STATE.counters["legacy.nodes_settled"] == 3
-    assert "legacy.heap_pushes" not in obs.STATE.counters  # zeros elided
-
-
-def test_stats_registry_publish():
-    reg = StatsRegistry()
-    reg.counter("probe").heap_pops += 5
-    obs.enable()
-    reg.publish()
-    assert obs.STATE.counters["ops.probe.heap_pops"] == 5
 
 
 # ----------------------------------------------------------------------

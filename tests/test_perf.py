@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.exceptions import UnreachableError
+from repro.faults import FaultRule, OpBudget, plan
 from repro.core import EpsLink, EpsLinkEdgewise, NetworkKMedoids
 from repro.network.augmented import AugmentedView
 from repro.network.dijkstra import single_source
@@ -32,6 +33,7 @@ from repro.perf import (
     vector_lower_bound,
     vector_upper_bound,
 )
+from repro.resilience import Deadline
 from tests.conftest import (
     make_grid_network,
     make_random_connected_network,
@@ -181,6 +183,61 @@ def test_queries_bit_identical(instance, eps, k):
                 assert accel.knn_query(q, k, include) == knn_query(
                     aug, q, k, include
                 )
+    # Every served request runs under an active deadline, so the guarded
+    # branch of the shared range and kNN loops is the one in production:
+    # it must answer exactly as the unguarded plain search does.
+    expected = {
+        (q.point_id, include): (
+            range_query(aug, q, eps, include), knn_query(aug, q, k, include)
+        )
+        for q in pts
+        for include in (True, False)
+    }
+    with Deadline(None).activate():
+        for accel in _accelerators(aug):
+            for q in pts:
+                for include in (True, False):
+                    ranged, nearest = expected[q.point_id, include]
+                    assert range_query(aug, q, eps, include) == ranged
+                    assert knn_query(aug, q, k, include) == nearest
+                    assert accel.range_query(q, eps, include) == ranged
+                    assert accel.knn_query(q, k, include) == nearest
+
+
+@pytest.mark.parametrize("kind", ["range", "knn"])
+@pytest.mark.parametrize("landmarks", [0, 4])
+def test_guarded_search_charges_what_it_reports(kind, landmarks):
+    """A budgeted search charges one expansion and one ``queries.settle``
+    hit per settled vertex it reports, with or without the landmark
+    prefilter (the plain and accelerated searches share one loop)."""
+    import random
+
+    net = make_random_connected_network(random.Random(5), 40, extra_edges=20)
+    points = scatter_points(random.Random(6), net, 60)
+    aug = AugmentedView(net, points)
+    accel = DistanceAccelerator(aug, landmarks=landmarks, cache_mb=0.0)
+    query = next(iter(points))
+    search = {
+        "range": lambda: accel.range_query(query, 6.0),
+        "knn": lambda: accel.knn_query(query, 5),
+    }[kind]
+    expected = search()
+    budget = OpBudget()
+    rule = FaultRule("queries.settle", "error", after=10**9)
+    obs.enable(fresh=True)
+    try:
+        with plan(rule) as state, budget.activate():
+            assert search() == expected
+            hits = state.site_hits.get("queries.settle", 0)
+        counters = obs.snapshot()["counters"]
+    finally:
+        obs.disable()
+    prefix = "queries" if landmarks == 0 else f"perf.{kind}"
+    settled = counters[f"{prefix}.vertices_settled"]
+    assert settled > 0
+    assert budget.expansions == settled
+    assert hits == settled
+    assert rule.fired == 0
 
 
 @settings(max_examples=25, deadline=None)
