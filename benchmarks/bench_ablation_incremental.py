@@ -5,13 +5,20 @@ full OL workload, per update kind, against re-running ε-Link over
 everything per update:
 
 * **insert** — a single localized range query plus unions;
-* **remove** — the removed object's component is dissolved and re-expanded;
-* **reweigh** — the components within ε of the edge are dissolved and
-  re-expanded (offsets on the edge rescale).
+* **remove** — a range query for the removed object's ε-neighbours, then a
+  split check: ε-Link expansions from those neighbours in lockstep, which
+  stop when they have all met (no split) or all but one are exhausted
+  (the exhausted ones split off);
+* **reweigh** — a heavier edge runs one split check per component within
+  ε of the edge; a lighter edge runs one range query per object within ε
+  of it and unions what it finds (offsets on the edge rescale).
 
 Each case records its per-update cost (``per_update_ms``) in
 ``extra_info``.  The live cases run many seeded updates; the from-scratch
 cases a handful, since one full recluster costs far more than one update.
+``test_removes_and_reweighs_match_recluster_on_full_workload`` checks the
+maintained clustering against a from-scratch run on the same workload; CI
+runs it with ``-k match_recluster``.
 """
 
 from __future__ import annotations

@@ -41,7 +41,51 @@ from repro.network.augmented import AugmentedView, POINT, point_vertex
 from repro.network.points import PointSet
 from repro.obs.core import STATE as _OBS, add as _obs_add, span as _span
 
-__all__ = ["EpsLink", "EpsLinkEdgewise"]
+__all__ = ["EpsLink", "EpsLinkEdgewise", "Expansion"]
+
+
+class Expansion:
+    """The state of one ε-Link cluster expansion, kept between slices of it.
+
+    :meth:`EpsLink._grow` runs the expansion; this object holds what it
+    leaves for the next slice: the cluster's members, the tentative
+    distance of every reached vertex to the cluster, the heap, and the
+    number of vertices settled so far.  The seed is a member from the
+    start.
+    """
+
+    __slots__ = ("members", "best", "heap", "visited")
+
+    def __init__(self, seed_id: int) -> None:
+        vertex = point_vertex(seed_id)
+        self.members: set[int] = {seed_id}
+        self.best: dict[tuple[int, int], float] = {vertex: 0.0}
+        self.heap: list[tuple[float, tuple[int, int]]] = [(0.0, vertex)]
+        self.visited = 0
+
+    def absorb(self, other: Expansion, owner: dict) -> None:
+        """Take over ``other``, an expansion of the same cluster.
+
+        The merged search is the multi-source expansion from both member
+        sets: each vertex keeps the smaller of its two distances, and
+        ``other``'s pending heap entries join this heap.  A vertex either
+        one settled has had its neighbours relaxed at that distance, and
+        a pending entry superseded by a smaller distance is skipped as
+        stale, so the merged expansion reaches exactly what one expansion
+        from the union would.  ``other``'s members move to this
+        expansion in ``owner``.
+        """
+        best = self.best
+        for vertex, d in other.best.items():
+            if d < best.get(vertex, math.inf):
+                best[vertex] = d
+        heap = self.heap
+        for entry in other.heap:
+            heapq.heappush(heap, entry)
+        for pid in other.members:
+            owner[pid] = self
+        self.members |= other.members
+        self.visited += other.visited
 
 
 class EpsLink(NetworkClusterer):
@@ -187,40 +231,77 @@ class EpsLink(NetworkClusterer):
         Returns the member point ids and the number of vertex relaxations
         (a hardware-independent cost measure).
         """
+        expansion = Expansion(seed_id)
+        self._grow(aug, expansion, assignment)
+        return expansion.members, expansion.visited
+
+    def _grow(
+        self,
+        aug: AugmentedView,
+        expansion: Expansion,
+        partial,
+        limit: int = -1,
+        owner: dict | None = None,
+    ) -> Expansion | None:
+        """Run ``expansion`` on: the one expansion loop of ε-Link.
+
+        Settles at most ``limit`` vertices (no limit when negative); the
+        expansion is exhausted once its heap is empty.  Every settle hits
+        the ``epslink.expand`` fault site, the deadline checkpoint and the
+        active budget, with ``partial`` as the partial result.
+
+        With an ``owner`` map (point id -> expansion), every object the
+        expansion absorbs is claimed for it.  Reaching within ε an object
+        that another expansion owns ends the run and returns that
+        expansion: both grow the same cluster (see
+        :meth:`Expansion.absorb`).  Returns ``None`` otherwise.
+        """
         eps = self.eps
-        members: set[int] = set()
-        best: dict[tuple[int, int], float] = {}
-        seed_vertex = point_vertex(seed_id)
-        best[seed_vertex] = 0.0
-        heap: list[tuple[float, tuple[int, int]]] = [(0.0, seed_vertex)]
+        members, best, heap = expansion.members, expansion.best, expansion.heap
+        neighbors = aug.neighbors
         visited = 0
         guard = _FAULTS.engaged or _RES.engaged
         budget = _FAULTS.budget if guard else None
-        while heap:
+        met = expansion
+        while heap and visited != limit:
             d, vertex = heapq.heappop(heap)
-            if d > best.get(vertex, float("inf")):
+            if d > best.get(vertex, math.inf):
                 continue  # stale entry superseded by a closer source
             if guard:
                 if _FAULTS.engaged:
                     _fault("epslink.expand")
                 if _RES.engaged:
-                    _res_check("epslink.expand", partial=assignment)
+                    _res_check("epslink.expand", partial=partial)
                 if budget is not None:
-                    budget.spend_expansions(1, partial=assignment)
+                    budget.spend_expansions(1, partial=partial)
             visited += 1
             kind, ident = vertex
             if kind == POINT and ident not in members:
+                if owner is not None:
+                    met = owner.setdefault(ident, expansion)
+                    if met is not expansion:
+                        break
                 # A new object within eps of the cluster: absorb it and make
                 # it a fresh distance-0 source.
                 members.add(ident)
                 best[vertex] = 0.0
                 d = 0.0
-            for nbr, seg in aug.neighbors(vertex):
+            for nbr, seg in neighbors(vertex):
                 nd = d + seg
-                if nd <= eps and nd < best.get(nbr, float("inf")):
+                if nd <= eps and nd < best.get(nbr, math.inf):
                     best[nbr] = nd
                     heapq.heappush(heap, (nd, nbr))
-        return members, visited
+                    if owner is not None and nbr[0] == POINT:
+                        met = owner.get(nbr[1], expansion)
+                        if met is not expansion:
+                            # Back on the heap: the rest of its
+                            # neighbours are relaxed when it settles again.
+                            heapq.heappush(heap, (d, vertex))
+                            break
+            if met is not expansion:
+                break
+        expansion.visited += visited
+        return None if met is expansion else met
 
     def _apply_min_sup(self, assignment: dict[int, int]) -> int:
         """Demote clusters smaller than ``min_sup`` to noise; returns the

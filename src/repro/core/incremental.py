@@ -11,16 +11,29 @@ every update costs only what it touches:
   union per object found; it joins the (union of the) clusters it can
   reach within ε, possibly bridging several into one.
 * **remove** — deleting an object can *split* its cluster (it may have been
-  the bridge), so its component — and only it — is dissolved into
-  singletons and re-expanded; every other cluster keeps its union-find
-  sets and representatives.  Cost: the component's size plus its
-  expansions.
+  the bridge).  Every piece of what is left holds one of the object's
+  ε-neighbours, so a *split check* (below) seeded with those neighbours
+  decides it.  Without a split the object just leaves its union-find set;
+  with one, only the split-off pieces move to sets of their own.
 * **reweigh** — an edge's traversal cost changes (traffic).  Links can
-  appear or vanish only between points within ε of the edge: the objects
+  appear or vanish only between objects within ε of the edge: the objects
   on the edge itself plus everything within ε of either endpoint, in the
-  old *or* the new network (four ε-bounded expansions).  Those points'
-  components — and only those — are dissolved and re-expanded; objects on
-  the edge keep their relative position (offsets rescale by ``new/old``).
+  old *or* the new network (four ε-bounded expansions).  A heavier edge
+  only lengthens distances, so links can only vanish: one split check per
+  affected component, seeded with its objects near the edge in the old
+  network.  A lighter edge only shortens them, so links can only appear:
+  one ε range query per object near the edge in the new network, and a
+  union with what it finds.  Objects on the edge keep their relative
+  position (offsets rescale by ``new/old``).
+
+The split check runs one ε-Link cluster expansion
+(:meth:`~repro.core.epslink.EpsLink._grow`, the loop from-scratch ε-Link
+runs) per seed, one settle per expansion in turn.  Two expansions merge
+when one reaches an object the other owns.  The check stops when one
+expansion is left (no split; usually after a few local settles, since the
+seeds lie close together) or when every expansion but one is exhausted:
+those are the split-off pieces, so the cost scales with the smaller
+pieces, not the whole cluster.
 
 No update touches the other components or scans all objects.  The
 maintained clustering is always identical to running
@@ -32,7 +45,7 @@ from __future__ import annotations
 
 import math
 
-from repro.core.epslink import EpsLink
+from repro.core.epslink import EpsLink, Expansion
 from repro.core.result import ClusteringResult
 from repro.core.unionfind import UnionFind
 from repro.eval.metrics import NOISE
@@ -41,6 +54,7 @@ from repro.network.augmented import POINT, AugmentedView, node_vertex
 from repro.network.dijkstra import single_source
 from repro.network.points import NetworkPoint, PointSet
 from repro.network.queries import range_query
+from repro.obs.core import add as _obs_add
 
 __all__ = ["IncrementalEpsLink"]
 
@@ -92,12 +106,14 @@ class IncrementalEpsLink:
         self.min_sup = int(min_sup)
         self._points = PointSet(network) if points is None else points
         self._uf = UnionFind(self._points.point_ids())
-        #: Point ids whose cluster membership the last update *may* have
-        #: changed — the precise invalidation region for downstream
-        #: distance caches.
+        self._expander = EpsLink(network, self._points, eps=self.eps)
+        #: Point ids the last update touched — the precise invalidation
+        #: region for downstream distance caches: an insert's object and
+        #: its ε-neighbours; a remove's object alone, plus its old cluster
+        #: when that split; a reweigh's affected components whole.
         self.last_affected: set[int] = set()
         if points is not None and len(self._points):
-            self._relink(list(self._points.point_ids()))
+            self._link_all()
 
     # ------------------------------------------------------------------
     @property
@@ -136,13 +152,30 @@ class IncrementalEpsLink:
         return point
 
     def remove(self, point_id: int) -> None:
-        """Delete an object, re-clustering (only) its component."""
-        self._points.get(point_id)  # raises PointNotFoundError when absent
-        members = self._uf.dissolve([point_id])
-        self._uf.drop(point_id)
+        """Delete an object; check (only) whether its cluster splits.
+
+        The object's ε-neighbours, found before it leaves the point set,
+        seed a split check.  Without a split the object just leaves its
+        union-find set and :attr:`last_affected` is ``{point_id}``: no
+        other object changes cluster.  With one, the split-off pieces
+        move to sets of their own and :attr:`last_affected` is the object
+        plus its old cluster.  The rest of the cluster stays one set; every
+        other cluster keeps its set and representative.
+        """
+        point = self._points.get(point_id)  # raises PointNotFoundError
+        aug = AugmentedView(self.network, self._points)
+        seeds = [
+            q.point_id
+            for q, _ in range_query(aug, point, self.eps, include_query=False)
+        ]
         self._points.remove(point_id)
-        self.last_affected = set(members)
-        self._relink(sorted(pid for pid in members if pid != point_id))
+        pieces = self._split_check(seeds)
+        if pieces:
+            self.last_affected = set(self._uf.members(point_id))
+        else:
+            self.last_affected = {point_id}
+        self._uf.detach(point_id)
+        self._uf.split_off(pieces)
 
     def reweigh(self, u: int, v: int, weight: float) -> None:
         """Change an edge's traversal cost, re-linking only what can move.
@@ -151,10 +184,15 @@ class IncrementalEpsLink:
         witness path crosses the edge, which puts both endpoints of the
         link within ε of the edge — i.e. among the objects *on* the edge
         or within ε of either endpoint node, measured in the old or the
-        new network.  Those points' whole components are re-linked (a
-        vanished link can split a component anywhere inside it); every
-        other component is provably unchanged.  Objects on the edge keep
-        their relative position: offsets rescale by ``weight / old``.
+        new network.  A heavier edge can only remove links: every piece
+        an affected component splits into holds one of its objects near
+        the edge in the old network, so those seed its split check.  A
+        lighter edge can only add links, each with an endpoint near the
+        edge in the new network: a range query from every such object
+        finds them all.  :attr:`last_affected` is every member of the
+        components that held an object near the edge; every other
+        component is provably unchanged.  Objects on the edge keep their
+        relative position: offsets rescale by ``weight / old``.
         """
         if not (isinstance(weight, (int, float)) and math.isfinite(weight)
                 and weight > 0):
@@ -164,10 +202,10 @@ class IncrementalEpsLink:
             )
         old = self.network.edge_weight(u, v)  # raises EdgeNotFoundError
         on_edge = list(self._points.points_on_edge(u, v))
-        affected: set[int] = {p.point_id for p in on_edge}
+        on_ids = {p.point_id for p in on_edge}
         # Range in the OLD network: links that may vanish.
-        affected |= self._points_within_eps_of_node(u)
-        affected |= self._points_within_eps_of_node(v)
+        near_old = (on_ids | self._points_within_eps_of_node(u)
+                    | self._points_within_eps_of_node(v))
         for p in on_edge:
             self._points.remove(p.point_id)
         self.network.add_edge(u, v, float(weight))  # re-add replaces weight
@@ -179,14 +217,24 @@ class IncrementalEpsLink:
                 point_id=p.point_id, label=p.label,
             )
         # Range in the NEW network: links that may appear.
-        affected |= self._points_within_eps_of_node(u)
-        affected |= self._points_within_eps_of_node(v)
-        # Expand to whole components: a vanished link can split a
-        # component at any depth, so everything reachable from an
-        # affected point must be re-discovered.
-        members = self._uf.dissolve(affected)
-        self.last_affected = set(members)
-        self._relink(sorted(members))
+        near_new = (on_ids | self._points_within_eps_of_node(u)
+                    | self._points_within_eps_of_node(v))
+        uf = self._uf
+        by_root: dict = {}
+        for pid in near_old:
+            by_root.setdefault(uf.find(pid), []).append(pid)
+        roots = set(by_root).union(map(uf.find, near_new))
+        self.last_affected = {m for root in roots for m in uf.members(root)}
+        if weight > old:
+            for seeds in by_root.values():
+                uf.split_off(self._split_check(seeds))
+        else:
+            aug = AugmentedView(self.network, self._points)
+            get = self._points.get
+            for pid in near_new:
+                found = range_query(aug, get(pid), self.eps,
+                                    include_query=False)
+                uf.union_all([pid] + [q.point_id for q, _ in found])
 
     def _points_within_eps_of_node(self, node: int) -> set[int]:
         """Ids of objects within ε network distance of ``node``."""
@@ -194,25 +242,64 @@ class IncrementalEpsLink:
         dist = single_source(aug, node_vertex(node), cutoff=self.eps)
         return {ident for kind, ident in dist if kind == POINT}
 
-    def _relink(self, affected: list[int]) -> None:
-        """Re-discover the ≤ε components among the affected points.
+    def _split_check(self, seeds: list[int]) -> list[set[int]]:
+        """The pieces that split off the cluster holding ``seeds``.
 
-        The affected points are singletons in the union-find (new, or just
-        dissolved); each component found is merged in one step.  Uses
-        ε-Link's expansion machinery seeded only inside the affected set;
-        the expansions cannot reach any other cluster (they are farther
-        than ε by definition of components), so the rest of the clustering
-        is provably unchanged.
+        ``seeds`` lie in one union-find set, and every piece the set may
+        now have split into holds one of them.  Each seed starts an
+        ε-Link expansion; the live expansions settle one vertex each in
+        turn, and one that reaches an object another owns takes it over
+        (the larger absorbs the smaller).  Stops once one expansion is
+        live: the exhausted ones are complete clusters — the split-off
+        pieces, returned — and the live one holds the rest of the set.
+        The expansions cannot leave the set: links only vanished.
         """
-        if not affected:
-            return
+        if len(seeds) < 2:
+            return []
         aug = AugmentedView(self.network, self._points)
-        helper = EpsLink(self.network, self._points, eps=self.eps)
+        grow = self._expander._grow
+        owner: dict[int, Expansion] = {}
+        live: dict[Expansion, None] = {}
+        for seed in seeds:
+            owner[seed] = expansion = Expansion(seed)
+            live[expansion] = None
+        exhausted: list[Expansion] = []
+        while len(live) > 1:
+            for expansion in list(live):
+                if expansion not in live:
+                    continue  # taken over earlier in this round
+                met = grow(aug, expansion, None, 1, owner)
+                if met is not None:
+                    keep, gone = expansion, met
+                    if len(keep.best) < len(gone.best):
+                        keep, gone = gone, keep
+                    keep.absorb(gone, owner)
+                    # `met` may be exhausted already: distances summed in
+                    # opposite directions can differ in the last ulp.
+                    live.pop(gone, None)
+                    if gone in exhausted:
+                        exhausted.remove(gone)
+                    live[keep] = None
+                elif not expansion.heap:
+                    del live[expansion]
+                    exhausted.append(expansion)
+                if len(live) == 1:
+                    break
+        _obs_add("live.split.checks")
+        _obs_add("live.split.settled",
+                 sum(e.visited for e in (*live, *exhausted)))
+        _obs_add("live.split.pieces", len(exhausted))
+        return [expansion.members for expansion in exhausted]
+
+    def _link_all(self) -> None:
+        """Cluster the adopted point set from scratch: one ε-Link
+        expansion per not-yet-clustered object, merged in one step."""
+        aug = AugmentedView(self.network, self._points)
         seen: set[int] = set()
-        for seed in affected:
+        for seed in self._points.point_ids():
             if seed in seen:
                 continue
-            members, _ = helper._expand_cluster(aug, seed, {})
+            members, _ = self._expander._expand_cluster(aug, seed, {})
             seen |= members
             self._uf.union_all(members)
 

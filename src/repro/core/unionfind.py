@@ -6,10 +6,11 @@ path compression as well, giving near-constant amortised operations.
 
 Each multi-member set also keeps its member list at its root (the larger
 list absorbs the smaller on union, so the lists cost O(n log n) appends
-overall).  That lets a set be taken apart again — :meth:`dissolve` and
-:meth:`drop` — in time proportional to its size, which incremental ε-Link
-maintenance needs to re-cluster one component without touching the rest.
-Singletons carry no list.
+overall).  That lets members be taken out of a set again in time
+proportional to its size — :meth:`detach` and :meth:`split_off` — while
+the rest stays one set, which incremental ε-Link maintenance needs to
+split one component without touching the others.  Singletons carry no
+list.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ class UnionFind:
     False
     >>> uf.num_sets
     2
-    >>> sorted(uf.dissolve([2]))
-    [1, 2]
+    >>> uf.split_off([[2]])
     >>> uf.num_sets
     3
     """
@@ -138,32 +138,78 @@ class UnionFind:
         members = self._members.get(self.find(item))
         return 1 if members is None else len(members)
 
-    def dissolve(self, items: Iterable[Hashable]) -> list:
-        """Split every set containing one of ``items`` back into singletons.
+    def members(self, item: Hashable) -> list:
+        """The members of the set containing ``item`` (a new list)."""
+        root = self.find(item)
+        members = self._members.get(root)
+        return [root] if members is None else list(members)
 
-        Returns the members of the dissolved sets; every other set keeps
-        its members and its representative.  Cost is proportional to the
-        dissolved sets' sizes.
+    def detach(self, item: Hashable) -> None:
+        """Remove ``item``; the other members of its set stay one set.
+
+        That set keeps its representative unless it was ``item``; then its
+        first remaining member takes over.  Every other set is untouched.
+        Cost is proportional to the set's size (plain dict writes).
+
+        >>> uf = UnionFind([1, 2, 3])
+        >>> uf.union_all([1, 2, 3])
+        True
+        >>> root = uf.find(3)
+        >>> uf.detach(root)
+        >>> root in uf, uf.connected(*(i for i in (1, 2, 3) if i != root))
+        (False, True)
+        >>> uf.num_sets
+        1
         """
-        parent = self._parent
-        freed: list = []
-        for root in dict.fromkeys(map(self.find, items)):
-            members = self._members.pop(root, None)
-            if members is None:
-                freed.append(root)
-                continue
-            for item in members:
-                parent[item] = item
-            self.num_sets += len(members) - 1
-            freed.extend(members)
-        return freed
-
-    def drop(self, item: Hashable) -> None:
-        """Remove ``item``, which must be a singleton set."""
-        if self._parent[item] != item or item in self._members:
-            raise ValueError(f"{item!r} is not a singleton set")
+        root = self.find(item)
+        members = self._members.pop(root, None)
         del self._parent[item]
-        self.num_sets -= 1
+        if members is None:
+            self.num_sets -= 1
+            return
+        members.remove(item)
+        self._regroup(members, members[0] if root == item else root)
+
+    def split_off(self, pieces: Iterable[Iterable[Hashable]]) -> None:
+        """Move each of ``pieces`` into a set of its own.
+
+        ``pieces`` are disjoint, non-empty groups of members of one set.
+        The rest of that set stays one set and keeps its representative
+        unless the representative moved; then the first remaining member
+        takes over.  A piece's first item represents it.  Every other set
+        is untouched.  Cost is proportional to the set's size (plain dict
+        writes, no :meth:`find` or union per member).
+
+        >>> uf = UnionFind(range(5))
+        >>> uf.union_all(range(5))
+        True
+        >>> uf.split_off([[3], [4, 1]])
+        >>> sorted(sorted(m) for m in uf.sets().values())
+        [[0, 2], [1, 4], [3]]
+        >>> uf.find(1)
+        4
+        """
+        pieces = [list(piece) for piece in pieces]
+        if not pieces:
+            return
+        root = self.find(pieces[0][0])
+        members = self._members.pop(root, None) or [root]
+        moved = {item for piece in pieces for item in piece}
+        rest = [item for item in members if item not in moved]
+        for piece in pieces:
+            self._regroup(piece, piece[0])
+        if rest:
+            self._regroup(rest, rest[0] if root in moved else root)
+        self.num_sets += len(pieces) - (0 if rest else 1)
+
+    def _regroup(self, items: list, root) -> None:
+        """Point every item straight at ``root``, one of them, and record
+        the member list; ``num_sets`` is the caller's."""
+        parent = self._parent
+        for item in items:
+            parent[item] = root
+        if len(items) > 1:
+            self._members[root] = items
 
     def sets(self) -> dict:
         """Mapping ``representative -> sorted member list``."""

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 
 from repro.baselines.classic import threshold_components
 from repro.baselines.matrix import DistanceMatrix
-from repro.core.epslink import EpsLink, EpsLinkEdgewise
+from repro.core.epslink import EpsLink, EpsLinkEdgewise, Expansion
 from repro.exceptions import ParameterError
+from repro.network.augmented import AugmentedView, point_vertex
 from repro.network.graph import SpatialNetwork
 from repro.network.points import PointSet
 
@@ -187,3 +188,59 @@ def test_property_equals_threshold_components(data):
             f"seed={seed} eps={eps_value}: {got.as_partition()} != "
             f"{want.as_partition()}"
         )
+
+
+class TestResumableExpansion:
+    """``EpsLink._grow``: the one expansion loop, run in slices and, with
+    an owner map, stopped when it reaches another expansion's object."""
+
+    @pytest.fixture
+    def line(self):
+        # Objects 0..5 at offsets 1.0, 1.5, ..., 3.5: one chain at eps 1.
+        net = SpatialNetwork.from_edge_list([(1, 2, 10.0)])
+        pts = PointSet(net)
+        for i in range(6):
+            pts.add(1, 2, 1.0 + 0.5 * i, point_id=i)
+        return EpsLink(net, pts, eps=1.0), AugmentedView(net, pts)
+
+    def test_slices_equal_one_run(self, line):
+        algo, aug = line
+        whole_members, whole_visited = algo._expand_cluster(aug, 0, {})
+        sliced = Expansion(0)
+        while sliced.heap:
+            assert algo._grow(aug, sliced, None, 1) is None
+        assert sliced.members == whole_members == set(range(6))
+        assert sliced.visited == whole_visited
+
+    def test_meets_an_owned_object_when_pushing_it(self, line):
+        algo, aug = line
+        f, g = Expansion(0), Expansion(1)
+        owner = {0: f, 1: g}
+        assert algo._grow(aug, f, None, -1, owner) is g
+        # The vertex whose relaxation met g goes back on the heap.
+        assert (0.0, point_vertex(0)) in f.heap
+        assert f.visited == 1
+
+    def test_meets_an_object_claimed_after_the_push(self, line):
+        algo, aug = line
+        f, g = Expansion(0), Expansion(2)
+        owner = {0: f, 2: g}
+        assert algo._grow(aug, f, None, 1, owner) is None  # pushed 1
+        owner[1] = g  # g absorbs 1 before f settles it
+        g.members.add(1)
+        assert algo._grow(aug, f, None, -1, owner) is g
+        assert 1 not in f.members
+
+    def test_absorb_continues_as_one_expansion(self, line):
+        algo, aug = line
+        f, g = Expansion(0), Expansion(5)
+        owner = {0: f, 5: g}
+        turns, met = [f, g], None
+        while met is None:  # one settle each in turn until they meet
+            expansion = turns[0]
+            turns.reverse()
+            met = algo._grow(aug, expansion, None, 1, owner)
+        met.absorb(expansion, owner)
+        assert algo._grow(aug, met, None, -1, owner) is None
+        assert met.members == set(range(6))
+        assert all(owner[pid] is met for pid in range(6))

@@ -10,11 +10,13 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
+from repro import faults, obs
 from repro.core.epslink import EpsLink
 from repro.core.incremental import IncrementalEpsLink
 from repro.exceptions import ParameterError, PointNotFoundError
+from repro.faults import FaultRule, OpBudget
 from repro.network.graph import SpatialNetwork
 
 from tests.conftest import make_random_connected_network
@@ -299,3 +301,168 @@ def test_property_matches_scratch_with_reweighs(seed, ops):
         assert live.result().same_clustering(scratch), (
             f"seed={seed} after op ({op}, {op_seed})"
         )
+
+
+# ----------------------------------------------------------------------
+# Decremental maintenance: the split check's cost is local
+# ----------------------------------------------------------------------
+def _chain(n: int, eps: float, spacing: float = 0.5) -> IncrementalEpsLink:
+    """``n`` objects ``spacing`` apart along one edge: one chain cluster."""
+    net = SpatialNetwork.from_edge_list([(1, 2, spacing * (n + 1))])
+    live = IncrementalEpsLink(net, eps=eps)
+    for i in range(n):
+        live.insert(1, 2, spacing * (i + 1), point_id=i)
+    assert live.num_clusters == 1
+    return live
+
+
+def _counted_remove(live: IncrementalEpsLink, point_id: int) -> dict:
+    """Remove ``point_id``; returns the obs counters it moved."""
+    obs.enable(fresh=True)
+    try:
+        live.remove(point_id)
+        return obs.snapshot()["counters"]
+    finally:
+        obs.disable()
+
+
+def _split(counters: dict) -> dict:
+    return {k: v for k, v in counters.items() if k.startswith("live.split.")}
+
+
+class TestSplitCheckLocality:
+    """Hardware-independent settle counts of the split check."""
+
+    def test_non_bridge_remove_cost_independent_of_cluster_size(self):
+        # eps = 1.2 links each object to two on either side: removing
+        # one leaves its neighbours 1.0 apart, still linked.
+        small, large = _chain(50, eps=1.2), _chain(500, eps=1.2)
+        counts_small = _split(_counted_remove(small, 25))
+        counts_large = _split(_counted_remove(large, 250))
+        assert counts_small == counts_large
+        assert counts_small["live.split.checks"] == 1
+        assert counts_small["live.split.pieces"] == 0
+        assert 0 < counts_small["live.split.settled"] <= 10
+        assert small.num_clusters == large.num_clusters == 1
+        assert small.last_affected == {25}
+        assert large.last_affected == {250}
+
+    @pytest.mark.parametrize("short", [3, 10, 20])
+    def test_bridge_remove_costs_the_short_side(self, short):
+        # eps = 0.6 links only adjacent objects: every inner one is a
+        # bridge.  Removing object `short` cuts off objects 0..short-1.
+        counts = {}
+        for n in (50, 500):
+            live = _chain(n, eps=0.6)
+            counts[n] = _split(_counted_remove(live, short))
+            assert live.num_clusters == 2
+            assert sorted(live._uf.set_size(pid) for pid in (0, n - 1)) == [
+                short, n - short - 1,
+            ]
+            assert live.last_affected == set(range(n))
+        assert counts[50] == counts[500]
+        assert counts[50]["live.split.pieces"] == 1
+        # Both expansions settle the short side's objects (and its end
+        # node) in lockstep, then the short one is exhausted.
+        settled = counts[50]["live.split.settled"]
+        assert 2 * short <= settled <= 2 * (short + 2)
+
+    def test_leaf_remove_runs_no_search(self):
+        live = _chain(20, eps=0.6)
+        counters = _counted_remove(live, 19)  # one ε-neighbour: no check
+        assert _split(counters) == {}
+        assert live.num_clusters == 1
+        assert live.last_affected == {19}
+
+
+@pytest.fixture
+def _clean_faults():
+    faults.clear()
+    yield
+    faults.clear()
+
+
+@pytest.mark.usefixtures("_clean_faults")
+def test_remove_charges_the_epslink_expand_budget():
+    """Every split-check settle hits the ``epslink.expand`` site and
+    charges the active budget, beside the seed search's settles."""
+    live = _chain(40, eps=0.6)
+    budget = OpBudget()
+    with faults.plan(FaultRule("no.such.site", "crash", after=10**9)):
+        with budget.activate():
+            counters = _counted_remove(live, 10)
+        hits = faults.hits("epslink.expand")
+    settled = counters["live.split.settled"]
+    assert hits == settled > 0
+    assert budget.expansions == settled + counters["queries.vertices_settled"]
+    assert live.num_clusters == 2
+
+
+@pytest.mark.usefixtures("_clean_faults")
+def test_split_check_fault_site_fires():
+    live = _chain(40, eps=0.6)
+    with faults.plan(FaultRule("epslink.expand", "error", after=1)):
+        with pytest.raises(faults.InjectedIOError):
+            live.remove(10)
+
+
+def _roots(live: IncrementalEpsLink) -> dict[int, int]:
+    return {pid: live._uf.find(pid) for pid in live.points.point_ids()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["insert", "remove", "heavier", "lighter"]),
+            st.integers(min_value=0, max_value=10**6),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+)
+def test_property_dense_splits_match_scratch(seed, ops):
+    """Many objects per edge, so removes and heavier edges split clusters
+    (and often do not), lighter edges merge them.  After every update
+    the maintained clustering equals EpsLink from scratch, and every
+    cluster the update did not affect keeps its representative."""
+    rng = random.Random(seed)
+    net = make_random_connected_network(rng, rng.randint(2, 6), extra_edges=3)
+    edges = [(u, v) for u, v, _w in net.edges()]
+    per_edge = rng.randint(4, 12)
+    eps = net.total_weight() / (per_edge * len(edges)) * rng.uniform(0.6, 2.0)
+    live = IncrementalEpsLink(net, eps=eps)
+    for u, v in edges:
+        for _ in range(per_edge):
+            live.insert(u, v, rng.uniform(0.0, net.edge_weight(u, v)))
+    for op, op_seed in ops:
+        op_rng = random.Random(op_seed)
+        before = _roots(live)
+        clusters = live.num_clusters
+        u, v = edges[op_rng.randrange(len(edges))]
+        if op == "remove" and len(live) > 0:
+            live.remove(op_rng.choice(sorted(live.points.point_ids())))
+            change = live.num_clusters - clusters
+            event("remove splits" if change > 0 else
+                  "remove keeps the cluster whole" if change == 0 else
+                  "remove drops a singleton")
+        elif op in ("heavier", "lighter"):
+            scale = (op_rng.uniform(1.05, 3.0) if op == "heavier"
+                     else op_rng.uniform(0.3, 0.95))
+            live.reweigh(u, v, net.edge_weight(u, v) * scale)
+            change = live.num_clusters - clusters
+            event(f"{op} edge: clusters "
+                  + ("up" if change > 0 else "down" if change < 0 else "same"))
+        else:
+            live.insert(u, v, op_rng.uniform(0.0, net.edge_weight(u, v)))
+        if len(live) == 0:
+            continue
+        scratch = EpsLink(net, live.points, eps=eps).run()
+        assert live.result().same_clustering(scratch), (
+            f"seed={seed} after op ({op}, {op_seed})"
+        )
+        touched = {before[pid] for pid in live.last_affected if pid in before}
+        for pid, root in before.items():
+            if root not in touched:
+                assert live._uf.find(pid) == root

@@ -24,6 +24,7 @@ from repro.exceptions import (
 from repro.live import LiveSession, WriteAheadLog
 from repro.live.mutate import validate_mutation
 from repro.network.augmented import AugmentedView
+from repro.network.distance import network_distance
 from repro.network.graph import SpatialNetwork
 from repro.network.points import PointSet
 from repro.perf import DistanceAccelerator, DistanceCache
@@ -408,6 +409,60 @@ class TestInvalidateHookDispatch:
         aug.add_invalidation_hook(lambda: calls.append("hook"))
         aug.refresh()
         assert calls == []
+
+
+# ----------------------------------------------------------------------
+# A remove without a split invalidates only the removed point
+# ----------------------------------------------------------------------
+class TestNoSplitRemoveInvalidation:
+    """``note_mutation`` gets ``{p}`` after a remove that splits nothing,
+    and everything it leaves in the accelerator is still exact (the
+    contract in ``DistanceCache.invalidate_region``'s docstring)."""
+
+    def test_surviving_entries_equal_cold_recomputation(self, tmp_path):
+        session = make_session(tmp_path)
+        ids = [session.mutate(insert(1, 2, off))["point_id"]
+               for off in (1.0, 2.0, 3.0, 4.0, 5.0)]
+        ids += [session.mutate(insert(u, v, 4.0))["point_id"]
+                for u, v in ((2, 3), (3, 4), (1, 4))]
+        aug = AugmentedView(session.network, session.points)
+        accel = DistanceAccelerator(aug, landmarks=2, cache_mb=1.0)
+        record = session.attach(aug, accel)
+        seen: list[tuple[set, bool]] = []
+        note = accel.note_mutation
+
+        def spy(point_ids, *, reweigh=False):
+            seen.append((set(point_ids), reweigh))
+            note(point_ids, reweigh=reweigh)
+
+        record.accel.note_mutation = spy
+        points = [session.points.get(pid) for pid in ids]
+        for p in points:
+            for q in points:
+                accel.point_distance(p, q)
+                accel.lower_bound(p, q)
+        clusters = session.live.num_clusters
+        victim = ids[2]  # its neighbours at 2.0 and 4.0 stay linked
+        session.mutate({"kind": "remove_point", "point_id": victim})
+        assert seen == [({victim}, False)]
+        assert session.live.num_clusters == clusters
+
+        cold = AugmentedView(session.network, session.points)
+        entries = [
+            (key, value) for key, value in accel.cache._data.items()
+            if key[0] == "p2p"
+        ]
+        assert len(entries) == (len(ids) - 1) * (len(ids) - 2)
+        for (_, a, b), value in entries:
+            assert victim not in (a, b)
+            assert value == network_distance(
+                cold, session.points.get(a), session.points.get(b)
+            )
+        vectors = accel._point_vectors
+        assert set(vectors) == set(ids) - {victim}
+        for pid, vector in vectors.items():
+            assert vector == accel.index.point_vector(session.points.get(pid))
+        session.close()
 
 
 # ----------------------------------------------------------------------

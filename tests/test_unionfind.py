@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.unionfind import UnionFind
@@ -107,15 +106,19 @@ class NaivePartition:
         self.blocks = [b for b in self.blocks if not b & set(items)]
         self.blocks.append(set().union(*hit))
 
-    def dissolve(self, items) -> set:
-        hit = [b for b in self.blocks if b & set(items)]
-        freed = set().union(*hit)
-        self.blocks = [b for b in self.blocks if not b & set(items)]
-        self.blocks.extend({item} for item in freed)
-        return freed
+    def detach(self, item):
+        block = self.block(item)
+        block.discard(item)
+        if not block:
+            self.blocks.remove(block)
 
-    def drop(self, item):
-        self.blocks.remove({item})
+    def split_off(self, pieces):
+        block = self.block(pieces[0][0])
+        for piece in pieces:
+            block -= set(piece)
+            self.blocks.append(set(piece))
+        if not block:
+            self.blocks.remove(block)
 
 
 def _assert_matches(uf: UnionFind, naive: NaivePartition) -> None:
@@ -143,7 +146,7 @@ def _assert_matches(uf: UnionFind, naive: NaivePartition) -> None:
 
 
 # union_all twice: merges of two multi-member sets must come up often.
-_OPS = ["add", "union", "union_all", "union_all", "dissolve", "drop"]
+_OPS = ["add", "union", "union_all", "union_all", "detach", "split_off"]
 
 
 @settings(max_examples=100, deadline=None)
@@ -151,10 +154,10 @@ _OPS = ["add", "union", "union_all", "union_all", "dissolve", "drop"]
     st.integers(min_value=0, max_value=12),
     st.integers(min_value=0, max_value=2**31),
 )
-def test_property_dissolve_and_drop_match_naive_partition(n, seed):
-    """Random add / union / union_all / dissolve / drop sequences agree
-    with a list-of-sets oracle after every step; sets outside a dissolve
-    keep their representatives."""
+def test_property_operations_match_naive_partition(n, seed):
+    """Random add / union / union_all / detach / split_off sequences agree
+    with a list-of-sets oracle after every step; sets a detach or
+    split_off does not touch keep their representatives."""
     rng = random.Random(seed)
     uf = UnionFind(range(n))
     naive = NaivePartition()
@@ -177,25 +180,29 @@ def test_property_dissolve_and_drop_match_naive_partition(n, seed):
             merged = len({uf.find(a) for a in present}) > 1
             assert uf.union_all(present) == merged
             naive.union(present)
-        elif op == "dissolve":
+        elif op in ("detach", "split_off") and present:
+            block = naive.block(present[0])
             untouched = {
                 uf.find(item): item for item in naive.items()
-                if not naive.block(item) & set(present)
+                if item not in block
             }
-            freed = uf.dissolve(present)
-            assert len(freed) == len(set(freed))
-            assert set(freed) == naive.dissolve(present)
+            if op == "detach":
+                uf.detach(present[0])
+                naive.detach(present[0])
+                assert present[0] not in uf
+            else:
+                members = sorted(block)
+                rng.shuffle(members)
+                cuts = sorted(rng.sample(range(1, len(members) + 1),
+                                         rng.randint(1, len(members))))
+                pieces = [members[a:b] for a, b in zip([0] + cuts, cuts)]
+                if rng.random() < 0.5:
+                    pieces.pop()  # leave a rest behind
+                if pieces:
+                    uf.split_off(pieces)
+                    naive.split_off(pieces)
             for root, item in untouched.items():
                 assert uf.find(item) == root
-        elif op == "drop" and present:
-            item = present[0]
-            if naive.block(item) == {item}:
-                uf.drop(item)
-                naive.drop(item)
-                assert item not in uf
-            else:
-                with pytest.raises(ValueError):
-                    uf.drop(item)
         _assert_matches(uf, naive)
 
 
@@ -210,3 +217,119 @@ def test_from_parents_keeps_representatives():
     assert all(copy.set_size(i) == uf.set_size(i) for i in range(6))
     copy.union(3, 0)
     assert copy.find(3) == uf.find(0)
+
+
+# ----------------------------------------------------------------------
+# detach / split_off
+# ----------------------------------------------------------------------
+def _layered() -> UnionFind:
+    """{0..7} as one set with a three-level tree: 3 -> 2 -> 0,
+    5 -> 4 -> 0 and 7 -> 6; path compression has pointed 6 straight at
+    0, so 7 hangs off a node that no longer sits under 4."""
+    uf = UnionFind(range(10))
+    uf.union(0, 1)
+    uf.union(2, 3)
+    uf.union(0, 2)
+    uf.union(4, 5)
+    uf.union(6, 7)
+    uf.union(4, 6)
+    uf.union(0, 4)
+    uf.union(8, 9)
+    assert uf.find(6) == 0
+    assert uf._parent[3] == 2 and uf._parent[5] == 4 and uf._parent[7] == 6
+    return uf
+
+
+def _rebuilt(groups) -> UnionFind:
+    uf = UnionFind(item for group in groups for item in group)
+    for group in groups:
+        uf.union_all(group)
+    return uf
+
+
+def _assert_same_partition(uf: UnionFind, fresh: UnionFind) -> None:
+    def blocks(u):
+        return sorted(sorted(m) for m in u.sets().values())
+
+    assert blocks(uf) == blocks(fresh)
+    assert uf.num_sets == fresh.num_sets
+    assert len(uf) == len(fresh)
+    assert sorted(sorted(m) for m in uf._members.values()) == sorted(
+        sorted(m) for m in fresh._members.values()
+    )
+    for root, members in uf._members.items():
+        assert all(uf.find(m) == root for m in members)
+
+
+class TestDetach:
+    def test_detach_root(self):
+        uf = _layered()
+        other = uf.find(9)
+        uf.detach(0)
+        assert 0 not in uf
+        _assert_same_partition(uf, _rebuilt([[1, 2, 3, 4, 5, 6, 7], [8, 9]]))
+        assert uf.find(9) == other
+
+    def test_detach_interior_node_with_children(self):
+        uf = _layered()
+        uf.detach(4)  # 5 still points at it
+        assert 4 not in uf
+        _assert_same_partition(uf, _rebuilt([[0, 1, 2, 3, 5, 6, 7], [8, 9]]))
+        assert uf.find(5) == uf.find(7) == 0  # representative kept
+
+    def test_detach_path_compressed_node_with_children(self):
+        uf = _layered()
+        uf.detach(6)  # compressed to point at 0; 7 points at it
+        assert 6 not in uf
+        _assert_same_partition(uf, _rebuilt([[0, 1, 2, 3, 4, 5, 7], [8, 9]]))
+        assert uf.find(7) == 0
+
+    def test_detach_singleton_and_pair(self):
+        uf = UnionFind([1, 2, 3])
+        uf.union(1, 2)
+        uf.detach(3)
+        assert uf.num_sets == 1 and 3 not in uf
+        uf.detach(uf.find(1))
+        assert uf.num_sets == 1 and len(uf) == 1
+        assert uf._members == {}
+
+    def test_detached_item_can_return(self):
+        uf = _layered()
+        uf.detach(2)
+        uf.add(2)
+        assert uf.num_sets == 3
+        assert not uf.connected(2, 3)
+
+
+class TestSplitOff:
+    def test_pieces_leave_rest_keeps_representative(self):
+        uf = _layered()
+        other = uf.find(8)
+        uf.split_off([[3, 2], [5]])
+        _assert_same_partition(
+            uf, _rebuilt([[0, 1, 4, 6, 7], [2, 3], [5], [8, 9]])
+        )
+        assert uf.find(7) == 0
+        assert uf.find(3) == 3  # a piece's first item represents it
+        assert uf.find(8) == other
+
+    def test_piece_holding_the_root(self):
+        uf = _layered()
+        uf.split_off([[1, 0]])
+        _assert_same_partition(
+            uf, _rebuilt([[0, 1], [2, 3, 4, 5, 6, 7], [8, 9]])
+        )
+        assert uf.find(0) == 1
+
+    def test_pieces_covering_the_whole_set(self):
+        uf = _layered()
+        uf.split_off([[0, 1, 2, 3], [4, 5, 6, 7]])
+        _assert_same_partition(
+            uf, _rebuilt([[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]])
+        )
+
+    def test_no_pieces_is_a_no_op(self):
+        uf = _layered()
+        before = dict(uf._parent)
+        uf.split_off([])
+        assert uf._parent == before and uf.num_sets == 2
