@@ -135,7 +135,6 @@ def __getattr__(name):
         "DistanceAccelerator": "repro.perf",
         "DistanceCache": "repro.perf",
         "LandmarkIndex": "repro.perf",
-        "PersistedLandmarkIndex": "repro.perf",
         "build_index_file": "repro.perf",
         "load_index": "repro.perf",
         "network_fingerprint": "repro.perf",

@@ -57,7 +57,15 @@ import time
 import zlib
 
 from repro.exceptions import ParameterError, WalCorruptError
-from repro.faults.core import CrashPoint, fire as _fault, tear as _tear
+from repro.faults.core import fire as _fault
+from repro.framing import (
+    FLAG_COMMITTED as _FLAG_COMMITTED,
+    HEADER as _HEADER,
+    TRAILER as _TRAILER,
+    header_bytes,
+    section as _section,
+    write_blob as _write_blob,
+)
 from repro.obs.core import add as _obs_add
 from repro.obs.metrics import REGISTRY as _METRICS
 
@@ -72,16 +80,9 @@ __all__ = [
 MAGIC = b"RWAL"
 FORMAT_VERSION = 1
 
-#: header = magic, format version, flags (bit 0 = committed), meta length,
-#: CRC32 over the preceding 12 bytes (identical shape to RLIX/RPCK).
-_HEADER = struct.Struct("<4sHHII")
-#: section trailer = CRC32 over the padded payload, then a zero word that
-#: keeps the next section 8-byte aligned (checked on load).
-_TRAILER = struct.Struct("<II")
 #: record prefix = sequence number, unpadded payload length, CRC32 of the
 #: padded payload, a zero word, CRC32 of the preceding 20 bytes.
 _RECORD = struct.Struct("<QIIII")
-_FLAG_COMMITTED = 0x1
 
 #: Every site through which WAL bytes reach the disk, in write order —
 #: the crash/torn durability sweep in ``tests/test_wal.py`` injects at
@@ -114,31 +115,6 @@ def _record_bytes(seq: int, payload: bytes) -> bytes:
     padded = payload + b" " * ((-len(payload)) % 8)
     prefix = _RECORD.pack(seq, len(payload), zlib.crc32(padded), 0, 0)[:-4]
     return prefix + struct.pack("<I", zlib.crc32(prefix)) + padded
-
-
-def _section(payload: bytes) -> bytes:
-    """Payload padded to an 8-byte boundary plus its CRC trailer."""
-    pad = (-len(payload)) % 8
-    padded = payload + b" " * pad
-    return padded + _TRAILER.pack(zlib.crc32(padded), 0)
-
-
-def _header_bytes(meta_len: int, committed: bool) -> bytes:
-    flags = _FLAG_COMMITTED if committed else 0
-    prefix = _HEADER.pack(MAGIC, FORMAT_VERSION, flags, meta_len, 0)[:-4]
-    return prefix + struct.pack("<I", zlib.crc32(prefix))
-
-
-def _write_blob(fh, site: str, payload: bytes) -> None:
-    """One fault-instrumented physical write (error / crash / torn)."""
-    _fault(site)
-    torn = _tear(site, len(payload))
-    if torn is not None:
-        fh.write(payload[:torn])
-        fh.flush()
-        os.fsync(fh.fileno())
-        raise CrashPoint(f"torn write at {site}")
-    fh.write(payload)
 
 
 class _Scan:
@@ -364,7 +340,8 @@ class WriteAheadLog:
         fh = open(self.path, "w+b")
         try:
             _write_blob(fh, "wal.append.header",
-                        _header_bytes(len(meta_payload), committed=False))
+                        header_bytes(MAGIC, FORMAT_VERSION, len(meta_payload),
+                                     committed=False))
             _write_blob(fh, "wal.append.meta", meta_section)
             fh.flush()
             os.fsync(fh.fileno())
@@ -373,7 +350,8 @@ class WriteAheadLog:
             # log is valid, and nothing is acknowledged before this.
             fh.seek(0)
             _write_blob(fh, "wal.append.commit_header",
-                        _header_bytes(len(meta_payload), committed=True))
+                        header_bytes(MAGIC, FORMAT_VERSION, len(meta_payload),
+                                     committed=True))
             fh.flush()
             os.fsync(fh.fileno())
         except BaseException:

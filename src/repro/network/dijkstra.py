@@ -27,8 +27,9 @@ view's scipy C Dijkstra; see :mod:`repro.network.interface`).
 
 One plain and one instrumented loop per shape
 ---------------------------------------------
-Each of the three shapes (single source, path tree, concurrent expansion)
-has exactly two loops:
+Each of the two shapes (single source, concurrent expansion) has exactly
+two loops; :func:`single_source_with_paths` is the instrumented
+single-source loop recording a predecessor map:
 
 * the **plain** loop, free of flag checks, which runs when nothing is
   watching — the paper's cost curves must never be perturbed by the
@@ -134,12 +135,18 @@ def _single_source_instrumented(
     source: int,
     targets: Iterable[int] | None,
     cutoff: float,
+    pred: dict[int, int] | None = None,
 ) -> dict[int, float]:
-    """Fault/budget/deadline/obs twin of :func:`single_source`."""
+    """Fault/budget/deadline/obs twin of :func:`single_source`.
+
+    With a ``pred`` map, each settled node but the source gets the
+    parent of its shortest push, the smallest parent on ties.
+    """
     budget = _FAULTS.budget
     neighbors = network.neighbors
     remaining = set(targets) if targets is not None else None
     dist: dict[int, float] = {}
+    best_push: dict[int, tuple[float, int]] = {}
     heap: list[tuple[float, int]] = [(0.0, source)]
     pops = 0
     pushes = 1  # the seed entry
@@ -155,6 +162,8 @@ def _single_source_instrumented(
         if budget is not None:
             budget.spend_expansions(1, partial=dist)
         dist[node] = d
+        if pred is not None and node != source:
+            pred[node] = best_push[node][1]
         if remaining is not None:
             remaining.discard(node)
             if not remaining:
@@ -169,6 +178,10 @@ def _single_source_instrumented(
             if nd <= cutoff:
                 heapq.heappush(heap, (nd, nbr))
                 pushes += 1
+                if pred is not None:
+                    seen = best_push.get(nbr)
+                    if seen is None or (nd, node) < seen:
+                        best_push[nbr] = (nd, node)
     if _OBS.enabled:
         _obs_add("dijkstra.runs")
         _obs_add("dijkstra.heap_pops", pops)
@@ -186,75 +199,13 @@ def single_source_with_paths(
     """Like :func:`single_source` but also returns a predecessor map.
 
     The predecessor map sends each settled node (except the source) to the
-    previous node on one shortest path from the source.  The instrumented
-    loop charges the budget and emits counters exactly as
+    previous node on one shortest path from the source.  It always runs
+    the instrumented single-source loop, which records the predecessors,
+    so it charges the budget and emits counters exactly as
     :func:`single_source` does.
     """
-    if _FAULTS.engaged or _RES.engaged or _OBS.enabled:
-        return _with_paths_instrumented(network, source, cutoff)
-    neighbors = network.neighbors
-    dist: dict[int, float] = {}
     pred: dict[int, int] = {}
-    heap: list[tuple[float, int, int]] = [(0.0, source, source)]
-    while heap:
-        d, node, parent = heapq.heappop(heap)
-        if node in dist:
-            continue
-        dist[node] = d
-        if node != source:
-            pred[node] = parent
-        for nbr, weight in neighbors(node):
-            if nbr in dist:
-                continue
-            nd = d + weight
-            if nd <= cutoff:
-                heapq.heappush(heap, (nd, nbr, node))
-    return dist, pred
-
-
-def _with_paths_instrumented(
-    network,
-    source: int,
-    cutoff: float,
-) -> tuple[dict[int, float], dict[int, int]]:
-    """Fault/budget/deadline/obs twin of :func:`single_source_with_paths`."""
-    budget = _FAULTS.budget
-    neighbors = network.neighbors
-    dist: dict[int, float] = {}
-    pred: dict[int, int] = {}
-    heap: list[tuple[float, int, int]] = [(0.0, source, source)]
-    pops = 0
-    pushes = 1  # the seed entry
-    relaxed = 0
-    while heap:
-        d, node, parent = heapq.heappop(heap)
-        pops += 1
-        if node in dist:
-            continue
-        _fault("dijkstra.settle")
-        if _RES.engaged:
-            _res_check("dijkstra.settle", partial=dist)
-        if budget is not None:
-            budget.spend_expansions(1, partial=dist)
-        dist[node] = d
-        if node != source:
-            pred[node] = parent
-        for nbr, weight in neighbors(node):
-            relaxed += 1
-            if budget is not None:
-                budget.spend_distance_computations(1, partial=dist)
-            if nbr in dist:
-                continue
-            nd = d + weight
-            if nd <= cutoff:
-                heapq.heappush(heap, (nd, nbr, node))
-                pushes += 1
-    if _OBS.enabled:
-        _obs_add("dijkstra.runs")
-        _obs_add("dijkstra.heap_pops", pops)
-        _obs_add("dijkstra.heap_pushes", pushes)
-        _obs_add("dijkstra.edges_relaxed", relaxed)
-        _obs_add("dijkstra.nodes_settled", len(dist))
+    dist = _single_source_instrumented(network, source, None, cutoff, pred)
     return dist, pred
 
 

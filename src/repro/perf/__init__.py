@@ -16,7 +16,6 @@ from repro.perf.landmarks import (
     vector_upper_bound,
 )
 from repro.perf.persist import (
-    PersistedLandmarkIndex,
     build_index_file,
     load_index,
     load_index_or_degrade,
@@ -30,7 +29,6 @@ __all__ = [
     "DistanceCache",
     "ENTRY_BYTES",
     "LandmarkIndex",
-    "PersistedLandmarkIndex",
     "build_index_file",
     "load_index",
     "load_index_or_degrade",

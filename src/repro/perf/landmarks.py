@@ -39,11 +39,19 @@ one of two locations is unreachable from some landmark they lie in different
 connected components, so their true distance *is* infinite and the lower
 bound returns ``inf``.  When both are unreachable the landmark says nothing
 and is skipped.
+
+The tables are one landmark-major ``(L, N)`` float64 array over the sorted
+node ids — the exact layout of the ``RLIX`` file (:mod:`repro.perf.persist`),
+which :func:`~repro.perf.load_index` maps back into a
+:class:`LandmarkIndex` without a copy.  Node vectors are read out as Python
+floats, so built and loaded indexes give bit-identical bounds.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from repro.network.dijkstra import single_source
 from repro.network.points import NetworkPoint
@@ -88,7 +96,13 @@ def vector_upper_bound(a: tuple, b: tuple) -> float:
 
 
 class LandmarkIndex:
-    """Precomputed node→landmark distance tables over one network.
+    """Node→landmark distance tables over one network, landmark-major.
+
+    ``ids`` holds the network's node ids ascending (int64) and ``tables``
+    the ``(L, N)`` float64 array whose row ``l`` holds the distances from
+    landmark ``l`` to every node, ``inf`` where unreached.  The same class
+    serves a freshly built index and one :func:`~repro.perf.load_index`
+    maps from an ``RLIX`` file, so both share one bound arithmetic.
 
     Parameters
     ----------
@@ -110,50 +124,53 @@ class LandmarkIndex:
     """
 
     def __init__(self, network, num_landmarks: int = 8) -> None:
+        ids = np.asarray(sorted(network.nodes()), dtype=np.int64)
+        with _span("perf.landmarks.build"):
+            landmarks, tables = _farthest_point_tables(
+                network, ids, int(num_landmarks)
+            )
+        finite = tables[np.isfinite(tables)]
+        scale = max(1.0, float(finite.max())) if finite.size else 1.0
+        self._attach(network, landmarks, ids, tables, scale, None)
+        if _OBS.enabled:
+            _obs_add("perf.landmarks.built", len(self.landmarks))
+
+    @classmethod
+    def from_tables(cls, network, landmarks, ids, tables, scale: float,
+                    reader) -> LandmarkIndex:
+        """An index over existing tables, as :func:`~repro.perf.load_index`
+        maps them; ``reader`` (anything with a ``close()``) owns the memory
+        they view and is closed by :meth:`close`."""
+        index = cls.__new__(cls)
+        index._attach(network, landmarks, ids, tables, scale, reader)
+        return index
+
+    def _attach(self, network, landmarks, ids, tables, scale, reader) -> None:
         self._network = network
-        self.landmarks: list[int] = []
-        self._tables: list[dict[int, float]] = []
+        self.landmarks: list[int] = [int(x) for x in landmarks]
+        self.ids = ids
+        self.tables = tables
         #: Characteristic distance magnitude (the largest finite table
         #: entry, at least 1.0).  Consumers that compare float bounds
         #: against float distances size their rounding tolerance from it
         #: — see the slack discussion in :mod:`repro.perf.accel`.
-        self.scale = 1.0
-        with _span("perf.landmarks.build"):
-            self._build(int(num_landmarks))
-        for table in self._tables:
-            for value in table.values():
-                if value > self.scale and not math.isinf(value):
-                    self.scale = value
-        if _OBS.enabled:
-            _obs_add("perf.landmarks.built", len(self.landmarks))
+        self.scale = float(scale)
+        self._reader = reader
+        # Memo of the Python-float vectors of the nodes queries touched:
+        # a repeated read costs a dict hit, not a searchsorted and a
+        # column copy.
+        self._vectors: dict[int, tuple[float, ...]] = {}
 
-    def _build(self, num_landmarks: int) -> None:
-        nodes = sorted(self._network.nodes())
-        if not nodes or num_landmarks <= 0:
+    def close(self) -> None:
+        """Drop the views of a loaded file and unmap it; a no-op on a
+        built index."""
+        if self._reader is None:
             return
-        # Farthest-point sampling, fully deterministic: start from the
-        # smallest node id; prefer unreached nodes (smallest id first) so
-        # disconnected components each get a landmark; otherwise take the
-        # node farthest from every chosen landmark (ties by smallest id).
-        nearest: dict[int, float] = {n: math.inf for n in nodes}
-        candidate = nodes[0]
-        for _ in range(min(num_landmarks, len(nodes))):
-            table = single_source(self._network, candidate)
-            self.landmarks.append(candidate)
-            self._tables.append(table)
-            best_node = None
-            best_dist = -1.0
-            for n in nodes:
-                d = table.get(n, math.inf)
-                if d < nearest[n]:
-                    nearest[n] = d
-                # inf > any finite distance, and the ascending id order
-                # means a strict comparison keeps the smallest id on ties.
-                if nearest[n] > best_dist:
-                    best_node, best_dist = n, nearest[n]
-            if best_node is None or best_dist <= 0.0:
-                break  # every node is itself a landmark already
-            candidate = best_node
+        self._vectors.clear()
+        self.ids = np.empty(0, dtype=np.int64)
+        self.tables = np.empty((len(self.landmarks), 0))
+        self._reader.close()
+        self._reader = None
 
     # ------------------------------------------------------------------
     # Node-level bounds
@@ -163,26 +180,19 @@ class LandmarkIndex:
 
     def node_vector(self, node: int) -> tuple[float, ...]:
         """Landmark coordinate vector of a node (``inf`` where unreached)."""
-        return tuple(t.get(node, math.inf) for t in self._tables)
+        vec = self._vectors.get(node)
+        if vec is None:
+            col = int(np.searchsorted(self.ids, node))
+            if col < len(self.ids) and int(self.ids[col]) == node:
+                vec = tuple(self.tables[:, col].tolist())
+            else:
+                vec = (math.inf,) * len(self.landmarks)
+            self._vectors[node] = vec
+        return vec
 
     def node_lower_bound(self, u: int, v: int) -> float:
         """Admissible lower bound on the node distance ``d(u, v)``."""
-        if u == v:
-            return 0.0
-        best = 0.0
-        for t in self._tables:
-            du = t.get(u)
-            dv = t.get(v)
-            if du is None:
-                if dv is None:
-                    continue
-                return math.inf
-            if dv is None:
-                return math.inf
-            diff = du - dv if du >= dv else dv - du
-            if diff > best:
-                best = diff
-        return best
+        return vector_lower_bound(self.node_vector(u), self.node_vector(v))
 
     # ------------------------------------------------------------------
     # Point-level coordinates
@@ -198,9 +208,37 @@ class LandmarkIndex:
         """
         weight = self._network.edge_weight(point.u, point.v)
         off = point.offset
-        out = []
-        for t in self._tables:
-            du = t.get(point.u, math.inf)
-            dv = t.get(point.v, math.inf)
-            out.append(min(du + off, dv + (weight - off)))
-        return tuple(out)
+        rest = weight - off
+        return tuple(
+            min(du + off, dv + rest)
+            for du, dv in zip(
+                self.node_vector(point.u), self.node_vector(point.v)
+            )
+        )
+
+
+def _farthest_point_tables(network, ids, num_landmarks: int):
+    """``(landmarks, tables)`` by farthest-point sampling, deterministic.
+
+    Start from the smallest node id; then prefer unreached nodes (smallest
+    id first) so disconnected components each get a landmark; otherwise
+    take the node farthest from every chosen landmark, ties by smallest id
+    (``argmax`` returns the first maximum and ``ids`` ascend).
+    """
+    count = max(0, min(num_landmarks, len(ids)))
+    tables = np.full((count, len(ids)), math.inf)
+    landmarks: list[int] = []
+    nearest = np.full(len(ids), math.inf)
+    candidate = int(ids[0]) if count else None
+    for row in tables:
+        table = single_source(network, candidate)
+        row[np.searchsorted(ids, np.fromiter(table, np.int64, len(table)))] = (
+            np.fromiter(table.values(), np.float64, len(table))
+        )
+        landmarks.append(candidate)
+        np.minimum(nearest, row, out=nearest)
+        best = int(np.argmax(nearest))
+        if nearest[best] <= 0.0:
+            break  # every node is itself a landmark already
+        candidate = int(ids[best])
+    return landmarks, tables[:len(landmarks)]

@@ -20,6 +20,14 @@ On-disk layout (``RLIX``, little-endian, format version 1)::
                distances (row l = distances from landmark l, ``inf``
                where unreached), then the 8-byte CRC trailer
 
+The header and the section framing are :mod:`repro.framing`'s, shared
+with the ``RWAL`` mutation log.  The nodes and tables sections are the
+index's own ``ids`` and ``tables`` arrays byte for byte: :func:`save_index`
+writes them as they are, and :func:`load_index` returns a
+:class:`~repro.perf.LandmarkIndex` whose arrays are zero-copy views over
+the mapped file — one class, one bound arithmetic, for built and loaded
+indexes alike.
+
 Every byte of the file is covered by a checksum — the header by its own
 CRC, each section (padding included) by its trailer, and a flip inside a
 trailer fails the comparison itself — so *any* single-bit corruption is
@@ -57,22 +65,29 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import math
 import mmap
 import os
 import struct
 import zlib
 
+import numpy as np
+
 from repro.exceptions import IndexCorruptError, IndexStaleError, ParameterError
-from repro.faults.core import CrashPoint, fire as _fault, tear as _tear
-from repro.network.points import NetworkPoint
+from repro.faults.core import CrashPoint, fire as _fault
+from repro.framing import (
+    FLAG_COMMITTED as _FLAG_COMMITTED,
+    HEADER as _HEADER,
+    TRAILER as _TRAILER,
+    header_bytes,
+    section as _section,
+    write_blob as _write_blob,
+)
 from repro.obs.core import add as _obs_add, span as _span
 from repro.perf.landmarks import LandmarkIndex
 
 __all__ = [
     "BUILD_WRITE_SITES",
     "FORMAT_VERSION",
-    "PersistedLandmarkIndex",
     "build_index_file",
     "load_index",
     "load_index_or_degrade",
@@ -83,14 +98,6 @@ __all__ = [
 
 MAGIC = b"RLIX"
 FORMAT_VERSION = 1
-
-#: header = magic, format version, flags (bit 0 = committed), meta length,
-#: CRC32 over the preceding 12 bytes.
-_HEADER = struct.Struct("<4sHHII")
-#: section trailer = CRC32 over the section payload, then a zero word that
-#: keeps the next section 8-byte aligned (checked on load).
-_TRAILER = struct.Struct("<II")
-_FLAG_COMMITTED = 0x1
 
 #: Every site through which build-time bytes reach the disk, in write
 #: order — the crash/torn sweep in ``tests/test_index_persist.py``
@@ -103,21 +110,6 @@ BUILD_WRITE_SITES = (
     "index.build.commit_header",
     "index.build.commit",
 )
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a test/CI dependency
-    _np = None
-
-
-def _require_numpy():
-    if _np is None:  # pragma: no cover - numpy is a test/CI dependency
-        raise ParameterError(
-            "persistent landmark indexes require numpy, which is not "
-            "installed"
-        )
-    return _np
-
 
 def network_fingerprint(network) -> str:
     """SHA-256 content fingerprint of a network's nodes and weighted edges.
@@ -139,33 +131,10 @@ def network_fingerprint(network) -> str:
     return digest.hexdigest()
 
 
-def _section(payload: bytes) -> bytes:
-    """Payload padded to an 8-byte boundary plus its CRC trailer."""
-    pad = (-len(payload)) % 8
-    padded = payload + b" " * pad
-    return padded + _TRAILER.pack(zlib.crc32(padded), 0)
-
-
-def _header_bytes(meta_len: int, committed: bool) -> bytes:
-    flags = _FLAG_COMMITTED if committed else 0
-    prefix = _HEADER.pack(MAGIC, FORMAT_VERSION, flags, meta_len, 0)[:-4]
-    return prefix + struct.pack("<I", zlib.crc32(prefix))
-
-
-def _write_blob(fh, site: str, payload: bytes) -> None:
-    """One fault-instrumented physical write (error / crash / torn)."""
-    _fault(site)
-    torn = _tear(site, len(payload))
-    if torn is not None:
-        fh.write(payload[:torn])
-        fh.flush()
-        os.fsync(fh.fileno())
-        raise CrashPoint(f"torn write at {site}")
-    fh.write(payload)
-
-
-def save_index(path: str, index, network, *, seed: int = 0) -> dict:
-    """Persist a built :class:`LandmarkIndex` atomically as ``RLIX``.
+def save_index(path: str, index: LandmarkIndex, network, *,
+               seed: int = 0) -> dict:
+    """Persist a :class:`LandmarkIndex` (built or loaded) atomically as
+    ``RLIX``.
 
     Everything is written to ``path + ".tmp"`` (uncommitted header first,
     commit flag set only after the payload is fsynced) and renamed over
@@ -173,34 +142,27 @@ def save_index(path: str, index, network, *, seed: int = 0) -> dict:
     or a fully valid one — never a half-built file at the target path.
     Returns a summary dict (landmarks, nodes, bytes, fingerprint).
     """
-    np = _require_numpy()
     if path.endswith(".tmp"):
         raise ParameterError(
             f"refusing to write an index at a temp path: {path}"
         )
-    nodes = sorted(network.nodes())
-    ids = np.asarray(nodes, dtype=np.int64)
-    tables = np.full((len(index), len(nodes)), math.inf, dtype=np.float64)
-    # One pass per landmark through the index's own table keeps the exact
-    # float64 values (no recomputation, no rounding).
-    for row, table in enumerate(index._tables):
-        for col, node in enumerate(nodes):
-            value = table.get(node)
-            if value is not None:
-                tables[row, col] = value
+    if index.ids.tolist() != sorted(network.nodes()):
+        raise ParameterError(
+            "the index does not cover exactly the network's nodes"
+        )
     meta = {
         "format": "repro-landmark-index",
         "version": FORMAT_VERSION,
         "fingerprint": network_fingerprint(network),
         "num_landmarks": len(index),
-        "num_nodes": len(nodes),
+        "num_nodes": len(index.ids),
         "landmarks": list(index.landmarks),
         "scale": index.scale,
         "seed": int(seed),
     }
     meta_section = _section(json.dumps(meta, sort_keys=True).encode("utf-8"))
-    nodes_section = _section(ids.tobytes())
-    tables_section = _section(tables.tobytes())
+    nodes_section = _section(index.ids.tobytes())
+    tables_section = _section(index.tables.tobytes())
     meta_len = len(meta_section) - _TRAILER.size
     tmp = path + ".tmp"
     if os.path.exists(tmp):
@@ -209,7 +171,8 @@ def save_index(path: str, index, network, *, seed: int = 0) -> dict:
     try:
         with open(tmp, "wb") as fh:
             _write_blob(fh, "index.build.header",
-                        _header_bytes(meta_len, committed=False))
+                        header_bytes(MAGIC, FORMAT_VERSION, meta_len,
+                                     committed=False))
             _write_blob(fh, "index.build.meta", meta_section)
             _write_blob(fh, "index.build.nodes", nodes_section)
             _write_blob(fh, "index.build.tables", tables_section)
@@ -220,7 +183,8 @@ def save_index(path: str, index, network, *, seed: int = 0) -> dict:
             # as a valid index.
             fh.seek(0)
             _write_blob(fh, "index.build.commit_header",
-                        _header_bytes(meta_len, committed=True))
+                        header_bytes(MAGIC, FORMAT_VERSION, meta_len,
+                                     committed=True))
             fh.flush()
             os.fsync(fh.fileno())
     except CrashPoint:
@@ -234,7 +198,7 @@ def save_index(path: str, index, network, *, seed: int = 0) -> dict:
     return {
         "path": path,
         "landmarks": len(index),
-        "nodes": len(nodes),
+        "nodes": len(index.ids),
         "bytes": _HEADER.size + len(meta_section) + len(nodes_section)
         + len(tables_section),
         "fingerprint": meta["fingerprint"],
@@ -360,106 +324,11 @@ def _section_layout(meta: dict, meta_len: int) -> tuple[int, int, int, int]:
     return nodes_off, nodes_len, tables_off, tables_len
 
 
-class PersistedLandmarkIndex:
-    """A read-only :class:`LandmarkIndex` view over an ``RLIX`` mmap.
-
-    Implements the exact interface :class:`~repro.perf.DistanceAccelerator`
-    consumes — ``landmarks``, ``scale``, ``__len__``, ``node_vector``,
-    ``node_lower_bound``, ``point_vector`` — backed by zero-copy numpy
-    views over the mapped file, so N worker processes share one set of
-    physical pages.  All section CRCs are verified eagerly at load (see
-    :func:`load_index`): after construction every read is plain memory.
-
-    Bit-identity: the stored tables are the in-memory index's float64
-    values verbatim and the bound arithmetic repeats the in-memory
-    expressions on Python floats, so accelerated query results are
-    indistinguishable from a freshly built index.
-    """
-
-    def __init__(self, reader: _Reader, meta: dict, ids, tables,
-                 network) -> None:
-        np = _require_numpy()
-        self._reader = reader
-        self._network = network
-        self._ids = ids
-        self._dist = tables
-        self.path = reader.path
-        self.landmarks: list[int] = [int(x) for x in meta["landmarks"]]
-        self.scale = float(meta["scale"])
-        self.fingerprint: str = meta["fingerprint"]
-        self.seed = int(meta.get("seed", 0))
-        self._np = np
-        # Lazy per-process memo of converted vectors.  The mmap'd tables
-        # stay the single shared physical copy; this only caches the
-        # Python-float tuples for nodes a query has actually touched, so
-        # repeated vector reads cost a dict hit instead of a searchsorted
-        # plus eight float conversions.
-        self._vec_cache: dict[int, tuple[float, ...]] = {}
-
-    # -- LandmarkIndex interface --------------------------------------
-    def __len__(self) -> int:
-        return len(self.landmarks)
-
-    def _column(self, node: int) -> int:
-        """Column of ``node`` in the tables, or -1 when absent."""
-        pos = int(self._np.searchsorted(self._ids, node))
-        if pos >= len(self._ids) or int(self._ids[pos]) != node:
-            return -1
-        return pos
-
-    def node_vector(self, node: int) -> tuple[float, ...]:
-        """Landmark coordinate vector of a node (``inf`` where unreached)."""
-        vec = self._vec_cache.get(node)
-        if vec is not None:
-            return vec
-        col = self._column(node)
-        if col < 0:
-            vec = (math.inf,) * len(self.landmarks)
-        else:
-            vec = tuple(float(x) for x in self._dist[:, col])
-        self._vec_cache[node] = vec
-        return vec
-
-    def node_lower_bound(self, u: int, v: int) -> float:
-        """Admissible lower bound on the node distance ``d(u, v)``."""
-        if u == v:
-            return 0.0
-        best = 0.0
-        for du, dv in zip(self.node_vector(u), self.node_vector(v)):
-            if math.isinf(du):
-                if math.isinf(dv):
-                    continue
-                return math.inf
-            if math.isinf(dv):
-                return math.inf
-            diff = du - dv if du >= dv else dv - du
-            if diff > best:
-                best = diff
-        return best
-
-    def point_vector(self, point: NetworkPoint) -> tuple[float, ...]:
-        """Landmark coordinate vector of an object on an edge (exact)."""
-        weight = self._network.edge_weight(point.u, point.v)
-        off = point.offset
-        rest = weight - off
-        return tuple(
-            min(du + off, dv + rest)
-            for du, dv in zip(
-                self.node_vector(point.u), self.node_vector(point.v)
-            )
-        )
-
-    # -- lifecycle -----------------------------------------------------
-    def close(self) -> None:
-        """Drop the numpy views and unmap the file."""
-        self._vec_cache.clear()
-        self._ids = self._np.asarray([], dtype=self._np.int64)
-        self._dist = self._np.zeros((len(self.landmarks), 0))
-        self._reader.close()
-
-
-def load_index(path: str, network) -> PersistedLandmarkIndex:
+def load_index(path: str, network) -> LandmarkIndex:
     """Open a persisted index read-only, verifying every byte first.
+
+    The returned :class:`LandmarkIndex` views the mapped file; its
+    :meth:`~LandmarkIndex.close` unmaps it.
 
     Raises
     ------
@@ -478,7 +347,6 @@ def load_index(path: str, network) -> PersistedLandmarkIndex:
     warms the page cache the mmap reads from — so a worker that gets past
     this call can never SIGBUS or serve a wrong bound off a bad page.
     """
-    np = _require_numpy()
     if path.endswith(".tmp"):
         raise IndexCorruptError(
             f"{path}: refusing an uncommitted temp index file"
@@ -518,7 +386,8 @@ def load_index(path: str, network) -> PersistedLandmarkIndex:
     except BaseException:
         reader.close()
         raise
-    return PersistedLandmarkIndex(reader, meta, ids, tables, network)
+    return LandmarkIndex.from_tables(network, meta["landmarks"], ids, tables,
+                                     meta["scale"], reader)
 
 
 def load_index_or_degrade(path: str, network):

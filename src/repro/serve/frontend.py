@@ -124,8 +124,7 @@ def degrade_on_reweigh(index, index_path: str | None, network,
         reloaded, reason = load_index_or_degrade(index_path, network)
         if reloaded is not None:  # pragma: no cover - fingerprint changed
             reloaded.close()
-    if hasattr(index, "close"):
-        index.close()
+    index.close()
     return reason or f"edge ({u}, {v}) reweighed under the landmark index"
 
 

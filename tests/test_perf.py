@@ -10,6 +10,7 @@ without coordinates.
 from __future__ import annotations
 
 import math
+import random
 import threading
 
 import pytest
@@ -64,6 +65,36 @@ def _strip_coords(net: SpatialNetwork) -> SpatialNetwork:
     return bare
 
 
+def _two_components() -> SpatialNetwork:
+    net = SpatialNetwork()
+    for n in (1, 2, 3, 11, 12):
+        net.add_node(n)
+    net.add_edge(1, 2, 1.0)
+    net.add_edge(2, 3, 1.0)
+    net.add_edge(11, 12, 2.0)
+    return net
+
+
+def _reference_landmarks(network, num_landmarks: int) -> list[int]:
+    """Farthest-point sampling one node at a time: the smallest id first,
+    then the node farthest from every chosen landmark (unreached counts
+    as infinitely far), ties by smallest id."""
+    nodes = sorted(network.nodes())
+    nearest = {n: math.inf for n in nodes}
+    chosen = [nodes[0]]
+    while len(chosen) < min(num_landmarks, len(nodes)):
+        table = single_source(network, chosen[-1])
+        best_node, best_dist = None, -1.0
+        for n in nodes:
+            nearest[n] = min(nearest[n], table.get(n, math.inf))
+            if nearest[n] > best_dist:
+                best_node, best_dist = n, nearest[n]
+        if best_dist <= 0.0:
+            break
+        chosen.append(best_node)
+    return chosen
+
+
 # ---------------------------------------------------------------------------
 # LandmarkIndex
 # ---------------------------------------------------------------------------
@@ -78,8 +109,24 @@ class TestLandmarkIndex:
 
     def test_tables_match_single_source(self, small_network):
         index = LandmarkIndex(small_network, 4)
-        for lm, table in zip(index.landmarks, index._tables):
-            assert table == single_source(small_network, lm)
+        tables = [single_source(small_network, lm) for lm in index.landmarks]
+        for node in small_network.nodes():
+            assert index.node_vector(node) == tuple(
+                t.get(node, math.inf) for t in tables
+            )
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_grid_network(5, 4),
+        lambda: make_random_connected_network(random.Random(9), 25, 8),
+        lambda: _two_components(),
+    ])
+    def test_selection_matches_reference_loop(self, make):
+        """The vectorised farthest-point sampling picks exactly what the
+        node-by-node loop picks, ties by smallest id included."""
+        net = make()
+        for k in (1, 3, 8, 100):
+            assert LandmarkIndex(net, k).landmarks == \
+                _reference_landmarks(net, k)
 
     def test_first_landmark_is_smallest_node(self, small_network):
         index = LandmarkIndex(small_network, 2)
@@ -98,10 +145,11 @@ class TestLandmarkIndex:
         net.add_edge(1, 2, 1.0)
         net.add_edge(11, 12, 1.0)
         index = LandmarkIndex(net, 2)
-        reached = set()
-        for table in index._tables:
-            reached.update(table)
-        assert reached == {1, 2, 11, 12}
+        assert index.landmarks == [1, 11]
+        assert index.node_vector(1) == (0.0, math.inf)
+        assert index.node_vector(2) == (1.0, math.inf)
+        assert index.node_vector(11) == (math.inf, 0.0)
+        assert index.node_vector(12) == (math.inf, 1.0)
 
     def test_node_lower_bound_admissible(self):
         import random
