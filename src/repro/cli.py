@@ -371,11 +371,45 @@ def _finding_doc(f) -> dict:
     }
 
 
+def _report_findings(args, key: str, path: str, findings,
+                     index=None) -> int:
+    """Print one verifier's findings report; returns the exit code.
+
+    Text: each finding, then ``<path>: OK`` or ``<path>: N problem(s)
+    found``.  ``--json``: one document naming ``path`` under ``key``,
+    with the exit code and every finding.  ``index`` is an optional
+    ``(path, findings)`` pair reported after the first (``repro check
+    --index``).  The exit code is 2 when anything was found, else 0.
+    """
+    sections = [(path, findings)] + ([index] if index is not None else [])
+    code = 2 if any(found for _, found in sections) else 0
+    if args.json:
+        doc = {
+            key: path,
+            "exit_code": code,
+            "findings": [_finding_doc(f) for f in findings],
+        }
+        if index is not None:
+            doc["index"] = {
+                "path": index[0],
+                "findings": [_finding_doc(f) for f in index[1]],
+            }
+        print(json.dumps(doc, indent=2))
+    else:
+        for where, found in sections:
+            for f in found:
+                print(f)
+            print(f"{where}: " + (
+                f"{len(found)} problem(s) found" if found else "OK"
+            ))
+    return code
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     from repro.storage.verify import verify_store
 
     findings = verify_store(args.store)
-    index_findings = None
+    index = None
     if args.index:
         from repro.perf import verify_index
 
@@ -388,39 +422,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
             network = NetworkStore(args.store)
         try:
-            index_findings = verify_index(args.index, network)
+            index = (args.index, verify_index(args.index, network))
         finally:
             if network is not None:
                 network.close()
-    code = 0 if not findings and not index_findings else 2
-    if args.json:
-        doc = {
-            "store": args.store,
-            "exit_code": code,
-            "findings": [_finding_doc(f) for f in findings],
-        }
-        if index_findings is not None:
-            doc["index"] = {
-                "path": args.index,
-                "findings": [_finding_doc(f) for f in index_findings],
-            }
-        print(json.dumps(doc, indent=2))
-    else:
-        for f in findings:
-            print(f)
-        print(
-            f"{args.store}: "
-            + ("OK" if not findings else f"{len(findings)} problem(s) found")
-        )
-        if index_findings is not None:
-            for f in index_findings:
-                print(f)
-            print(
-                f"{args.index}: "
-                + ("OK" if not index_findings
-                   else f"{len(index_findings)} problem(s) found")
-            )
-    return code
+    return _report_findings(args, "store", args.store, findings, index)
 
 
 def _cmd_index_build(args: argparse.Namespace) -> int:
@@ -448,42 +454,13 @@ def _cmd_index_check(args: argparse.Namespace) -> int:
     if args.workload:
         network, _points = load_workload_file(args.workload)
     findings = verify_index(args.index, network)
-    code = 0 if not findings else 2
-    if args.json:
-        print(json.dumps({
-            "index": args.index,
-            "exit_code": code,
-            "findings": [_finding_doc(f) for f in findings],
-        }, indent=2))
-    else:
-        for f in findings:
-            print(f)
-        print(
-            f"{args.index}: "
-            + ("OK" if not findings else f"{len(findings)} problem(s) found")
-        )
-    return code
+    return _report_findings(args, "index", args.index, findings)
 
 
 def _cmd_wal_verify(args: argparse.Namespace) -> int:
     from repro.live import verify_wal
 
-    findings = verify_wal(args.log)
-    code = 0 if not findings else 2
-    if args.json:
-        print(json.dumps({
-            "log": args.log,
-            "exit_code": code,
-            "findings": [_finding_doc(f) for f in findings],
-        }, indent=2))
-    else:
-        for f in findings:
-            print(f)
-        print(
-            f"{args.log}: "
-            + ("OK" if not findings else f"{len(findings)} problem(s) found")
-        )
-    return code
+    return _report_findings(args, "log", args.log, verify_wal(args.log))
 
 
 def _cmd_wal_replay(args: argparse.Namespace) -> int:

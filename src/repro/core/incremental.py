@@ -107,10 +107,14 @@ class IncrementalEpsLink:
         self._points = PointSet(network) if points is None else points
         self._uf = UnionFind(self._points.point_ids())
         self._expander = EpsLink(network, self._points, eps=self.eps)
-        #: Point ids the last update touched — the precise invalidation
-        #: region for downstream distance caches: an insert's object and
-        #: its ε-neighbours; a remove's object alone, plus its old cluster
-        #: when that split; a reweigh's affected components whole.
+        #: Point ids whose cluster label the last update may have
+        #: changed: an insert's object and its ε-neighbours; a remove's
+        #: object alone, plus its old cluster when that split; a
+        #: reweigh's affected components whole.  Distance caches do not
+        #: use it: objects carry no weight, so an insert or a remove
+        #: changes no distance between two other objects, and the live
+        #: tier invalidates only the mutated object (or everything, on a
+        #: reweigh).
         self.last_affected: set[int] = set()
         if points is not None and len(self._points):
             self._link_all()

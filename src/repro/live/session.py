@@ -14,12 +14,14 @@ together:
 * :meth:`apply` — idempotent, gap-checked application of one sequenced
   mutation; used by the live path, by WAL replay, and by the apply
   frames a supervisor broadcasts to worker processes.  Each apply
-  advances :attr:`epoch` to the mutation's sequence number and
-  invalidates exactly the affected region of every attached view /
-  accelerator (:meth:`attach`), never more — except for reweighs, which
-  change distances globally and additionally fire the registered
-  reweigh hooks so index-backed consumers can re-run their
-  fingerprint check (``load_index_or_degrade``) and degrade.
+  advances :attr:`epoch` to the mutation's sequence number and tells
+  every attached view (:meth:`attach`) what changed through its one
+  invalidation path, ``AugmentedView.invalidate``: the inserted or
+  removed object, or a reweigh.  Objects carry no weight, so an insert
+  or a remove changes no distance between two other objects; a reweigh
+  changes distances globally, and additionally fires the registered
+  reweigh hooks so index-backed consumers can re-run their fingerprint
+  check (``load_index_or_degrade``) and close the index.
 * :meth:`snapshot` — the current epoch and full cluster assignment, in a
   canonical shape that is bit-comparable across processes: a supervisor,
   each of its workers, and a single-threaded oracle applying the same
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import threading
 import time
-from types import SimpleNamespace
 
 from repro.core.incremental import IncrementalEpsLink
 from repro.exceptions import (
@@ -81,7 +82,7 @@ class LiveSession:
         self.epoch = 0
         self.lock = threading.RLock()
         self._cond = threading.Condition(self.lock)
-        self._attachments: list[SimpleNamespace] = []
+        self._views: list = []
         self._reweigh_hooks: list = []
         self._shutdown = False
         #: Canonical form of the most recently applied mutation (what a
@@ -89,25 +90,24 @@ class LiveSession:
         self.last_mutation: dict | None = None
 
     # -- staleness wiring ----------------------------------------------
-    def attach(self, aug, accel=None) -> SimpleNamespace:
-        """Register a view (and optionally its accelerator) for precise
-        invalidation on every apply.
+    def attach(self, aug) -> None:
+        """Register a view to be invalidated on every apply.
 
-        Returns the mutable attachment record; callers that rebuild their
-        accelerator later (e.g. after an index degrade) update its
-        ``accel`` attribute in place.
+        Each apply calls ``aug.invalidate`` with what changed; whatever
+        hangs off the view (an accelerator's cache, point vectors and
+        landmark index) hears it through the view's hooks.
         """
-        record = SimpleNamespace(aug=aug, accel=accel)
         with self.lock:
-            self._attachments.append(record)
-        return record
+            self._views.append(aug)
 
     def add_reweigh_hook(self, hook) -> None:
         """Register ``hook(u, v)`` to run after every applied reweigh.
 
-        This is where index-backed serve tiers re-run their network
+        Hooks run after every attached view was invalidated, so the
+        accelerators over those views have already dropped their landmark
+        index.  This is where the index's owner re-runs the network
         fingerprint check (:func:`repro.perf.load_index_or_degrade`) and
-        degrade — never silently rebuild — because the landmark node
+        closes it — never silently rebuilds — because the landmark node
         tables bind to edge weights.
         """
         with self.lock:
@@ -190,11 +190,9 @@ class LiveSession:
             self.epoch = seq
             self.last_mutation = dict(mutation)
             reweigh = kind == "reweigh_edge"
-            affected = self.live.last_affected
-            for record in self._attachments:
-                record.aug.refresh()
-                if record.accel is not None:
-                    record.accel.note_mutation(affected, reweigh=reweigh)
+            changed = None if reweigh else (ack["point_id"],)
+            for aug in self._views:
+                aug.invalidate(changed, reweigh=reweigh)
             if reweigh:
                 for hook in self._reweigh_hooks:
                     hook(mutation["u"], mutation["v"])

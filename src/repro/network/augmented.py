@@ -68,8 +68,9 @@ class AugmentedView:
         self._index_cache: dict[int, int] = {}
         self._indexed_edges: set[tuple[int, int]] = set()
         # Downstream consumers (distance caches, memoized landmark point
-        # tables) register here; invalidate() is the single notification
-        # point for "the point set changed under this view".
+        # vectors, the landmark index) register here; invalidate() is the
+        # single notification point for "the world changed under this
+        # view".
         self._invalidation_hooks: list = []
         self._points_version = getattr(points, "version", None)
 
@@ -90,10 +91,10 @@ class AugmentedView:
             version = self._points.version
             if version != self._points_version:
                 # The point set mutated without an explicit invalidate():
-                # drop the stale indexes (and notify downstream caches)
-                # before serving from them.
+                # drop the stale indexes (and notify downstream caches
+                # that it is unknown which objects changed) before
+                # serving from them.
                 self.invalidate()
-                self._points_version = version
         if point.edge not in self._indexed_edges:
             for i, p in enumerate(self._points.points_on_edge(point.u, point.v)):
                 self._index_cache[p.point_id] = i
@@ -159,33 +160,32 @@ class AugmentedView:
             yield (node_vertex(point.v), weight - point.offset)
 
     # ------------------------------------------------------------------
-    # Convenience
+    # Invalidation
     # ------------------------------------------------------------------
-    def seed_entries(self, point: NetworkPoint) -> list[tuple[float, Vertex]]:
-        """Initial heap entries for an expansion started *at* ``point``.
-
-        Returns the point's own vertex at distance zero; expansions that must
-        avoid point vertices can instead seed the two endpoint nodes with the
-        direct distances (see k-medoids, which works on nodes only).
-        """
-        return [(0.0, point_vertex(point.point_id))]
-
     def add_invalidation_hook(self, hook) -> None:
-        """Register ``hook()`` to run whenever this view is invalidated.
+        """Register ``hook(point_ids, reweigh)`` to run on every
+        :meth:`invalidate`.
 
-        This is the single invalidation path for every cache keyed off the
-        point set: :meth:`invalidate` (called explicitly after a mutation,
-        or automatically when the point set's ``version`` is observed to
-        have moved) clears the view's own edge indexes *and* fires every
-        registered hook, so downstream memoization — the
-        :class:`~repro.perf.DistanceCache`, memoized landmark point tables
-        — can never serve distances for a point set that no longer exists.
+        This is the single invalidation path for every cache keyed off
+        the point set or the network: :meth:`invalidate` (called by the
+        mutator, or automatically when the point set's ``version`` is
+        observed to have moved) clears the view's own edge indexes *and*
+        tells every registered hook what changed, so downstream
+        memoization — the :class:`~repro.perf.DistanceCache`, memoized
+        landmark point vectors, the landmark index — can never serve
+        distances for a world that no longer exists.
         """
         self._invalidation_hooks.append(hook)
 
-    def invalidate(self) -> None:
-        """Drop cached edge indexes (call after mutating the point set) and
-        notify every registered invalidation hook.
+    def invalidate(self, point_ids=None, *, reweigh: bool = False) -> None:
+        """Drop cached edge indexes and notify every invalidation hook.
+
+        Call after mutating the point set or the network.  ``point_ids``
+        names the objects an insert or a remove added or took away;
+        ``None`` means which objects changed is unknown (the version
+        auto-check passes it).  ``reweigh`` says an edge weight changed,
+        so every distance may have moved.  Each hook receives
+        ``(point_ids, reweigh)`` as given.
 
         Every hook runs even when an earlier one raises — a raising hook
         must not leave later caches silently stale — and the first error
@@ -197,24 +197,9 @@ class AugmentedView:
         first_error: BaseException | None = None
         for hook in self._invalidation_hooks:
             try:
-                hook()
+                hook(point_ids, reweigh)
             except BaseException as exc:
                 if first_error is None:
                     first_error = exc
         if first_error is not None:
             raise first_error
-
-    def refresh(self) -> None:
-        """Resynchronize with the point set *without* firing hooks.
-
-        The precise-invalidation path used by the live-mutation tier: the
-        mutator has already told each downstream cache exactly which
-        region changed (see ``LiveSession.apply``), so only the view's
-        own edge indexes and version watermark need resetting here.
-        Firing the registered hooks as well would escalate the targeted
-        invalidation into a global one (the accelerator's hook clears the
-        whole distance cache).
-        """
-        self._index_cache.clear()
-        self._indexed_edges.clear()
-        self._points_version = getattr(self._points, "version", None)

@@ -203,44 +203,3 @@ def nearest_point(
     hits = knn_query(aug, query, k=1)
     return hits[0] if hits else None
 
-
-def eccentricity_upper_bound(aug: AugmentedView, query: NetworkPoint) -> float:
-    """Distance from ``query`` to the farthest reachable object.
-
-    An upper bound for a sensible ε range (the paper suggests choosing ε
-    "by sampling on the network edges").  No parameter-selection helper
-    calls it; :mod:`repro.eval.params` samples kNN distances instead.
-
-    The scan expands the query's entire reachable component, so it runs
-    under the same guarded discipline as the queries above: each settle
-    hits the ``queries.settle`` fault site, passes the cooperative
-    deadline/cancellation checkpoint, and charges one expansion against
-    the active budget — a deadline-armed or budgeted run is interrupted
-    with the farthest distance found so far as the partial result.
-    """
-    guard = _FAULTS.engaged or _RES.engaged
-    budget = _FAULTS.budget if guard else None
-    far = 0.0
-    dist: dict = {}
-    heap: list[tuple[float, tuple[int, int]]] = [(0.0, point_vertex(query.point_id))]
-    while heap:
-        d, vertex = heapq.heappop(heap)
-        if vertex in dist:
-            continue
-        if guard:
-            if _FAULTS.engaged:
-                _fault("queries.settle")
-            if _RES.engaged:
-                _res_check("queries.settle", partial=far)
-            if budget is not None:
-                budget.spend_expansions(1, partial=far)
-        dist[vertex] = d
-        if vertex[0] == POINT:
-            far = max(far, d)
-        for nbr, weight in aug.neighbors(vertex):
-            if nbr not in dist:
-                heapq.heappush(heap, (d + weight, nbr))
-    if _OBS.enabled:
-        _obs_add("queries.eccentricity_scans")
-        _obs_add("queries.vertices_settled", len(dist))
-    return far if math.isfinite(far) else 0.0

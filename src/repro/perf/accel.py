@@ -53,14 +53,17 @@ it never changes a result.
   singleton clusters without running their expansion.
 
 Staleness is handled through the **single invalidation path** of
-:class:`~repro.network.AugmentedView`: the accelerator registers a hook at
-construction, and every public method first compares the point set's
-``version`` counter against the one it captured — a mutation (with or
-without an explicit ``invalidate()`` call) drops the memoized landmark
-point vectors and clears the shared cache before anything is served from
-them.  The landmark node tables themselves depend only on the network, so
-point mutations never invalidate them; mutating the *network* requires a
-fresh accelerator (see :class:`~repro.perf.LandmarkIndex`).
+:class:`~repro.network.AugmentedView`: the accelerator registers
+:meth:`DistanceAccelerator._on_invalidate` at construction, and the view
+calls it with ``(point_ids, reweigh)`` — what changed.  An insert or a
+remove names its object: only that object's point vector and the cache
+entries that can involve it go, because objects carry no weight and the
+distances between the others are unchanged.  A mutation nobody announced
+(every public method first compares the point set's ``version`` counter
+against the one it captured) drops every point vector and the whole
+cache.  A reweigh drops those and the landmark index as well, whose node
+tables bind to edge weights: the accelerator degrades to the plain
+primitives and never rebuilds the index itself.
 """
 
 from __future__ import annotations
@@ -122,8 +125,9 @@ class DistanceAccelerator:
     ----------
     aug:
         The point-augmented view to accelerate.  The accelerator registers
-        an invalidation hook on it; point-set mutations observed through
-        the view (or its ``version`` counter) clear every memo.
+        an invalidation hook on it; whatever the view's ``invalidate``
+        reports as changed (or its ``version`` counter shows moved) is
+        dropped from the memos.
     landmarks:
         Landmarks to select when ``index`` is not given; ``0`` disables
         the bound machinery (searches fall back to the plain primitives,
@@ -165,11 +169,36 @@ class DistanceAccelerator:
     # ------------------------------------------------------------------
     # Invalidation (the single path: AugmentedView.invalidate)
     # ------------------------------------------------------------------
-    def _on_invalidate(self) -> None:
-        self._point_vectors.clear()
+    def _on_invalidate(self, point_ids, reweigh: bool) -> None:
+        """The view's invalidation hook: drop what the change can stale.
+
+        * ``reweigh`` — network distances changed globally: the landmark
+          index (its node tables bind to edge weights), every point
+          vector and the whole cache go.  The policy is *degrade, never
+          silently rebuild*: searches keep working through the plain
+          bit-identical primitives until an operator rebuilds the index
+          (``repro index build``).  The index object is only
+          unreferenced, not closed — other accelerators may share it;
+          whoever opened it closes it.
+        * ``point_ids is None`` — the point set moved, but which objects
+          changed is unknown: every point vector and the whole cache go.
+        * ids — the objects inserted or removed.  Objects add no
+          weight, so no distance between two other objects changed:
+          only those objects' vectors go, and the cache drops only what
+          can involve them (:meth:`DistanceCache.invalidate_region`).
+        """
         self._points_version = getattr(self._aug.points, "version", None)
+        if reweigh:
+            self._index = None
+        if reweigh or point_ids is None:
+            self._point_vectors.clear()
+            if self._cache is not None:
+                self._cache.clear()
+            return
+        for pid in point_ids:
+            self._point_vectors.pop(pid, None)
         if self._cache is not None:
-            self._cache.clear()
+            self._cache.invalidate_region(point_ids)
 
     def _sync(self) -> None:
         """Catch point-set mutations that skipped ``invalidate()``.
@@ -182,45 +211,6 @@ class DistanceAccelerator:
         version = getattr(self._aug.points, "version", None)
         if version != self._points_version:
             self._aug.invalidate()
-
-    def note_mutation(self, point_ids, *, reweigh: bool = False) -> None:
-        """Precise staleness handling for one applied live mutation.
-
-        The live tier knows exactly which point ids a mutation can have
-        affected, so instead of letting the version-drift auto-check
-        escalate to a global ``invalidate()`` (which clears the whole
-        shared cache), it calls this: the version watermark is advanced,
-        only the affected landmark point vectors are dropped, and the
-        shared cache keeps every entry the mutation provably left valid
-        (see :meth:`DistanceCache.invalidate_region`).  A ``reweigh``
-        changes network distances globally: every point vector and cache
-        entry goes, and the landmark index itself must be degraded or
-        replaced by the caller (node tables bind to edge weights).
-        """
-        self._points_version = getattr(self._aug.points, "version", None)
-        if reweigh:
-            self._point_vectors.clear()
-            if self._cache is not None:
-                self._cache.clear()
-            return
-        for pid in point_ids:
-            self._point_vectors.pop(pid, None)
-        if self._cache is not None:
-            self._cache.invalidate_region(point_ids)
-
-    def degrade_index(self) -> None:
-        """Drop the landmark index (bounds machinery) permanently.
-
-        Called when the network mutated under a persisted or in-memory
-        index: serving its bounds could return wrong results, and the
-        policy is *degrade, never silently rebuild* — an operator rebuilds
-        with ``repro index build`` when they choose to.  Queries keep
-        working through the plain (bit-identical) primitives.  The index
-        object itself is only unreferenced, not closed — it may be shared
-        by other accelerators; whoever opened it closes it.
-        """
-        self._index = None
-        self._point_vectors.clear()
 
     # ------------------------------------------------------------------
     # Landmark coordinates and bounds

@@ -17,11 +17,12 @@ False and callers are expected to skip it entirely, keeping the
 no-acceleration code path free of even the lock acquisition.
 
 Invalidation is **not** automatic here — the cache has no idea which point
-set its entries were derived from.  Consumers register
-:meth:`clear` with :meth:`repro.network.AugmentedView.add_invalidation_hook`
-(the :class:`~repro.perf.DistanceAccelerator` does this on construction),
-making ``AugmentedView.invalidate`` the single notification point after a
-point-set mutation.
+set its entries were derived from.  The
+:class:`~repro.perf.DistanceAccelerator` registers a hook with
+:meth:`repro.network.AugmentedView.add_invalidation_hook` on construction
+that calls :meth:`invalidate_region` for the objects an insert or a remove
+names and :meth:`clear` otherwise, making ``AugmentedView.invalidate`` the
+single notification point after a mutation.
 
 Counters (local, always on, plus ``perf.cache.*`` obs counters when
 :mod:`repro.obs` is enabled): ``hits``, ``misses``, ``evictions``,

@@ -8,7 +8,9 @@ request's deadline for its scope, so the cooperative checkpoints inside
 the traversals enforce it; catches every ``Exception`` a request raises,
 so a poisoned request fails alone and the worker lives on; and keeps its
 own :class:`~repro.network.augmented.AugmentedView` and accelerator facade
-over the shared landmark index and distance cache.  Requests run in this
+over the shared landmark index and distance cache, built once.  With a
+live session the view is attached to it, so every mutation reaches the
+accelerator through the view's invalidation hooks.  Requests run in this
 process, so an installed :class:`~repro.recovery.RetryPolicy` or
 :class:`~repro.resilience.CircuitBreaker` (the ``breaker.state`` gauge)
 applies to them as is, and a request carrying ``"trace": true`` runs under
@@ -25,6 +27,7 @@ import itertools
 import queue
 import threading
 import time
+from contextlib import nullcontext
 from typing import Callable
 
 from repro.exceptions import ParameterError, PointNotFoundError
@@ -212,7 +215,9 @@ class QueryService(ServeFrontEnd):
         session lock (the threaded tier trades mutation-window
         parallelism for a consistent world; the supervised pool keeps
         full parallelism because each worker process applies between
-        requests).  A reweigh degrades the landmark acceleration
+        requests).  A reweigh degrades the landmark acceleration: every
+        worker's accelerator drops the index through its view, and the
+        service closes it
         (:func:`~repro.serve.frontend.degrade_on_reweigh`).
     backend:
         ``None``/``"dict"`` serve the network as given;  ``"csr"``
@@ -268,10 +273,6 @@ class QueryService(ServeFrontEnd):
             index_path=index_path,
         )
         self._index_path = index_path
-        # Bumped when the shared acceleration state changes (a reweigh
-        # degrading the landmark index); worker threads compare their
-        # per-thread generation against it and rebuild their accelerator.
-        self._accel_gen = 0
         self.session = session
         if session is not None:
             session.add_reweigh_hook(self._on_reweigh)
@@ -309,31 +310,13 @@ class QueryService(ServeFrontEnd):
 
     # -- worker side -----------------------------------------------------
 
-    def _ensure_accel(self, aug: AugmentedView):
-        """The calling thread's accelerator, rebuilt on generation bumps.
-
-        Per-worker facade over the shared index/cache: the view and the
-        vector memo stay thread-local, the expensive state is shared warm
-        across the pool.  When a reweigh degrades the shared index
-        (:meth:`_on_reweigh` bumps :attr:`_accel_gen`), each thread
-        rebuilds its facade lazily on its next request — no coordination
-        on the hot path beyond one integer comparison.
-        """
-        state = self._worker_state
-        if getattr(state, "accel_gen", None) == self._accel_gen:
-            return state.accel
-        accel = accelerator(aug, self._landmark_index, self._distance_cache)
-        state.accel = accel
-        state.accel_gen = self._accel_gen
-        attachment = getattr(state, "attachment", None)
-        if attachment is not None:
-            attachment.accel = accel
-        return accel
-
     def _on_reweigh(self, u: int, v: int) -> None:
-        """Session reweigh hook: retire the landmark index through the
-        shared :func:`~repro.serve.frontend.degrade_on_reweigh` policy.
-        Runs under the session lock, with queries serialized out."""
+        """Session reweigh hook: close the shared landmark index through
+        the :func:`~repro.serve.frontend.degrade_on_reweigh` policy.
+
+        Runs under the session lock, with queries serialized out, after
+        the session invalidated every worker's view — so every worker's
+        accelerator has already dropped the index."""
         if self._landmark_index is None:
             return
         self.index_degrade_reason = degrade_on_reweigh(
@@ -341,13 +324,20 @@ class QueryService(ServeFrontEnd):
         )
         self._landmark_index = None
         self.index_source = "degraded"
-        self._accel_gen += 1
 
     def _worker(self) -> None:
         aug = AugmentedView(self.network, self.points)
-        if self.session is not None:
-            self._worker_state.attachment = self.session.attach(aug)
-        self._ensure_accel(aug)
+        session = self.session
+        # The thread's accelerator is built once, over the shared index
+        # and cache; mutations reach it only through the view's
+        # invalidation hooks.  Built and attached under the session lock,
+        # so no reweigh can close the index in between.
+        with session.lock if session is not None else nullcontext():
+            self._worker_state.accel = accelerator(
+                aug, self._landmark_index, self._distance_cache
+            )
+            if session is not None:
+                session.attach(aug)
         while True:
             item = self._queue.get()
             if item is STOP:
@@ -406,8 +396,9 @@ class QueryService(ServeFrontEnd):
         if op == "stats":
             return self.stats_snapshot()
         session = self.session
+        accel = self._worker_state.accel
         if session is None:
-            return run_query(request, aug, accel=self._ensure_accel(aug))
+            return run_query(request, aug, accel=accel)
         if op == "mutate":
             return session.mutate(request.get("mutation"))
         if op == "snapshot":
@@ -415,7 +406,7 @@ class QueryService(ServeFrontEnd):
         # Queries run under the session lock: a mutation in another
         # worker thread must not change the world mid-traversal.
         with session.lock:
-            return run_query(request, aug, accel=self._ensure_accel(aug))
+            return run_query(request, aug, accel=accel)
 
     # -- lifecycle -------------------------------------------------------
 

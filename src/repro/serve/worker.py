@@ -148,18 +148,21 @@ def _build_session(spec: dict, aug, accel):
         min_sup=int(spec.get("live_min_sup", 1)),
         wal=wal,
     )
-    session.attach(aug, accel)
+    session.attach(aug)
+    # The index this worker opened at build time.  A reweigh invalidates
+    # the view first, so the accelerator has dropped it — never silently
+    # rebuilt — and serves the plain bit-identical primitives; the hook
+    # below then closes it, once.
+    index = None if accel is None else accel.index
 
     def _degrade_on_reweigh(u: int, v: int) -> None:
-        # The worker drops — never silently rebuilds — its bounds
-        # machinery and keeps serving the plain bit-identical primitives.
-        if accel is None or accel.index is None:
+        nonlocal index
+        if index is None:
             return
-        index = accel.index
-        accel.degrade_index()
         reason = degrade_on_reweigh(
             index, spec.get("index_path"), aug.network, u, v
         )
+        index = None
         print(f"landmark index degraded: {reason}", file=sys.stderr)
 
     # Registered *before* replay: _build_view fingerprint-checked the

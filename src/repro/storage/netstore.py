@@ -26,10 +26,14 @@ buffer manager.
 Adjacency and point-group records are decoded through
 :meth:`~repro.storage.flatfile.RecordFile.read_decoded`: each record is
 parsed with one bulk ``unpack_from`` at most once while its page stays in
-the buffer, and the decoded tuples are shared read-only.  This saves CPU
-only — every index probe and record read still goes through the buffer,
-so the hit/miss/eviction counts are those of a store that re-parses every
-record.
+the buffer, and the decoded tuples are shared read-only.  That memo saves
+CPU only: the hit/miss/eviction counts are those of a store that
+re-parses every record.  Two record caches sit *above* the buffer,
+though: :class:`NetworkStore` keeps the adjacency of up to 4,096 nodes
+and each :class:`StoredPointSet` up to 2,048 point groups.  A hit in
+either returns without an index probe or a buffer access, so the page
+counts of a traversal are those of a store with these caches (cleared by
+:meth:`NetworkStore.drop_caches`).
 """
 
 from __future__ import annotations
@@ -147,8 +151,9 @@ class NetworkStore:
         self._pts_file = RecordFile(self.buffer, current_page=pts_page)
         self._node_tree = BPlusTree(self.buffer, root_pid=node_root)
         self._point_tree = BPlusTree(self.buffer, root_pid=point_root)
-        # Small decode caches keep the CPU cost of re-parsing records down
-        # without hiding page traffic (the page reads still hit the buffer).
+        # Decoded adjacency of recently read nodes.  A hit skips the
+        # node-tree probe and the record read, so it never reaches the
+        # buffer: page counts are those of a store with this cache.
         self._adj_cache: dict[int, tuple[tuple[int, float, int], ...]] = {}
         self._adj_cache_cap = 4096
         # Every point set handed out, so drop_caches() reaches their
@@ -433,6 +438,8 @@ class StoredPointSet:
 
     def __init__(self, store: NetworkStore) -> None:
         self._store = store
+        # Decoded point groups; like the store's adjacency cache, a hit
+        # never reaches the buffer.
         self._group_cache: dict[int, tuple[NetworkPoint, ...]] = {}
         self._group_cache_cap = 2048
         self._id_index: dict[int, NetworkPoint] | None = None

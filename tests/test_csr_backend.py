@@ -24,7 +24,6 @@ from repro.core.optics import NetworkOPTICS
 from repro.core.singlelink import SingleLink
 from repro.exceptions import (
     BudgetExceededError,
-    DeadlineExceeded,
     NodeNotFoundError,
     ParameterError,
     StaleBackendError,
@@ -41,13 +40,11 @@ from repro.network.dijkstra import (
 )
 from repro.network.graph import SpatialNetwork
 from repro.network.interface import NetworkBackend
-from repro.network.queries import eccentricity_upper_bound, knn_query, range_query
+from repro.network.queries import knn_query, range_query
 from repro.perf.accel import DistanceAccelerator
-from repro.resilience import Deadline, TickingClock
 from tests.conftest import (
     make_grid_network,
     make_random_connected_network,
-    scatter_points,
 )
 from tests.strategies import clustering_instance
 
@@ -419,38 +416,3 @@ class TestCopyOrderRegression:
             single_source(CSRNetwork.freeze(net), 0),
             single_source(CSRNetwork.freeze(clone), 0),
         )
-
-
-# ----------------------------------------------------------------------
-# Eccentricity scan honours the cooperative deadline
-# ----------------------------------------------------------------------
-class TestEccentricityGuarded:
-    def test_deadline_interrupts_component_scan(self):
-        """Regression: the scan expanded the whole component unguarded."""
-        net = make_grid_network(6, 6)
-        rng = random.Random(17)
-        points = scatter_points(rng, net, 8)
-        aug = AugmentedView(net, points)
-        query = next(iter(points))
-        # Checks alternate settle-site / neighbors-site; an odd budget
-        # lands the expiry on the settle site added by the fix, whose
-        # partial result is the farthest distance found so far.
-        with Deadline(3.0, clock=TickingClock()).activate():
-            with pytest.raises(DeadlineExceeded) as exc:
-                eccentricity_upper_bound(aug, query)
-        assert isinstance(exc.value.partial, float)
-
-    def test_budget_charges_expansions(self):
-        net = make_grid_network(4, 4)
-        rng = random.Random(19)
-        points = scatter_points(rng, net, 4)
-        aug = AugmentedView(net, points)
-        query = next(iter(points))
-        with OpBudget(max_expansions=3).activate():
-            with pytest.raises(BudgetExceededError):
-                eccentricity_upper_bound(aug, query)
-        budget = OpBudget()
-        with budget.activate():
-            bound = eccentricity_upper_bound(aug, query)
-        assert bound > 0.0
-        assert budget.expansions > 0

@@ -10,6 +10,7 @@ degrade on reweigh), and the threaded :class:`QueryService` answering the
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -23,10 +24,11 @@ from repro.exceptions import (
 )
 from repro.live import LiveSession, WriteAheadLog
 from repro.live.mutate import validate_mutation
-from repro.network.augmented import AugmentedView
+from repro.network.augmented import AugmentedView, point_vertex
 from repro.network.distance import network_distance
 from repro.network.graph import SpatialNetwork
 from repro.network.points import PointSet
+from repro.network.queries import knn_query, range_query
 from repro.perf import DistanceAccelerator, DistanceCache
 from repro.serve import LIVE_OPS, QueryService
 
@@ -300,8 +302,8 @@ class TestPreciseInvalidation:
     def attach_cache(self, session) -> DistanceCache:
         aug = AugmentedView(session.network, session.points)
         cache = DistanceCache(1.0)
-        accel = DistanceAccelerator(aug, landmarks=0, cache_mb=0.0, cache=cache)
-        session.attach(aug, accel)
+        DistanceAccelerator(aug, landmarks=0, cache_mb=0.0, cache=cache)
+        session.attach(aug)
         return cache
 
     def test_point_mutation_keeps_unaffected_pairs(self, tmp_path):
@@ -372,14 +374,14 @@ class TestInvalidateHookDispatch:
         aug = self.make_view()
         calls: list[str] = []
 
-        def ok_first():
+        def ok_first(point_ids, reweigh):
             calls.append("first")
 
-        def boom():
+        def boom(point_ids, reweigh):
             calls.append("boom")
             raise RuntimeError("stand-in hook failure")
 
-        def ok_last():
+        def ok_last(point_ids, reweigh):
             calls.append("last")
 
         aug.add_invalidation_hook(ok_first)
@@ -392,10 +394,10 @@ class TestInvalidateHookDispatch:
     def test_first_error_wins(self):
         aug = self.make_view()
 
-        def boom_a():
+        def boom_a(point_ids, reweigh):
             raise RuntimeError("error A")
 
-        def boom_b():
+        def boom_b(point_ids, reweigh):
             raise ValueError("error B")
 
         aug.add_invalidation_hook(boom_a)
@@ -403,63 +405,114 @@ class TestInvalidateHookDispatch:
         with pytest.raises(RuntimeError, match="error A"):
             aug.invalidate()
 
-    def test_refresh_does_not_fire_hooks(self):
+    def test_invalidate_passes_what_changed(self):
         aug = self.make_view()
-        calls: list[str] = []
-        aug.add_invalidation_hook(lambda: calls.append("hook"))
-        aug.refresh()
-        assert calls == []
+        calls: list = []
+        aug.add_invalidation_hook(
+            lambda point_ids, reweigh: calls.append((point_ids, reweigh))
+        )
+        aug.invalidate((7,))
+        aug.invalidate(None, reweigh=True)
+        aug.invalidate()
+        assert calls == [((7,), False), (None, True), (None, False)]
+        # A mutation nobody announced: the version auto-check cannot
+        # know which objects changed.
+        p = aug.points.add(1, 2, 1.0)
+        aug.points.add(1, 2, 2.0)
+        list(aug.neighbors(point_vertex(p.point_id)))
+        assert calls[3:] == [(None, False)]
 
 
 # ----------------------------------------------------------------------
-# A remove without a split invalidates only the removed point
+# Every mutation kind reaches the accelerator as (what changed, reweigh)
 # ----------------------------------------------------------------------
-class TestNoSplitRemoveInvalidation:
-    """``note_mutation`` gets ``{p}`` after a remove that splits nothing,
-    and everything it leaves in the accelerator is still exact (the
-    contract in ``DistanceCache.invalidate_region``'s docstring)."""
+#: Objects on edge (1, 2) are one chain (1.0 apart); those on (2, 3) are a
+#: chain whose middle object is the only link between its ends.
+CHAIN = (1.0, 2.0, 3.0, 4.0, 5.0)
+BRIDGED = (1.0, 3.5, 6.0)
 
-    def test_surviving_entries_equal_cold_recomputation(self, tmp_path):
+
+class TestMutationInvalidation:
+    """Each apply invalidates the attached view with exactly what
+    changed: the inserted or removed object, or ``(None, True)`` for a
+    reweigh.  Everything the accelerator keeps is still exact (the
+    contract in ``DistanceCache.invalidate_region``'s docstring): an
+    insert keeps every cached pair, a remove drops only the removed
+    object's, and a reweigh drops the landmark index and every memo."""
+
+    @pytest.mark.parametrize("kind", [
+        "insert-joins", "remove-split", "remove-no-split", "reweigh",
+    ])
+    def test_surviving_entries_equal_cold_recomputation(self, tmp_path,
+                                                         kind):
         session = make_session(tmp_path)
-        ids = [session.mutate(insert(1, 2, off))["point_id"]
-               for off in (1.0, 2.0, 3.0, 4.0, 5.0)]
+        chain = [session.mutate(insert(1, 2, off))["point_id"]
+                 for off in CHAIN]
+        bridged = [session.mutate(insert(2, 3, off))["point_id"]
+                   for off in BRIDGED]
+        ids = chain + bridged
         ids += [session.mutate(insert(u, v, 4.0))["point_id"]
-                for u, v in ((2, 3), (3, 4), (1, 4))]
+                for u, v in ((3, 4), (1, 4))]
         aug = AugmentedView(session.network, session.points)
         accel = DistanceAccelerator(aug, landmarks=2, cache_mb=1.0)
-        record = session.attach(aug, accel)
-        seen: list[tuple[set, bool]] = []
-        note = accel.note_mutation
-
-        def spy(point_ids, *, reweigh=False):
-            seen.append((set(point_ids), reweigh))
-            note(point_ids, reweigh=reweigh)
-
-        record.accel.note_mutation = spy
+        seen: list = []
+        aug.add_invalidation_hook(
+            lambda point_ids, reweigh: seen.append((point_ids, reweigh))
+        )
+        session.attach(aug)
         points = [session.points.get(pid) for pid in ids]
         for p in points:
             for q in points:
                 accel.point_distance(p, q)
                 accel.lower_bound(p, q)
         clusters = session.live.num_clusters
-        victim = ids[2]  # its neighbours at 2.0 and 4.0 stay linked
-        session.mutate({"kind": "remove_point", "point_id": victim})
-        assert seen == [({victim}, False)]
-        assert session.live.num_clusters == clusters
+
+        gone = None
+        if kind == "insert-joins":
+            ack = session.mutate(insert(1, 2, 5.5))
+            assert seen == [((ack["point_id"],), False)]
+            assert session.live.num_clusters == clusters
+        elif kind == "reweigh":
+            session.mutate({"kind": "reweigh_edge", "u": 2, "v": 3,
+                            "weight": 12.0})
+            assert seen == [(None, True)]
+        else:
+            gone = bridged[1] if kind == "remove-split" else chain[2]
+            session.mutate({"kind": "remove_point", "point_id": gone})
+            assert seen == [((gone,), False)]
+            assert session.live.num_clusters == clusters + (
+                kind == "remove-split"
+            )
 
         cold = AugmentedView(session.network, session.points)
         entries = [
             (key, value) for key, value in accel.cache._data.items()
             if key[0] == "p2p"
         ]
-        assert len(entries) == (len(ids) - 1) * (len(ids) - 2)
+        if kind == "reweigh":
+            assert accel.index is None
+            assert entries == [] and accel._point_vectors == {}
+            # Objects on the reweighed edge were re-placed.
+            points = [session.points.get(pid) for pid in ids]
+            for p in points:
+                assert accel.range_query(p, 3.0) == range_query(cold, p, 3.0)
+                assert accel.knn_query(p, 3) == knn_query(cold, p, 3)
+                for q in points:
+                    assert accel.point_distance(p, q) == (
+                        0.0 if p is q else network_distance(cold, p, q)
+                    )
+            session.close()
+            return
+        survivors = [pid for pid in ids if pid != gone]
+        assert accel.index is not None
+        assert len(entries) == len(survivors) * (len(survivors) - 1)
         for (_, a, b), value in entries:
-            assert victim not in (a, b)
+            assert a in survivors and b in survivors
             assert value == network_distance(
                 cold, session.points.get(a), session.points.get(b)
             )
         vectors = accel._point_vectors
-        assert set(vectors) == set(ids) - {victim}
+        assert set(vectors) == set(survivors)
         for pid, vector in vectors.items():
             assert vector == accel.index.point_vector(session.points.get(pid))
         session.close()
@@ -568,6 +621,49 @@ class TestQueryServiceLive:
                 assert hits == plain.call(
                     {"op": "knn", "point_id": a, "k": 2}
                 )
+            finally:
+                plain.close()
+        finally:
+            svc.close()
+            session.close()
+
+    def test_reweigh_drops_index_on_every_worker(self, tmp_path):
+        """The reweigh reaches every worker thread's accelerator through
+        its view before the ack, idle threads included: none holds the
+        closed index until its next request."""
+        svc, session = self.make_service(tmp_path, landmarks=2)
+        try:
+            ids = [
+                svc.call({"op": "mutate", "mutation": insert(u, v, off)})[
+                    "point_id"
+                ]
+                for u, v, off in ((1, 2, 1.0), (2, 3, 5.0), (3, 4, 2.0),
+                                  (1, 4, 9.0))
+            ]
+            # Each worker thread attaches its view when it starts.
+            deadline = time.monotonic() + 10.0
+            while len(session._views) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            accels = [
+                hook.__self__
+                for aug in session._views
+                for hook in aug._invalidation_hooks
+                if isinstance(hook.__self__, DistanceAccelerator)
+            ]
+            assert len(accels) == 2
+            assert all(accel.index is not None for accel in accels)
+            svc.call({
+                "op": "mutate",
+                "mutation": {
+                    "kind": "reweigh_edge", "u": 2, "v": 3, "weight": 7.0,
+                },
+            })
+            assert [accel.index for accel in accels] == [None, None]
+            plain = QueryService(session.network, session.points, workers=1)
+            try:
+                for pid in ids:
+                    request = {"op": "knn", "point_id": pid, "k": 2}
+                    assert svc.call(request) == plain.call(request)
             finally:
                 plain.close()
         finally:
