@@ -3,13 +3,14 @@
 Several of the paper's algorithms (ε-Link, network range search per [16],
 Single-Link's network traversal) conceptually walk a graph in which every
 object splits the edge it lies on into consecutive segments.  Rather than
-materialising that graph, :class:`AugmentedView` exposes it lazily through a
-``neighbors(vertex)`` iterator over the *in-memory or disk-backed* network
-plus a :class:`~repro.network.points.PointSet` — so traversal cost stays
-proportional to the part of the network actually visited, exactly the
-behaviour the paper's algorithms are designed for ("the algorithm does not
-necessarily traverse the whole network, but only the edges which contain the
-points or are within ε distance from some point").
+materialising that graph, :class:`AugmentedView` exposes it lazily through
+``neighbors(vertex)`` over the *in-memory or disk-backed* network plus a
+:class:`~repro.network.points.PointSet`: a vertex's adjacency is built on
+its first visit and memoised for the life of the view, so traversal cost
+stays proportional to the part of the network actually visited, exactly
+the behaviour the paper's algorithms are designed for ("the algorithm does
+not necessarily traverse the whole network, but only the edges which
+contain the points or are within ε distance from some point").
 
 Vertices are encoded as ``(kind, id)`` tuples, where ``kind`` is
 :data:`NODE` (a network node) or :data:`POINT` (an object).  Tuples of ints
@@ -18,9 +19,7 @@ compare cheaply and are usable as heap tie-breakers.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
-from repro.network.points import NetworkPoint, PointSet
+from repro.network.points import PointSet
 from repro.obs.core import STATE as _OBS, add as _obs_add
 from repro.resilience.deadline import STATE as _RES, check as _res_check
 
@@ -63,16 +62,20 @@ class AugmentedView:
     def __init__(self, network, points: PointSet) -> None:
         self._network = network
         self._points = points
-        # point_id -> index of the point inside its sorted edge group;
-        # built lazily one edge at a time.
-        self._index_cache: dict[int, int] = {}
-        self._indexed_edges: set[tuple[int, int]] = set()
+        # vertex -> tuple of its (neighbour, segment) pairs; filled lazily,
+        # a node on its first visit and a whole edge group on the first
+        # visit to any point on it.
+        self._memo: dict[Vertex, tuple[tuple[Vertex, float], ...]] = {}
+        # (points.version, network.edition) the memo was built against;
+        # None until the first sync(), so building a view reads nothing
+        # (a view over a stale frozen backend raises at its first read,
+        # like the backend itself).
+        self._mark: tuple | None = None
         # Downstream consumers (distance caches, memoized landmark point
         # vectors, the landmark index) register here; invalidate() is the
         # single notification point for "the world changed under this
         # view".
         self._invalidation_hooks: list = []
-        self._points_version = getattr(points, "version", None)
 
     @property
     def network(self):
@@ -82,31 +85,17 @@ class AugmentedView:
     def points(self) -> PointSet:
         return self._points
 
-    # ------------------------------------------------------------------
-    # Internal helpers
-    # ------------------------------------------------------------------
-    def _edge_index(self, point: NetworkPoint) -> int:
-        """Index of ``point`` within the sorted point list of its edge."""
-        if self._points_version is not None:
-            version = self._points.version
-            if version != self._points_version:
-                # The point set mutated without an explicit invalidate():
-                # drop the stale indexes (and notify downstream caches
-                # that it is unknown which objects changed) before
-                # serving from them.
-                self.invalidate()
-        if point.edge not in self._indexed_edges:
-            for i, p in enumerate(self._points.points_on_edge(point.u, point.v)):
-                self._index_cache[p.point_id] = i
-            self._indexed_edges.add(point.edge)
-        return self._index_cache[point.point_id]
+    def _watermark(self) -> tuple:
+        return (
+            getattr(self._points, "version", None),
+            getattr(self._network, "edition", None),
+        )
 
     # ------------------------------------------------------------------
     # Adjacency
     # ------------------------------------------------------------------
-    def neighbors(self, vertex: Vertex) -> Iterator[tuple[Vertex, float]]:
-        """Iterate ``(neighbor_vertex, segment_length)`` pairs of ``vertex``."""
-        kind, ident = vertex
+    def neighbors(self, vertex: Vertex) -> tuple[tuple[Vertex, float], ...]:
+        """The ``(neighbor_vertex, segment_length)`` pairs of ``vertex``."""
         if _RES.engaged:
             # Cooperative deadline/cancel checkpoint: every traversal over
             # this view funnels through here, so even loops without their
@@ -118,82 +107,122 @@ class AugmentedView:
             # view.  Disabled path unchanged — guarded by the flag above.
             _obs_add(
                 "augmented.node_expansions"
-                if kind == NODE
+                if vertex[0] == NODE
                 else "augmented.point_expansions"
             )
-        if kind == NODE:
-            yield from self._node_neighbors(ident)
-        else:
-            yield from self._point_neighbors(ident)
+        # sync()'s watermark check, inlined on the per-settle path.
+        if (
+            getattr(self._points, "version", None),
+            getattr(self._network, "edition", None),
+        ) != self._mark:
+            self.sync()
+        row = self._memo.get(vertex)
+        if row is None:
+            if vertex[0] == NODE:
+                row = self._node_row(vertex)
+            else:
+                row = self._edge_rows(vertex)
+        return row
 
-    def _node_neighbors(self, node: int) -> Iterator[tuple[Vertex, float]]:
+    def _node_row(self, vertex: Vertex) -> tuple[tuple[Vertex, float], ...]:
+        node = vertex[1]
+        points_on_edge = self._points.points_on_edge
+        pairs = []
         for nbr, weight in self._network.neighbors(node):
-            pts = self._points.points_on_edge(node, nbr)
+            pts = points_on_edge(node, nbr)
             if not pts:
-                yield (node_vertex(nbr), weight)
-                continue
+                pairs.append(((NODE, nbr), weight))
             # The nearest point walking away from `node`: the first of the
             # sorted group if node is the smaller endpoint, else the last.
-            if node < nbr:
+            elif node < nbr:
                 first = pts[0]
-                yield (point_vertex(first.point_id), first.offset)
+                pairs.append(((POINT, first.point_id), first.offset))
             else:
                 first = pts[-1]
-                yield (point_vertex(first.point_id), weight - first.offset)
+                pairs.append(((POINT, first.point_id), weight - first.offset))
+        row = self._memo[vertex] = tuple(pairs)
+        return row
 
-    def _point_neighbors(self, point_id: int) -> Iterator[tuple[Vertex, float]]:
-        point = self._points.get(point_id)
-        group = self._points.points_on_edge(point.u, point.v)
-        idx = self._edge_index(point)
-        weight = self._network.edge_weight(point.u, point.v)
-        # Towards the smaller endpoint u.
-        if idx > 0:
-            prev = group[idx - 1]
-            yield (point_vertex(prev.point_id), point.offset - prev.offset)
-        else:
-            yield (node_vertex(point.u), point.offset)
-        # Towards the larger endpoint v.
-        if idx + 1 < len(group):
-            nxt = group[idx + 1]
-            yield (point_vertex(nxt.point_id), nxt.offset - point.offset)
-        else:
-            yield (node_vertex(point.v), weight - point.offset)
+    def _edge_rows(self, vertex: Vertex) -> tuple[tuple[Vertex, float], ...]:
+        """Memoise the rows of every point on ``vertex``'s edge in one pass
+        over the sorted group; return ``vertex``'s row."""
+        point = self._points.get(vertex[1])
+        u, v = point.u, point.v
+        group = self._points.points_on_edge(u, v)
+        weight = self._network.edge_weight(u, v)
+        # One tuple per vertex, shared by its own key and its neighbours'
+        # rows.
+        keys = [(POINT, p.point_id) for p in group]
+        memo = self._memo
+        last = len(group) - 1
+        # Towards the smaller endpoint u, then towards the larger v.
+        for i, p in enumerate(group):
+            if i:
+                left = (keys[i - 1], p.offset - group[i - 1].offset)
+            else:
+                left = ((NODE, u), p.offset)
+            if i < last:
+                right = (keys[i + 1], group[i + 1].offset - p.offset)
+            else:
+                right = ((NODE, v), weight - p.offset)
+            memo[keys[i]] = pair_row = (left, right)
+            if p.point_id == point.point_id:
+                row = pair_row
+        return row
 
     # ------------------------------------------------------------------
     # Invalidation
     # ------------------------------------------------------------------
+    def sync(self) -> None:
+        """Catch mutations that skipped :meth:`invalidate`.
+
+        Compares the point set's ``version`` and the network's
+        ``edition`` against the watermark the memo was built at; when
+        either moved, calls ``invalidate(None, reweigh=<edition moved>)``.
+        Every read through the view runs it first, and so does every
+        consumer that can answer from its own memo without reading (the
+        :class:`~repro.perf.DistanceAccelerator`).  A frozen backend whose
+        source mutated raises :class:`~repro.exceptions.StaleBackendError`
+        from its ``edition``.
+        """
+        mark = self._watermark()
+        if mark != self._mark:
+            if self._mark is None:
+                self._mark = mark
+            else:
+                self.invalidate(None, reweigh=mark[1] != self._mark[1])
+
     def add_invalidation_hook(self, hook) -> None:
         """Register ``hook(point_ids, reweigh)`` to run on every
         :meth:`invalidate`.
 
         This is the single invalidation path for every cache keyed off
         the point set or the network: :meth:`invalidate` (called by the
-        mutator, or automatically when the point set's ``version`` is
-        observed to have moved) clears the view's own edge indexes *and*
-        tells every registered hook what changed, so downstream
-        memoization — the :class:`~repro.perf.DistanceCache`, memoized
-        landmark point vectors, the landmark index — can never serve
-        distances for a world that no longer exists.
+        mutator, or by :meth:`sync` when the watermark is observed to
+        have moved) clears the view's own adjacency memo *and* tells
+        every registered hook what changed, so downstream memoization —
+        the :class:`~repro.perf.DistanceCache`, memoized landmark point
+        vectors, the landmark index — can never serve distances for a
+        world that no longer exists.
         """
         self._invalidation_hooks.append(hook)
 
     def invalidate(self, point_ids=None, *, reweigh: bool = False) -> None:
-        """Drop cached edge indexes and notify every invalidation hook.
+        """Drop the adjacency memo and notify every invalidation hook.
 
         Call after mutating the point set or the network.  ``point_ids``
         names the objects an insert or a remove added or took away;
-        ``None`` means which objects changed is unknown (the version
-        auto-check passes it).  ``reweigh`` says an edge weight changed,
-        so every distance may have moved.  Each hook receives
+        ``None`` means which objects changed is unknown (:meth:`sync`
+        passes it).  ``reweigh`` says an edge weight changed, so every
+        distance may have moved.  Each hook receives
         ``(point_ids, reweigh)`` as given.
 
         Every hook runs even when an earlier one raises — a raising hook
         must not leave later caches silently stale — and the first error
         is re-raised once all hooks have been notified.
         """
-        self._index_cache.clear()
-        self._indexed_edges.clear()
-        self._points_version = getattr(self._points, "version", None)
+        self._memo.clear()
+        self._mark = self._watermark()
         first_error: BaseException | None = None
         for hook in self._invalidation_hooks:
             try:

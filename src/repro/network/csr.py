@@ -196,6 +196,13 @@ class CSRNetwork:
         self._check_stale()
         return self._num_edges
 
+    @property
+    def edition(self):
+        """The source's edition this snapshot was frozen at (``None`` for
+        a source without one); raises once the source has mutated."""
+        self._check_stale()
+        return self._src_edition
+
     def has_node(self, node: int) -> bool:
         self._check_stale()
         return node in self._row_of

@@ -156,6 +156,13 @@ class SpatialNetwork:
         """Number of undirected edges |E|."""
         return self._num_edges
 
+    @property
+    def edition(self) -> int:
+        """Mutation counter: moves on every node or edge change, so a
+        consumer that memoises anything derived from the network can tell
+        it went stale."""
+        return self._edition
+
     def has_node(self, node: int) -> bool:
         return node in self._adj
 

@@ -137,9 +137,10 @@ class PointSet:
         # which keeps insertion deterministic).
         self._by_edge: dict[tuple[int, int], list[NetworkPoint]] = {}
         #: Bumped on every mutation; consumers that memoise anything derived
-        #: from the point set (edge indexes, distance caches, landmark
-        #: tables) compare it against the version they captured and drop
-        #: their state when it moved — see ``AugmentedView.invalidate``.
+        #: from the point set (the augmented adjacency memo, distance
+        #: caches, landmark tables) compare it against the version they
+        #: captured and drop their state when it moved — see
+        #: ``AugmentedView.sync``.
         self.version = 0
 
     # ------------------------------------------------------------------

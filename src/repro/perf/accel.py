@@ -59,11 +59,13 @@ calls it with ``(point_ids, reweigh)`` — what changed.  An insert or a
 remove names its object: only that object's point vector and the cache
 entries that can involve it go, because objects carry no weight and the
 distances between the others are unchanged.  A mutation nobody announced
-(every public method first compares the point set's ``version`` counter
-against the one it captured) drops every point vector and the whole
-cache.  A reweigh drops those and the landmark index as well, whose node
-tables bind to edge weights: the accelerator degrades to the plain
-primitives and never rebuilds the index itself.
+(every public method first runs the view's :meth:`AugmentedView.sync`,
+which compares the point set's ``version`` and the network's ``edition``
+against the watermark it captured) drops every point vector and the
+whole cache.  A reweigh, announced or caught by a moved edition, drops
+those and the landmark index as well, whose node tables bind to edge
+weights: the accelerator degrades to the plain primitives and never
+rebuilds the index itself.
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ class DistanceAccelerator:
     aug:
         The point-augmented view to accelerate.  The accelerator registers
         an invalidation hook on it; whatever the view's ``invalidate``
-        reports as changed (or its ``version`` counter shows moved) is
+        reports as changed (or its ``sync`` watermark shows moved) is
         dropped from the memos.
     landmarks:
         Landmarks to select when ``index`` is not given; ``0`` disables
@@ -152,6 +154,8 @@ class DistanceAccelerator:
         cache: DistanceCache | None = None,
     ) -> None:
         self._aug = aug
+        # Pin the view's watermark to the world the index is built on.
+        aug.sync()
         if index is None and landmarks > 0:
             index = LandmarkIndex(aug.network, landmarks)
         if index is not None and len(index) == 0:
@@ -163,11 +167,12 @@ class DistanceAccelerator:
             cache = None
         self._cache = cache
         self._point_vectors: dict[int, tuple[float, ...]] = {}
-        self._points_version = getattr(aug.points, "version", None)
         aug.add_invalidation_hook(self._on_invalidate)
 
     # ------------------------------------------------------------------
-    # Invalidation (the single path: AugmentedView.invalidate)
+    # Invalidation (the single path: AugmentedView.invalidate).  A cache
+    # hit reads nothing through the view, so every public method runs
+    # the view's sync() first to catch a mutation nobody announced.
     # ------------------------------------------------------------------
     def _on_invalidate(self, point_ids, reweigh: bool) -> None:
         """The view's invalidation hook: drop what the change can stale.
@@ -187,7 +192,6 @@ class DistanceAccelerator:
           only those objects' vectors go, and the cache drops only what
           can involve them (:meth:`DistanceCache.invalidate_region`).
         """
-        self._points_version = getattr(self._aug.points, "version", None)
         if reweigh:
             self._index = None
         if reweigh or point_ids is None:
@@ -199,18 +203,6 @@ class DistanceAccelerator:
             self._point_vectors.pop(pid, None)
         if self._cache is not None:
             self._cache.invalidate_region(point_ids)
-
-    def _sync(self) -> None:
-        """Catch point-set mutations that skipped ``invalidate()``.
-
-        Cached answers can be served without touching the view's traversal
-        machinery (whose own version auto-check would fire), so every
-        public method re-checks the version first and routes a detected
-        mutation through the one invalidation path.
-        """
-        version = getattr(self._aug.points, "version", None)
-        if version != self._points_version:
-            self._aug.invalidate()
 
     # ------------------------------------------------------------------
     # Landmark coordinates and bounds
@@ -233,14 +225,14 @@ class DistanceAccelerator:
 
     def lower_bound(self, p: NetworkPoint, q: NetworkPoint) -> float:
         """Admissible lower bound on ``d(p, q)`` (0 without an index)."""
-        self._sync()
+        self._aug.sync()
         if self._index is None or p.point_id == q.point_id:
             return 0.0
         return vector_lower_bound(self.point_vector(p), self.point_vector(q))
 
     def upper_bound(self, p: NetworkPoint, q: NetworkPoint) -> float:
         """Upper bound on ``d(p, q)`` (``inf`` without an index)."""
-        self._sync()
+        self._aug.sync()
         if p.point_id == q.point_id:
             return 0.0
         if self._index is None:
@@ -257,7 +249,7 @@ class DistanceAccelerator:
         including raising :class:`UnreachableError` for disconnected
         pairs (the cache remembers unreachability too).
         """
-        self._sync()
+        self._aug.sync()
         if p.point_id == q.point_id:
             return 0.0
         key = None
@@ -355,7 +347,7 @@ class DistanceAccelerator:
     ) -> list[tuple[NetworkPoint, float]]:
         """All objects within ``eps``; identical to
         :func:`repro.network.queries.range_query`."""
-        self._sync()
+        self._aug.sync()
         if eps < 0:
             return []
         key = None
@@ -408,7 +400,7 @@ class DistanceAccelerator:
     ) -> list[tuple[NetworkPoint, float]]:
         """The ``k`` nearest objects; identical to
         :func:`repro.network.queries.knn_query`."""
-        self._sync()
+        self._aug.sync()
         if k <= 0:
             return []
         key = None
@@ -479,7 +471,7 @@ class DistanceAccelerator:
         the screen never rejects a swap the exact evaluation would have
         accepted by an ulp).
         """
-        self._sync()
+        self._aug.sync()
         if self._index is None:
             return False
         new_vec = self.point_vector(new_medoid)
@@ -522,7 +514,7 @@ class DistanceAccelerator:
         isolation.  An ε-Link expansion from such a seed would return
         just the seed; the sweep can skip it.
         """
-        self._sync()
+        self._aug.sync()
         if self._index is None:
             return frozenset()
         # The float slack makes "farther than eps" strict: a gap within

@@ -183,7 +183,7 @@ class QueryService(ServeFrontEnd):
         in-memory pair.
     workers:
         Worker threads; each holds its own :class:`AugmentedView` so the
-        lazily built edge indexes are never shared hot.
+        lazily built adjacency memo is never shared hot.
     queue_depth:
         Admission-queue bound; a full queue sheds with
         :class:`~repro.exceptions.Overloaded`.

@@ -496,6 +496,20 @@ class TestInvalidation:
         )
         assert len(hits_after) == len(hits_before) + 1
 
+    def test_reweigh_without_explicit_invalidate(self):
+        # Re-adding an edge reweighs it without touching the point set:
+        # only the network's edition moves.  The cached answers and the
+        # landmark index bound to the old weights must all go.
+        net, points, aug, accel = self._setup()
+        p0, p5 = points.get(0), points.add(2, 3, 1.0, point_id=5)
+        assert accel.point_distance(p0, p5) == 10.0
+        assert [p.point_id for p, _ in accel.range_query(p0, 12.0)] == [0, 1, 5]
+        net.add_edge(1, 2, 30.0)
+        fresh = AugmentedView(net, points)
+        assert accel.range_query(p0, 12.0) == range_query(fresh, p0, 12.0)
+        assert accel.point_distance(p0, p5) == 20.0
+        assert accel.index is None
+
     def test_remove_invalidate(self):
         net, points, aug, accel = self._setup()
         p0 = points.get(0)
