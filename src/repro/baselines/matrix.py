@@ -18,13 +18,13 @@ one augmented-graph Dijkstra per point.  It serves three purposes:
 
 from __future__ import annotations
 
-import heapq
 import math
 
 import numpy as np
 
 from repro.exceptions import ParameterError, PointNotFoundError
 from repro.network.augmented import AugmentedView, POINT, point_vertex
+from repro.network.dijkstra import single_source
 from repro.network.points import PointSet
 
 __all__ = ["DistanceMatrix", "node_distance_matrix"]
@@ -66,19 +66,9 @@ class DistanceMatrix:
         values = np.full((n, n), math.inf)
         np.fill_diagonal(values, 0.0)
         for i, pid in enumerate(ids):
-            dist: dict = {}
-            heap: list[tuple[float, tuple[int, int]]] = [(0.0, point_vertex(pid))]
-            while heap:
-                d, vertex = heapq.heappop(heap)
-                if vertex in dist:
-                    continue
-                dist[vertex] = d
-                kind, ident = vertex
+            for (kind, ident), d in single_source(aug, point_vertex(pid)).items():
                 if kind == POINT:
                     values[i, index[ident]] = d
-                for nbr, seg in aug.neighbors(vertex):
-                    if nbr not in dist:
-                        heapq.heappush(heap, (d + seg, nbr))
         # Symmetrise exactly (floating-point expansions agree, but be safe).
         values = np.minimum(values, values.T)
         return cls(ids, values)
@@ -111,8 +101,6 @@ def node_distance_matrix(network) -> tuple[list[int], np.ndarray]:
 
     Returns sorted node ids and the matrix (inf for unreachable pairs).
     """
-    from repro.network.dijkstra import single_source
-
     ids = sorted(network.nodes())
     index = {nid: i for i, nid in enumerate(ids)}
     n = len(ids)

@@ -40,13 +40,6 @@ import signal
 import sys
 
 from repro import obs
-from repro.core import (
-    EpsLink,
-    NetworkDBSCAN,
-    NetworkKMedoids,
-    NetworkOPTICS,
-    SingleLink,
-)
 from repro.datagen import (
     ClusterSpec,
     delaunay_road_network,
@@ -135,37 +128,23 @@ def _build_accelerator(args: argparse.Namespace, network, points):
     )
 
 
-def _build_algorithm(args: argparse.Namespace, network, points):
-    name = args.algorithm
-    budget = _build_budget(args)
-    accelerator = _build_accelerator(args, network, points)
-    backend = getattr(args, "backend", None)
-    if name == "k-medoids":
-        return NetworkKMedoids(network, points, k=args.k, seed=args.seed,
-                               n_restarts=args.restarts, budget=budget,
-                               accelerator=accelerator, backend=backend)
-    if name in ("eps-link", "dbscan", "optics") and args.eps is None:
-        raise SystemExit(f"--eps is required for {name}")
-    if name == "eps-link":
-        return EpsLink(network, points, eps=args.eps, min_sup=args.min_pts,
-                       budget=budget, accelerator=accelerator,
-                       backend=backend)
-    if name == "dbscan":
-        return NetworkDBSCAN(network, points, eps=args.eps, min_pts=args.min_pts,
-                             budget=budget, backend=backend)
-    if name == "optics":
-        return NetworkOPTICS(network, points, max_eps=args.eps,
-                             min_pts=args.min_pts, budget=budget,
-                             backend=backend)
-    if name == "single-link":
-        stop_k = args.k if args.stop == "k" else None
-        stop_distance = args.eps if args.stop == "distance" else None
+def _cluster_spec(args: argparse.Namespace) -> dict:
+    """The ``cluster`` flags as the wire's ``cluster`` request fields."""
+    spec = {
+        "algorithm": args.algorithm,
+        "eps": args.eps,
+        "k": args.k,
+        "min_pts": args.min_pts,
+        "restarts": args.restarts,
+        "seed": args.seed,
+        "delta": args.delta,
+    }
+    if args.algorithm == "single-link":
         if args.stop == "distance" and args.eps is None:
             raise SystemExit("--stop distance requires --eps")
-        return SingleLink(network, points, delta=args.delta,
-                          stop_k=stop_k, stop_distance=stop_distance,
-                          budget=budget, backend=backend)
-    raise SystemExit(f"unknown algorithm {name!r}")
+        spec["k"] = args.k if args.stop == "k" else None
+        spec["stop_distance"] = args.eps if args.stop == "distance" else None
+    return spec
 
 
 def _obs_begin(args: argparse.Namespace) -> bool:
@@ -260,7 +239,17 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     network, points = load_workload_file(args.workload)
     if len(points) == 0:
         raise SystemExit("the workload holds no points to cluster")
-    algorithm = _build_algorithm(args, network, points)
+    from repro.serve.service import build_algorithm
+
+    try:
+        algorithm = build_algorithm(
+            _cluster_spec(args), network, points,
+            budget=_build_budget(args),
+            accelerator=_build_accelerator(args, network, points),
+            backend=args.backend,
+        )
+    except ParameterError as exc:
+        raise SystemExit(str(exc))
     ckpt_path = _setup_recovery(args, algorithm)
     observing = _obs_begin(args)
     if args.dendrogram:

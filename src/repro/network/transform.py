@@ -20,10 +20,11 @@ precisely the "many shortest path computations" cost the paper warns about.
 
 from __future__ import annotations
 
-import heapq
+from types import SimpleNamespace
 
 from repro.exceptions import ParameterError
 from repro.network.augmented import AugmentedView, POINT, point_vertex
+from repro.network.dijkstra import single_source
 from repro.network.points import PointSet
 
 __all__ = ["object_graph", "transformation_blowup"]
@@ -36,9 +37,10 @@ def object_graph(network, points: PointSet) -> dict[tuple[int, int], float]:
     edge exists iff some path between the two objects passes no third
     object, weighted by the shortest such path.
 
-    One expansion per object over the point-augmented graph, in which other
-    object vertices are settled (recording the edge) but never relaxed
-    through — the literal "path not passing via any other object s".
+    One :func:`~repro.network.dijkstra.single_source` expansion per object
+    over the point-augmented graph, in which other object vertices are
+    settled (recording the edge) but never relaxed through — the literal
+    "path not passing via any other object s".
     """
     if len(points) == 0:
         raise ParameterError("the point set is empty; nothing to transform")
@@ -46,23 +48,19 @@ def object_graph(network, points: PointSet) -> dict[tuple[int, int], float]:
     edges: dict[tuple[int, int], float] = {}
     for p in points:
         source = point_vertex(p.point_id)
-        dist: dict = {}
-        heap: list[tuple[float, tuple[int, int]]] = [(0.0, source)]
-        while heap:
-            d, vertex = heapq.heappop(heap)
-            if vertex in dist:
-                continue
-            dist[vertex] = d
-            kind, ident = vertex
+
+        def blocked(vertex):
+            # Another object: a G' edge ends here; do not pass through.
+            if vertex[0] == POINT and vertex != source:
+                return ()
+            return aug.neighbors(vertex)
+
+        dist = single_source(SimpleNamespace(neighbors=blocked), source)
+        for (kind, ident), d in dist.items():
             if kind == POINT and ident != p.point_id:
-                # Another object: a G' edge ends here; do not pass through.
                 pair = (min(p.point_id, ident), max(p.point_id, ident))
                 if d < edges.get(pair, float("inf")):
                     edges[pair] = d
-                continue
-            for nbr, seg in aug.neighbors(vertex):
-                if nbr not in dist:
-                    heapq.heappush(heap, (d + seg, nbr))
         # Each direction is computed independently; symmetry of the network
         # makes both directions agree, and the dict keeps the minimum.
     return edges

@@ -284,12 +284,13 @@ class DistanceAccelerator:
     ) -> tuple[float, int]:
         """The corridor-pruned Dijkstra behind :meth:`point_distance`.
 
-        Identical to :func:`unaccelerated_point_distance` — same heap
-        keys, same relaxation sums, hence the same returned float — except
-        that a push provably outside the shortest-path corridor
-        (``d_so_far + lower_bound(nbr, q) > upper_bound(p, q)``, with
-        slack) is dropped.  Every dropped vertex would have settled after
-        the target, so the target's settled value is untouched.
+        The same targeted :func:`single_source` call as
+        :func:`unaccelerated_point_distance` — same heap keys, same
+        relaxation sums, hence the same returned float — with a ``prune``
+        predicate that drops a push provably outside the shortest-path
+        corridor (``d_so_far + lower_bound(nbr, q) > upper_bound(p, q)``,
+        with slack).  Every dropped vertex would have settled after the
+        target, so the target's settled value is untouched.
         """
         aug = self._aug
         index = self._index
@@ -305,36 +306,20 @@ class DistanceAccelerator:
         corridor = ub + _REL_SLACK * (ub + index.scale)
         points = aug.points
 
-        def h(vertex) -> float:
-            kind, ident = vertex
+        def prune(nd: float, nbr) -> bool:
+            kind, ident = nbr
             if kind == NODE:
-                return vector_lower_bound(index.node_vector(ident), qvec)
-            return vector_lower_bound(
-                self.point_vector(points.get(ident)), qvec
-            )
+                h = vector_lower_bound(index.node_vector(ident), qvec)
+            else:
+                h = vector_lower_bound(self.point_vector(points.get(ident)), qvec)
+            # An infinite bound: provably in a different component than q.
+            return math.isinf(h) or nd + h > corridor
 
-        source = point_vertex(p.point_id)
         target = point_vertex(q.point_id)
-        dist: dict = {}
-        heap: list[tuple[float, tuple[int, int]]] = [(0.0, source)]
-        while heap:
-            d, vertex = heapq.heappop(heap)
-            if vertex in dist:
-                continue
-            dist[vertex] = d
-            if vertex == target:
-                return d, len(dist)
-            for nbr, seg in aug.neighbors(vertex):
-                if nbr in dist:
-                    continue
-                nd = d + seg
-                hn = h(nbr)
-                if math.isinf(hn):
-                    continue  # provably in a different component than q
-                if nd + hn > corridor:
-                    continue
-                heapq.heappush(heap, (nd, nbr))
-        return math.inf, len(dist)
+        dist = single_source(
+            aug, point_vertex(p.point_id), targets=(target,), prune=prune
+        )
+        return dist.get(target, math.inf), len(dist)
 
     # ------------------------------------------------------------------
     # Range query (candidate prefilter + early termination)

@@ -68,15 +68,20 @@ def _field(request: dict, key: str, conv: Callable):
         raise ParameterError(f"field {key!r}: {exc}") from None
 
 
-def build_algorithm(spec: dict, network, points):
+def build_algorithm(spec: dict, network, points, *, budget=None,
+                    accelerator=None, backend=None):
     """A clustering algorithm from a ``cluster`` request's parameters.
 
-    Mirrors the CLI's ``--algorithm`` flags with the same defaults; raises
-    :class:`ParameterError` (wire name ``BadRequest``) on unknown names,
-    missing required parameters, or unconvertible parameter values.
+    The one factory behind the CLI's ``--algorithm`` flags and the wire's
+    ``cluster`` op, with the same defaults.  ``budget`` and ``backend``
+    go to every algorithm, ``accelerator`` to k-medoids and ε-Link, the
+    two that consume one.  Raises :class:`ParameterError` (wire name
+    ``BadRequest``) on unknown names, missing required parameters, or
+    unconvertible parameter values.
     """
     try:
-        return _build_algorithm(spec, network, points)
+        return _build_algorithm(spec, network, points, accelerator,
+                                budget=budget, backend=backend)
     except ParameterError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -85,7 +90,7 @@ def build_algorithm(spec: dict, network, points):
         raise ParameterError(f"cluster request: {exc}") from None
 
 
-def _build_algorithm(spec: dict, network, points):
+def _build_algorithm(spec: dict, network, points, accelerator, **common):
     from repro.core import (
         EpsLink,
         NetworkDBSCAN,
@@ -102,22 +107,24 @@ def _build_algorithm(spec: dict, network, points):
             network, points, k=int(spec.get("k", 10)),
             seed=int(spec.get("seed", 0)),
             n_restarts=int(spec.get("restarts", 1)),
+            accelerator=accelerator, **common,
         )
     if name == "eps-link":
         return EpsLink(network, points, eps=float(spec["eps"]),
-                       min_sup=int(spec.get("min_pts", 2)))
+                       min_sup=int(spec.get("min_pts", 2)),
+                       accelerator=accelerator, **common)
     if name == "dbscan":
         return NetworkDBSCAN(network, points, eps=float(spec["eps"]),
-                             min_pts=int(spec.get("min_pts", 2)))
+                             min_pts=int(spec.get("min_pts", 2)), **common)
     if name == "optics":
         return NetworkOPTICS(network, points, max_eps=float(spec["eps"]),
-                             min_pts=int(spec.get("min_pts", 2)))
+                             min_pts=int(spec.get("min_pts", 2)), **common)
     if name == "single-link":
         stop_k = spec.get("k")
         return SingleLink(network, points,
                           delta=float(spec.get("delta", 0.0)),
                           stop_k=int(stop_k) if stop_k is not None else None,
-                          stop_distance=spec.get("stop_distance"))
+                          stop_distance=spec.get("stop_distance"), **common)
     raise ParameterError(f"unknown algorithm {name!r}")
 
 

@@ -13,8 +13,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import faults, obs
+from repro.baselines.matrix import DistanceMatrix
 from repro.exceptions import BudgetExceededError, UnreachableError
-from repro.faults import OpBudget
+from repro.faults import FaultRule, InjectedIOError, OpBudget
 from repro.network.augmented import AugmentedView, point_vertex
 from repro.network.distance import (
     direct_distance,
@@ -25,6 +27,8 @@ from repro.network.distance import (
 )
 from repro.network.graph import SpatialNetwork
 from repro.network.points import NetworkPoint, PointSet
+from repro.network.transform import object_graph
+from repro.perf import DistanceAccelerator
 
 from tests.conftest import make_random_connected_network, scatter_points
 
@@ -143,6 +147,66 @@ class TestGuarded:
             with pytest.raises(BudgetExceededError) as exc:
                 network_distance(aug, p, q)
         assert point_vertex(q.point_id) not in exc.value.partial
+
+
+@pytest.fixture(scope="module")
+def routed_searches():
+    """The three searches that run ``single_source`` over the augmented
+    view: landmark-pruned p2p, the distance matrix and the object graph."""
+    rng = random.Random(23)
+    net = make_random_connected_network(rng, 40, extra_edges=20)
+    points = scatter_points(rng, net, 25)
+    aug = AugmentedView(net, points)
+    # Built before any budget is active: the landmark tables are not
+    # part of the searches under test.
+    accel = DistanceAccelerator(aug, landmarks=4, cache_mb=0.0)
+    p = points.get(0)
+    q = max(points, key=lambda o: network_distance(aug, p, o))
+    return {
+        "p2p": lambda: accel.point_distance(p, q),
+        "matrix": lambda: DistanceMatrix.from_points(net, points).values.tobytes(),
+        "object_graph": lambda: object_graph(net, points),
+    }
+
+
+@pytest.mark.parametrize("search", ["p2p", "matrix", "object_graph"])
+class TestRoutedThroughSingleSource:
+    """Budgets, the ``dijkstra.settle`` fault site and the ``dijkstra.*``
+    counters reach every search folded into :func:`single_source`."""
+
+    def test_budget_interrupts(self, search, routed_searches):
+        call = routed_searches[search]
+        budget = OpBudget()
+        with budget.activate():
+            call()
+        assert budget.expansions > 1
+        with OpBudget(max_expansions=budget.expansions - 1).activate():
+            with pytest.raises(BudgetExceededError):
+                call()
+
+    def test_settle_fault_fires(self, search, routed_searches):
+        rule = FaultRule("dijkstra.settle", "error", after=2)
+        with faults.plan(rule):
+            with pytest.raises(InjectedIOError):
+                routed_searches[search]()
+        assert rule.fired == 1
+
+    def test_counters_match_budget(self, search, routed_searches):
+        call = routed_searches[search]
+        plain = call()
+        budget = OpBudget()
+        obs.enable(fresh=True)
+        try:
+            with budget.activate():
+                counted = call()
+            counters = obs.snapshot()["counters"]
+        finally:
+            obs.disable()
+        assert counted == plain
+        assert counters["dijkstra.nodes_settled"] == budget.expansions > 1
+        assert counters["dijkstra.edges_relaxed"] == budget.distance_computations
+        if search == "p2p":
+            assert counters["perf.p2p.vertices_settled"] == budget.expansions
 
 
 # ---------------------------------------------------------------------------
