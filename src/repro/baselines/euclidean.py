@@ -11,8 +11,6 @@ clustering groups objects that are far apart on the network.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.baselines.matrix import DistanceMatrix

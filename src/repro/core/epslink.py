@@ -35,8 +35,8 @@ from repro.core.base import NetworkClusterer
 from repro.core.result import ClusteringResult
 from repro.eval.metrics import NOISE
 from repro.exceptions import ParameterError
-from repro.faults.core import STATE as _FAULTS, fire as _fault
-from repro.resilience.deadline import STATE as _RES, check as _res_check
+from repro.faults.core import STATE as _FAULTS
+from repro.resilience.deadline import STATE as _RES, settle_checkpoint
 from repro.network.augmented import AugmentedView, POINT, point_vertex
 from repro.network.points import PointSet
 from repro.obs.core import STATE as _OBS, add as _obs_add, span as _span
@@ -246,9 +246,9 @@ class EpsLink(NetworkClusterer):
         """Run ``expansion`` on: the one expansion loop of ε-Link.
 
         Settles at most ``limit`` vertices (no limit when negative); the
-        expansion is exhausted once its heap is empty.  Every settle hits
-        the ``epslink.expand`` fault site, the deadline checkpoint and the
-        active budget, with ``partial`` as the partial result.
+        expansion is exhausted once its heap is empty.  Every settle goes
+        through :func:`~repro.resilience.deadline.settle_checkpoint` at the
+        ``epslink.expand`` site, with ``partial`` as the partial result.
 
         With an ``owner`` map (point id -> expansion), every object the
         expansion absorbs is claimed for it.  Reaching within ε an object
@@ -261,19 +261,13 @@ class EpsLink(NetworkClusterer):
         neighbors = aug.neighbors
         visited = 0
         guard = _FAULTS.engaged or _RES.engaged
-        budget = _FAULTS.budget if guard else None
         met = expansion
         while heap and visited != limit:
             d, vertex = heapq.heappop(heap)
             if d > best.get(vertex, math.inf):
                 continue  # stale entry superseded by a closer source
             if guard:
-                if _FAULTS.engaged:
-                    _fault("epslink.expand")
-                if _RES.engaged:
-                    _res_check("epslink.expand", partial=partial)
-                if budget is not None:
-                    budget.spend_expansions(1, partial=partial)
+                settle_checkpoint("epslink.expand", partial)
             visited += 1
             kind, ident = vertex
             if kind == POINT and ident not in members:
@@ -397,18 +391,12 @@ class EpsLinkEdgewise(EpsLink):
 
         # Expansion (paper lines 12-37).
         guard = _FAULTS.engaged or _RES.engaged
-        budget = _FAULTS.budget if guard else None
         while heap:
             d, node = heapq.heappop(heap)
             if d > nn_dist.get(node, math.inf):
                 continue  # stale entry (paper line 14's freshness check)
             if guard:
-                if _FAULTS.engaged:
-                    _fault("epslink.expand")
-                if _RES.engaged:
-                    _res_check("epslink.expand", partial=assignment)
-                if budget is not None:
-                    budget.spend_expansions(1, partial=assignment)
+                settle_checkpoint("epslink.expand", assignment)
             for nbr, _ in network.neighbors(node):
                 scan_edge(node, nbr, d)
         return members, visited

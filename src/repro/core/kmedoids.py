@@ -42,8 +42,8 @@ from repro.core.degrade import ComponentPointSet, distribute_k
 from repro.core.result import ClusteringResult
 from repro.eval.metrics import NOISE
 from repro.exceptions import ParameterError
-from repro.faults.core import STATE as _FAULTS, fire as _fault
-from repro.resilience.deadline import STATE as _RES, check as _res_check
+from repro.faults.core import STATE as _FAULTS
+from repro.resilience.deadline import STATE as _RES, settle_checkpoint
 from repro.network.dijkstra import multi_source
 from repro.network.points import NetworkPoint, PointSet
 from repro.obs.core import STATE as _OBS, add as _obs_add, span as _span
@@ -267,7 +267,6 @@ class NetworkKMedoids(NetworkClusterer):
         heapq.heapify(heap)
 
         guard = _FAULTS.engaged or _RES.engaged
-        budget = _FAULTS.budget if guard else None
         # Modified Concurrent_Expansion: accept a pop when the node is
         # unassigned *or* the new distance improves on the stored one.
         while heap:
@@ -276,12 +275,7 @@ class NetworkKMedoids(NetworkClusterer):
             if current is not None and d >= current:
                 continue
             if guard:
-                if _FAULTS.engaged:
-                    _fault("kmedoids.update_settle")
-                if _RES.engaged:
-                    _res_check("kmedoids.update_settle", partial=state)
-                if budget is not None:
-                    budget.spend_expansions(1, partial=state)
+                settle_checkpoint("kmedoids.update_settle", state)
             record(node)
             node_dist[node] = d
             node_medoid[node] = med

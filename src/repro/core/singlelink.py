@@ -180,6 +180,8 @@ class SingleLink(NetworkClusterer):
                 dv = dist.get(vertex)
                 if dv is None:
                     continue  # vertex in a component without objects
+                if _RES.engaged:
+                    _res_check("singlelink.bridges", partial=best)
                 ov = owner[vertex]
                 for nbr, seg in aug.neighbors(vertex):
                     du = dist.get(nbr)

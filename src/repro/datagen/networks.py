@@ -21,7 +21,6 @@ graph) and determinism given a seed.
 
 from __future__ import annotations
 
-import math
 import random
 
 from repro.exceptions import ParameterError

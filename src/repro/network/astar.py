@@ -22,9 +22,11 @@ import heapq
 import math
 
 from repro.exceptions import MissingCoordinatesError, UnreachableError
+from repro.faults.core import STATE as _FAULTS
 from repro.network.augmented import AugmentedView, NODE, point_vertex
 from repro.network.points import NetworkPoint
 from repro.obs.core import add as _obs_add
+from repro.resilience.deadline import STATE as _RES, settle_checkpoint
 
 __all__ = ["node_distance_astar", "point_distance_astar"]
 
@@ -148,8 +150,11 @@ def _astar(neighbors, source, target, h, unreachable: str) -> tuple[float, int]:
     to ``target`` over ``neighbors``, ordered by ``g + h``.
 
     Raises :class:`UnreachableError` with the message ``unreachable``
-    when the target is not reachable.
+    when the target is not reachable.  Every settle goes through
+    :func:`~repro.resilience.deadline.settle_checkpoint` at the
+    ``astar.settle`` site, with the settled set as the partial result.
     """
+    guard = _FAULTS.engaged or _RES.engaged
     best = {source: 0.0}
     settled: set = set()
     heap: list = [(h(source), 0.0, source)]
@@ -157,6 +162,8 @@ def _astar(neighbors, source, target, h, unreachable: str) -> tuple[float, int]:
         _, g, vertex = heapq.heappop(heap)
         if vertex in settled:
             continue
+        if guard:
+            settle_checkpoint("astar.settle", settled)
         settled.add(vertex)
         if vertex == target:
             return g, len(settled)

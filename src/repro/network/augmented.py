@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from repro.network.points import PointSet
 from repro.obs.core import STATE as _OBS, add as _obs_add
-from repro.resilience.deadline import STATE as _RES, check as _res_check
 
 __all__ = ["AugmentedView", "NODE", "POINT", "node_vertex", "point_vertex"]
 
@@ -96,11 +95,6 @@ class AugmentedView:
     # ------------------------------------------------------------------
     def neighbors(self, vertex: Vertex) -> tuple[tuple[Vertex, float], ...]:
         """The ``(neighbor_vertex, segment_length)`` pairs of ``vertex``."""
-        if _RES.engaged:
-            # Cooperative deadline/cancel checkpoint: every traversal over
-            # this view funnels through here, so even loops without their
-            # own per-settle guard stay responsive.
-            _res_check("augmented.neighbors")
         if _OBS.enabled:
             # Through add(): its locked read-modify-write keeps concurrent
             # serve workers from losing expansions counted on one shared

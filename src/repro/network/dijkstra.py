@@ -67,9 +67,9 @@ import math
 from collections.abc import Iterable, Mapping
 
 from repro.exceptions import UnreachableError
-from repro.faults.core import STATE as _FAULTS, fire as _fault
+from repro.faults.core import STATE as _FAULTS
 from repro.obs.core import STATE as _OBS, add as _obs_add
-from repro.resilience.deadline import STATE as _RES, check as _res_check
+from repro.resilience.deadline import STATE as _RES, settle_checkpoint
 
 __all__ = [
     "single_source",
@@ -153,6 +153,7 @@ def _single_source_instrumented(
     With a ``pred`` map, each settled node but the source gets the
     parent of its shortest push, the smallest parent on ties.
     """
+    guard = _FAULTS.engaged or _RES.engaged
     budget = _FAULTS.budget
     neighbors = network.neighbors
     remaining = set(targets) if targets is not None else None
@@ -167,11 +168,8 @@ def _single_source_instrumented(
         pops += 1
         if node in dist:
             continue
-        _fault("dijkstra.settle")
-        if _RES.engaged:
-            _res_check("dijkstra.settle", partial=dist)
-        if budget is not None:
-            budget.spend_expansions(1, partial=dist)
+        if guard:
+            settle_checkpoint("dijkstra.settle", dist)
         dist[node] = d
         if pred is not None and node != source:
             pred[node] = best_push[node][1]
@@ -298,6 +296,7 @@ def _multi_source_instrumented(
     cutoff: float,
 ) -> tuple[dict[int, float], dict[int, object]]:
     """Fault/budget/deadline/obs twin of :func:`multi_source`."""
+    guard = _FAULTS.engaged or _RES.engaged
     budget = _FAULTS.budget
     neighbors = network.neighbors
     dist: dict[int, float] = {}
@@ -318,11 +317,8 @@ def _multi_source_instrumented(
         pops += 1
         if node in dist:
             continue
-        _fault("dijkstra.settle")
-        if _RES.engaged:
-            _res_check("dijkstra.settle", partial=(dist, label))
-        if budget is not None:
-            budget.spend_expansions(1, partial=(dist, label))
+        if guard:
+            settle_checkpoint("dijkstra.settle", (dist, label))
         dist[node] = d
         label[node] = lab
         for nbr, weight in neighbors(node):

@@ -7,11 +7,13 @@ closest objects (:func:`knn_query`).  Both expand the point-augmented graph
 around the query with a Dijkstra whose frontier never exceeds the answer
 region, so cost is proportional to the part of the network within range.
 
-Each search has exactly one loop (:func:`_range_search`,
-:func:`_knn_search`).  The landmark accelerator in :mod:`repro.perf` runs
-the same loops with its prefilter passed in, so the plain and the
-accelerated searches share their heap discipline, fault and deadline
-site, budget charges and result ordering.
+Both searches run one loop, :func:`_search`, and differ only in its stop
+rule: a range query prunes pushes beyond ε, a kNN query stops at the
+k-th object.  The landmark accelerator in :mod:`repro.perf` runs the same
+loop with its prefilter passed in (a candidate set, a push cutoff), so
+the plain and the accelerated searches share their heap discipline,
+their ``queries.settle`` checkpoint (fault site, deadline and budget
+charge) and their result ordering.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ from __future__ import annotations
 import heapq
 import math
 
-from repro.faults.core import STATE as _FAULTS, fire as _fault
+from repro.faults.core import STATE as _FAULTS
 from repro.network.augmented import AugmentedView, POINT, point_vertex
 from repro.network.points import NetworkPoint
 from repro.obs.core import STATE as _OBS, add as _obs_add
-from repro.resilience.deadline import STATE as _RES, check as _res_check
+from repro.resilience.deadline import STATE as _RES, settle_checkpoint
 
 __all__ = ["range_query", "knn_query", "nearest_point"]
 
@@ -50,69 +52,12 @@ def range_query(
     """
     if eps < 0:
         return []
-    results, settled = _range_search(aug, query, eps, include_query)
+    results, settled, _ = _search(aug, query, include_query, cutoff=eps)
     if _OBS.enabled:
         _obs_add("queries.range_queries")
         _obs_add("queries.vertices_settled", settled)
         _obs_add("queries.points_found", len(results))
     return results
-
-
-def _range_search(
-    aug: AugmentedView,
-    query: NetworkPoint,
-    eps: float,
-    include_query: bool,
-    candidates: set[int] | None = None,
-) -> tuple[list[tuple[NetworkPoint, float]], int]:
-    """The one range loop: ``(sorted results, vertices settled)``.
-
-    ``candidates``, when given, is a set of point ids that holds every
-    object within ``eps`` (the landmark prefilter of :mod:`repro.perf`).
-    The search discards each point it settles from the set and stops once
-    the set is empty: the remaining frontier can hold no result.  The set
-    is consumed.  Every settle hits the ``queries.settle`` fault site, the
-    deadline checkpoint and the active budget, with the hits found so far
-    as the partial result.
-    """
-    guard = _FAULTS.engaged or _RES.engaged
-    budget = _FAULTS.budget if guard else None
-    neighbors = aug.neighbors
-    get_point = aug.points.get
-    results: list[tuple[NetworkPoint, float]] = []
-    source = point_vertex(query.point_id)
-    dist: dict = {}
-    best: dict = {source: 0.0}  # tentative distances: no dominated pushes
-    heap: list[tuple[float, tuple[int, int]]] = [(0.0, source)]
-    while heap:
-        d, vertex = heapq.heappop(heap)
-        if vertex in dist:
-            continue
-        if guard:
-            if _FAULTS.engaged:
-                _fault("queries.settle")
-            if _RES.engaged:
-                _res_check("queries.settle", partial=results)
-            if budget is not None:
-                budget.spend_expansions(1, partial=results)
-        dist[vertex] = d
-        kind, ident = vertex
-        if kind == POINT:
-            if include_query or ident != query.point_id:
-                results.append((get_point(ident), d))
-            if candidates is not None:
-                candidates.discard(ident)
-                if not candidates:
-                    break
-        for nbr, weight in neighbors(vertex):
-            if nbr in dist:
-                continue
-            nd = d + weight
-            if nd <= eps and nd < best.get(nbr, math.inf):
-                best[nbr] = nd
-                heapq.heappush(heap, (nd, nbr))
-    results.sort(key=_result_order)
-    return results, len(dist)
 
 
 def knn_query(
@@ -134,64 +79,74 @@ def knn_query(
     """
     if k <= 0:
         return []
-    results, settled, _ = _knn_search(aug, query, k, include_query)
+    results, settled, _ = _search(aug, query, include_query, k=k)
     if _OBS.enabled:
         _obs_add("queries.knn_queries")
         _obs_add("queries.vertices_settled", settled)
     return results
 
 
-def _knn_search(
+def _search(
     aug: AugmentedView,
     query: NetworkPoint,
-    k: int,
     include_query: bool,
     cutoff: float = math.inf,
+    k: int = -1,
+    candidates: set[int] | None = None,
 ) -> tuple[list[tuple[NetworkPoint, float]], int, int]:
-    """The one kNN loop: ``(sorted results, vertices settled, pushes pruned)``.
+    """The one object-search loop: ``(sorted results, vertices settled,
+    pushes pruned)``.
 
-    ``cutoff``, when finite, bounds the k-th neighbour's distance from
-    above (the landmark prefilter of :mod:`repro.perf`): a push beyond it
-    can neither be a result nor lie on a shortest path to one, so it is
-    dropped and counted.  Settles are guarded as in :func:`_range_search`.
+    Expands the augmented graph around ``query`` and collects objects in
+    settle order.  A push beyond ``cutoff`` is counted and dropped: it can
+    neither be a result nor lie on a shortest path to one (the range
+    radius, or the landmark upper bound on the k-th neighbour's distance
+    in :mod:`repro.perf`).  The search stops at the ``k``-th collected
+    object when ``k > 0``.  ``candidates``, when given, is a set of point
+    ids that holds every result (the landmark range prefilter): each
+    settled object, the query included, is discarded from it, and the
+    search stops once it is empty.  The set is consumed.  Every settle
+    goes through :func:`~repro.resilience.deadline.settle_checkpoint` at
+    the ``queries.settle`` site, with the hits found so far as the
+    partial result.
     """
     guard = _FAULTS.engaged or _RES.engaged
-    budget = _FAULTS.budget if guard else None
     neighbors = aug.neighbors
     get_point = aug.points.get
     results: list[tuple[NetworkPoint, float]] = []
-    source = point_vertex(query.point_id)
+    query_id = query.point_id
+    source = point_vertex(query_id)
     dist: dict = {}
     best: dict = {source: 0.0}  # tentative distances: no dominated pushes
     heap: list[tuple[float, tuple[int, int]]] = [(0.0, source)]
     pruned = 0
-    while heap and len(results) < k:
+    while heap:
         d, vertex = heapq.heappop(heap)
         if vertex in dist:
             continue
         if guard:
-            if _FAULTS.engaged:
-                _fault("queries.settle")
-            if _RES.engaged:
-                _res_check("queries.settle", partial=results)
-            if budget is not None:
-                budget.spend_expansions(1, partial=results)
+            settle_checkpoint("queries.settle", results)
         dist[vertex] = d
         kind, ident = vertex
-        if kind == POINT and (include_query or ident != query.point_id):
-            results.append((get_point(ident), d))
-            if len(results) == k:
-                break
+        if kind == POINT:
+            if include_query or ident != query_id:
+                results.append((get_point(ident), d))
+                if len(results) == k:
+                    break
+            if candidates is not None:
+                candidates.discard(ident)
+                if not candidates:
+                    break
         for nbr, weight in neighbors(vertex):
             if nbr in dist:
                 continue
             nd = d + weight
-            if nd > cutoff:
+            if nd <= cutoff:
+                if nd < best.get(nbr, math.inf):
+                    best[nbr] = nd
+                    heapq.heappush(heap, (nd, nbr))
+            else:
                 pruned += 1
-                continue
-            if nd < best.get(nbr, math.inf):
-                best[nbr] = nd
-                heapq.heappush(heap, (nd, nbr))
     results.sort(key=_result_order)
     return results, len(dist), pruned
 

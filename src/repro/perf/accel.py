@@ -22,10 +22,11 @@ search would provably have wasted:
   heap pushes beyond it are dropped without changing the settle order of
   any vertex that matters.
 
-Range and kNN run the plain loops of :mod:`repro.network.queries` and
-differ from the plain searches only by the prefilter they pass in (the
-candidate set, the push cutoff): heap discipline, the ``queries.settle``
-fault and deadline site, budget charges and result ordering are shared.
+Range and kNN run the plain loop of :mod:`repro.network.queries`
+(``_search``) and differ from the plain searches only by the prefilter
+they pass in (the candidate set, the push cutoff): heap discipline, the
+``queries.settle`` checkpoint (fault site, deadline, budget charge) and
+result ordering are shared.
 
 **Floating-point discipline.**  Bit-identity is structural, not hopeful.
 The accelerated searches keep the plain searches' heap ordering and
@@ -77,12 +78,7 @@ from repro.exceptions import UnreachableError
 from repro.network.augmented import AugmentedView, NODE, point_vertex
 from repro.network.dijkstra import single_source
 from repro.network.points import NetworkPoint
-from repro.network.queries import (
-    _knn_search,
-    _range_search,
-    knn_query,
-    range_query,
-)
+from repro.network.queries import _search, knn_query, range_query
 from repro.obs.core import STATE as _OBS, add as _obs_add
 from repro.perf.cache import DistanceCache
 from repro.perf.landmarks import (
@@ -365,8 +361,8 @@ class DistanceAccelerator:
             if vector_lower_bound(qvec, self.point_vector(p)) <= cutoff
         }
         n_candidates = len(candidates)
-        results, settled = _range_search(
-            aug, query, eps, include_query, candidates
+        results, settled, _ = _search(
+            aug, query, include_query, cutoff=eps, candidates=candidates
         )
         if _OBS.enabled:
             _obs_add("perf.range.queries")
@@ -419,8 +415,8 @@ class DistanceAccelerator:
         cutoff = cutoffs[-1] if len(cutoffs) == k else math.inf
         if not math.isinf(cutoff):
             cutoff += _REL_SLACK * (cutoff + self._index.scale)
-        results, settled, pruned = _knn_search(
-            aug, query, k, include_query, cutoff
+        results, settled, pruned = _search(
+            aug, query, include_query, cutoff=cutoff, k=k
         )
         if _OBS.enabled:
             _obs_add("perf.knn.queries")

@@ -7,7 +7,9 @@ equivalent: a :class:`Deadline` carries a monotonic-clock budget plus an
 optional external :class:`CancelToken`, and the hot loops call a *cheap
 cooperative checkpoint* (:func:`check`) that raises a typed
 :class:`~repro.exceptions.DeadlineExceeded` / :class:`~repro.exceptions.Cancelled`
-the moment the budget is spent or the token trips.
+the moment the budget is spent or the token trips.  Traversal loops make
+one call per settle, :func:`settle_checkpoint`, which also fires the
+loop's fault site and charges the active operation budget.
 
 Zero overhead while disarmed
 ----------------------------
@@ -44,6 +46,7 @@ from contextlib import contextmanager
 from typing import Callable
 
 from repro.exceptions import Cancelled, DeadlineExceeded, ParameterError
+from repro.faults.core import STATE as _FAULTS, fire as _fault
 from repro.obs.core import add as _obs_add
 
 __all__ = [
@@ -53,6 +56,7 @@ __all__ = [
     "STATE",
     "check",
     "current",
+    "settle_checkpoint",
 ]
 
 
@@ -229,3 +233,20 @@ def check(site: str, partial: object | None = None) -> None:
     deadline = _ACTIVE.get()
     if deadline is not None:
         deadline.check(site, partial)
+
+
+def settle_checkpoint(site: str, partial: object) -> None:
+    """The per-settle guard of every traversal loop.
+
+    Fires the fault ``site``, runs the deadline checkpoint and spends one
+    expansion from the active :class:`~repro.faults.OpBudget`, in that
+    order, with ``partial`` as the interrupt's partial result.  Loops
+    call it only behind ``guard = _FAULTS.engaged or STATE.engaged``,
+    read once on entry, so the disarmed path pays nothing.
+    """
+    if _FAULTS.engaged:
+        _fault(site)
+    check(site, partial)
+    budget = _FAULTS.budget
+    if budget is not None:
+        budget.spend_expansions(1, partial=partial)

@@ -13,9 +13,9 @@ into typed, bounded behaviour:
 
 * **Death detection.**  Each slot's supervising thread blocks on the
   worker's pipe; EOF (``read_frame`` → ``None``) *is* the death signal,
-  with no polling lag.  A monitor thread additionally heartbeats idle
-  workers with ping frames and SIGKILLs workers that sit on one request
-  past ``hang_timeout_s``, converting hangs into the same EOF path.
+  with no polling lag.  A monitor thread SIGKILLs workers that sit on
+  one request past ``hang_timeout_s``, converting hangs into the same
+  EOF path.
 * **Restart with backoff, storm-circuited.**  A dead worker is restarted
   after ``min(backoff_cap_s, backoff_base_s * 2**(k-1))`` for its k-th
   consecutive failure.  Each slot gates restarts through its own
@@ -173,7 +173,7 @@ class _Slot:
 
     __slots__ = (
         "index", "state", "handle", "breaker", "busy", "send_lock",
-        "consecutive_failures", "seq", "last_seen", "thread",
+        "consecutive_failures", "seq", "thread",
         "applied_epoch",
     )
 
@@ -186,7 +186,6 @@ class _Slot:
         self.send_lock = threading.Lock()
         self.consecutive_failures = 0
         self.seq = 0
-        self.last_seen = 0.0
         self.thread: threading.Thread | None = None
         #: Epoch of the worker's last acknowledged apply frame — lag
         #: telemetry only; correctness rests on pipe FIFO ordering.
@@ -222,9 +221,8 @@ class SupervisedPool(ServeFrontEnd):
         SIGKILLed by the monitor (the death then follows the normal
         failover path).  ``None`` disables hang detection.
     monitor_interval_s:
-        Heartbeat cadence of the monitor thread (pings idle workers,
-        checks hangs).  The monitor only runs when ``hang_timeout_s``
-        is set.
+        How often the monitor thread checks for hung workers.  The
+        monitor only runs when ``hang_timeout_s`` is set.
     poison_threshold:
         Worker deaths a request fingerprint may cause before quarantine.
     fault_rules / fault_seed:
@@ -514,7 +512,6 @@ class SupervisedPool(ServeFrontEnd):
                     slot.handle = handle
                     slot.state = _IDLE
                     slot.applied_epoch = worker_epoch
-                    slot.last_seen = self._clock()
                     self._cond.notify_all()
                     return True
             for seq, mutation in session.mutations_since(worker_epoch):
@@ -547,7 +544,6 @@ class SupervisedPool(ServeFrontEnd):
                 and applied >= 0:
             with self._cond:
                 slot.applied_epoch = max(slot.applied_epoch, applied)
-                slot.last_seen = self._clock()
             slot.consecutive_failures = 0
             slot.breaker.record_success()
             return
@@ -568,9 +564,6 @@ class SupervisedPool(ServeFrontEnd):
                 return
             if doc is None:
                 self._on_worker_death(slot)
-                continue
-            if doc.get("pong"):
-                slot.last_seen = self._clock()
                 continue
             if "applied" in doc:
                 self._on_applied(slot, doc)
@@ -703,7 +696,6 @@ class SupervisedPool(ServeFrontEnd):
                 return  # stale frame: never match it to newer work
             slot.busy = None
             slot.state = _IDLE
-            slot.last_seen = self._clock()
             self._inflight -= 1
             self._cond.notify_all()
         slot.consecutive_failures = 0
@@ -744,14 +736,6 @@ class SupervisedPool(ServeFrontEnd):
                     # ordinary EOF death path (failover, poison, restart).
                     _obs_add("serve.supervisor.hangs")
                     handle.kill()
-                    continue
-                if state == _IDLE:
-                    slot.seq += 1
-                    try:
-                        with slot.send_lock:
-                            handle.send({"seq": slot.seq, "ping": True})
-                    except (OSError, ValueError):
-                        pass  # EOF will surface in the slot thread
 
     # -- telemetry -------------------------------------------------------
 

@@ -10,13 +10,11 @@ requests over its stdin/stdout pipes until EOF.
 Frames (see :mod:`repro.serve.frames`) are supervisor→worker::
 
     {"seq": 7, "request": {...}, "deadline_s": 0.25}
-    {"seq": 8, "ping": true}
 
 and worker→supervisor::
 
     {"seq": 7, "ok": true, "result": ...}
     {"seq": 7, "ok": false, "error": "BadRequest", "message": "..."}
-    {"seq": 8, "pong": true, "pid": 1234}
 
 ``seq`` is the supervisor's per-worker sequence number; the worker
 echoes it verbatim so answers can never be mis-matched across a
@@ -236,8 +234,6 @@ def _run_request(request: dict, aug, accel, session):
 
 def _serve_one(doc: dict, aug, accel, session=None) -> dict:
     seq = doc.get("seq")
-    if doc.get("ping"):
-        return {"seq": seq, "pong": True, "pid": os.getpid()}
     if "apply" in doc:
         return _apply_frame(doc, session)
     request = doc.get("request")

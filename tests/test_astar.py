@@ -15,8 +15,6 @@ from repro.network.distance import network_distance
 from repro.network.graph import SpatialNetwork
 from repro.network.points import PointSet
 
-from tests.conftest import make_grid_network
-
 
 def euclidean_weighted_network(rng: random.Random, side: int) -> SpatialNetwork:
     """A jittered grid whose weights are the Euclidean node distances —

@@ -17,7 +17,7 @@ from repro.network.dijkstra import (
 )
 from repro.network.graph import SpatialNetwork
 
-from tests.conftest import make_grid_network, make_random_connected_network
+from tests.conftest import make_random_connected_network
 
 
 def bellman_ford_reference(network, source: int) -> dict[int, float]:

@@ -26,7 +26,7 @@ from repro.network.distance import (
     pairwise_point_distances,
 )
 from repro.network.graph import SpatialNetwork
-from repro.network.points import NetworkPoint, PointSet
+from repro.network.points import PointSet
 from repro.network.transform import object_graph
 from repro.perf import DistanceAccelerator
 

@@ -4,10 +4,8 @@ at test scale."""
 
 from __future__ import annotations
 
-import random
-
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from repro.core.dbscan import NetworkDBSCAN
 from repro.core.dendrogram import Dendrogram

@@ -148,9 +148,6 @@ class FakeWorker:
     def send(self, doc):
         if self._dead:
             raise OSError("broken pipe")
-        if doc.get("ping"):
-            self._out.put({"seq": doc["seq"], "pong": True})
-            return
         request = doc["request"]
         if self._should_die(request):
             self.kill()

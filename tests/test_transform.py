@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import random
 
 import pytest
 from hypothesis import given, settings
