@@ -349,8 +349,6 @@ class EpsLinkEdgewise(EpsLink):
             """Walk edge (node, nbr) from ``node``, whose distance to the
             cluster is ``entry``; cluster reachable points and enqueue
             improved endpoint distances (paper lines 16-37)."""
-            nonlocal visited
-            visited += 1
             weight = network.edge_weight(node, nbr)
             group = points.points_from(node, nbr)
             pos = 0.0
@@ -397,6 +395,7 @@ class EpsLinkEdgewise(EpsLink):
                 continue  # stale entry (paper line 14's freshness check)
             if guard:
                 settle_checkpoint("epslink.expand", assignment)
+            visited += 1
             for nbr, _ in network.neighbors(node):
                 scan_edge(node, nbr, d)
         return members, visited

@@ -187,6 +187,51 @@ def _resolve(future: Future, answer: Callable[[], object]) -> None:
         settle(future, result)
 
 
+class AdmissionQueue(queue.Queue):
+    """The bounded admission queue, from which a waiter may take back its
+    own request."""
+
+    def withdraw(self, item) -> bool:
+        """Take ``item`` out of the queue; False when it is not there (a
+        worker or the close sweep took it first).  Atomic against every
+        other queue operation, and it frees the admission slot at once."""
+        with self.mutex:
+            try:
+                self.queue.remove(item)
+            except ValueError:
+                return False
+            self.not_full.notify()
+            return True
+
+
+class RequestFuture(Future):
+    """The future :meth:`ServeFrontEnd.submit` returns.
+
+    Before its first wait, :meth:`result` or :meth:`exception` offers the
+    queued request to the executor's :meth:`ServeFrontEnd._run_waiting`,
+    which may run it on the waiting thread."""
+
+    def __init__(self, frontend: "ServeFrontEnd") -> None:
+        super().__init__()
+        self._frontend = frontend
+        self._item = None
+
+    def _offer(self) -> None:
+        # Cleared first: the hook runs once, and the item's reference back
+        # to this future is dropped.
+        item, self._item = self._item, None
+        if item is not None:
+            self._frontend._run_waiting(item)
+
+    def result(self, timeout=None):
+        self._offer()
+        return super().result(timeout)
+
+    def exception(self, timeout=None):
+        self._offer()
+        return super().exception(timeout)
+
+
 class Admitted:
     """One admitted request.  ``admitted_at`` is None with observability
     off; ``retried`` / ``seq`` / ``dispatched_at`` are the supervised
@@ -217,7 +262,9 @@ class ServeFrontEnd:
     :meth:`close`, sweeping what is still queued with
     :meth:`_cancel_queued`; True when it is all gone) and ``_joined()``.
     It may extend ``_admit`` (more refusals), set ``_inline_ops`` and
-    define ``_mutate`` (ops answered on the submitting thread), and add
+    define ``_mutate`` (ops answered on the submitting thread), define
+    ``_dispatch`` (push queued work after an admission) and
+    ``_run_waiting`` (run a request on the thread waiting for it), and add
     ``_extra_gauges`` and ``_executor_stats``.
     """
 
@@ -233,7 +280,7 @@ class ServeFrontEnd:
         #: The :class:`~repro.live.LiveSession` behind the live ops, or None.
         self.session = None
         self._clock = clock
-        self._queue: queue.Queue = queue.Queue(maxsize=queue_depth)
+        self._queue = AdmissionQueue(maxsize=queue_depth)
         # The closed check and the enqueue are one atomic step against
         # close(): otherwise a request could slip into the queue after
         # close() swept it, leaving its future unresolved forever.
@@ -266,9 +313,12 @@ class ServeFrontEnd:
             )
         # One flag check: with observability off no clock is read and the
         # item carries None, so the executor skips all histogram work.
+        future = RequestFuture(self)
         item = Admitted(request, Deadline(timeout_s, clock=self._clock),
-                        Future(), self._clock() if _OBS.enabled else None)
+                        future, self._clock() if _OBS.enabled else None)
         central = op == "subscribe_epoch" or op in self._inline_ops
+        if not central:
+            future._item = item
         with self._lock:
             if self._closed:
                 raise RuntimeError(f"{type(self).__name__} is closed")
@@ -278,8 +328,10 @@ class ServeFrontEnd:
         if op == "subscribe_epoch":
             self._subscribe_epoch(item, timeout_s)
         elif central:
-            _resolve(item.future, lambda: self._answer_inline(item))
-        return item.future
+            _resolve(future, lambda: self._answer_inline(item))
+        else:
+            self._dispatch()
+        return future
 
     def _admit(self, item: Admitted) -> None:
         """Queue ``item`` or shed it (the caller holds :attr:`_lock`)."""
@@ -288,6 +340,14 @@ class ServeFrontEnd:
         except queue.Full:
             _obs_add("serve.shed")
             raise Overloaded(self._queue.maxsize) from None
+
+    def _dispatch(self) -> None:
+        """Hand queued work to idle executors; runs on the submitting
+        thread after each admission, outside :attr:`_lock`."""
+
+    def _run_waiting(self, item: Admitted) -> None:
+        """Offered, once, the queued ``item`` by the thread about to wait
+        on its future; an executor may run it there."""
 
     def call(self, request: dict, timeout_s: object = UNSET) -> object:
         """Blocking convenience wrapper: submit and wait for the result."""

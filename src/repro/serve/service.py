@@ -1,21 +1,27 @@
 """The threaded executor of the serve tier, and the request execution path.
 
 :class:`QueryService` answers ε-range / kNN / clustering requests over one
-served workload on worker threads inside this process, behind the
-admission, deadline, live-op, telemetry and drain rules of
-:class:`~repro.serve.frontend.ServeFrontEnd`.  A worker activates each
-request's deadline for its scope, so the cooperative checkpoints inside
-the traversals enforce it; catches every ``Exception`` a request raises,
-so a poisoned request fails alone and the worker lives on; and keeps its
-own :class:`~repro.network.augmented.AugmentedView` and accelerator facade
-over the shared landmark index and distance cache, built once.  With a
-live session the view is attached to it, so every mutation reaches the
+served workload inside this process, behind the admission, deadline,
+live-op, telemetry and drain rules of
+:class:`~repro.serve.frontend.ServeFrontEnd`.  It keeps one execution
+context per worker — an :class:`~repro.network.augmented.AugmentedView`
+and its accelerator facade over the shared landmark index and distance
+cache, built once — and one thread at a time runs a request on a context.
+The thread that calls ``result()`` (or ``exception()``) on a
+still-queued request runs it itself when a context is free, which saves
+the two thread handoffs of a queued request; worker threads drain the
+requests nobody is waiting on.  Whichever thread claims a request
+activates its deadline for its scope, so the cooperative checkpoints
+inside the traversals enforce it, and catches every ``Exception`` it
+raises, so a poisoned request fails alone.  With a live session each
+context's view is attached to it, so every mutation reaches the
 accelerator through the view's invalidation hooks.  Requests run in this
 process, so an installed :class:`~repro.recovery.RetryPolicy` or
 :class:`~repro.resilience.CircuitBreaker` (the ``breaker.state`` gauge)
 applies to them as is, and a request carrying ``"trace": true`` runs under
-a trace-sampled ``serve.request`` root span stamped with its
-``request_id`` (``obs.enable(sample_requests=True)``).
+a trace-sampled ``serve.request`` span stamped with its ``request_id``
+(``obs.enable(sample_requests=True)``): the root of its trace on a worker
+thread, a child of the waiting thread's open span, if any, otherwise.
 
 :func:`run_query` is the one execution path of ``range`` / ``knn`` /
 ``cluster``, shared with the supervised pool's worker processes.
@@ -41,6 +47,7 @@ from repro.resilience.breaker import installed_state_code as _breaker_state
 from repro.serve.frontend import (
     LIVE_OPS,
     STOP,
+    Admitted,
     ServeFrontEnd,
     accelerator,
     check_backend,
@@ -189,8 +196,9 @@ class QueryService(ServeFrontEnd):
         :class:`~repro.storage.StoredPointSet` serves as well as the
         in-memory pair.
     workers:
-        Worker threads; each holds its own :class:`AugmentedView` so the
-        lazily built adjacency memo is never shared hot.
+        Worker threads, and execution contexts: at most this many
+        requests run at once, each on its own :class:`AugmentedView`, so
+        the lazily built adjacency memo is never shared hot.
     queue_depth:
         Admission-queue bound; a full queue sheds with
         :class:`~repro.exceptions.Overloaded`.
@@ -223,14 +231,14 @@ class QueryService(ServeFrontEnd):
         parallelism for a consistent world; the supervised pool keeps
         full parallelism because each worker process applies between
         requests).  A reweigh degrades the landmark acceleration: every
-        worker's accelerator drops the index through its view, and the
+        context's accelerator drops the index through its view, and the
         service closes it
         (:func:`~repro.serve.frontend.degrade_on_reweigh`).
     backend:
         ``None``/``"dict"`` serve the network as given;  ``"csr"``
         freezes it once into a :class:`~repro.network.CSRNetwork` before
-        the workers start, so every worker traverses the shared frozen
-        arrays.  Responses are bit-identical either way.  Incompatible
+        the contexts are built, so every context traverses the shared
+        frozen arrays.  Responses are bit-identical either way.  Incompatible
         with ``session`` (live mutations would stale the snapshot).
     """
 
@@ -263,14 +271,14 @@ class QueryService(ServeFrontEnd):
             queue_depth=queue_depth, default_timeout_s=default_timeout_s,
             clock=clock,
         )
-        # Frozen once, before the workers start: every worker thread's
+        # Frozen once, before the contexts are built: every context's
         # AugmentedView then traverses the same shared arrays, and the
         # landmark build below reuses the frozen kernels.
         self.network = network = resolve_backend(network, self.backend)
         self.points = points
-        # The shared acceleration state is opened *before* the workers
-        # start: they construct per-worker accelerators from it in their
-        # own threads, and the landmark Dijkstras must not race admission.
+        # The shared acceleration state is opened *before* the contexts
+        # are built: each context's accelerator is made from it, and the
+        # landmark Dijkstras must not race admission.
         # ``index_source`` ("mmap" / "degraded" / "built" / "none") is what
         # worker processes report in their ready frames: both tiers audit
         # identically.
@@ -283,7 +291,12 @@ class QueryService(ServeFrontEnd):
         self.session = session
         if session is not None:
             session.add_reweigh_hook(self._on_reweigh)
-        self._worker_state = threading.local()
+        # One execution context per worker, free ones in this queue: at
+        # most ``workers`` requests run at once, on worker threads or on
+        # the threads waiting for them.
+        self._contexts: queue.SimpleQueue = queue.SimpleQueue()
+        for _ in range(workers):
+            self._contexts.put(self._context())
         self._register_gauges()
         self._threads = [
             threading.Thread(
@@ -296,11 +309,11 @@ class QueryService(ServeFrontEnd):
 
     # -- executor hooks ----------------------------------------------------
 
-    # ``stats`` and ``mutate`` are queued and answered on a worker thread
-    # like any query (``_inline_ops`` stays empty): a worker thread sees
-    # this process's telemetry and session directly, and running them
-    # there keeps them behind the admission queue and its deadline check.
-    # ``serve.inflight`` therefore counts a stats request itself.
+    # ``stats`` and ``mutate`` are queued and run like any query
+    # (``_inline_ops`` stays empty): every thread here sees this process's
+    # telemetry and session directly, and queueing them keeps them behind
+    # the admission queue and its deadline check.  ``serve.inflight``
+    # therefore counts a stats request itself.
 
     def _live_workers(self) -> int:
         return sum(t.is_alive() for t in self._threads)
@@ -315,15 +328,15 @@ class QueryService(ServeFrontEnd):
             )
         return gauges
 
-    # -- worker side -----------------------------------------------------
+    # -- execution -------------------------------------------------------
 
     def _on_reweigh(self, u: int, v: int) -> None:
         """Session reweigh hook: close the shared landmark index through
         the :func:`~repro.serve.frontend.degrade_on_reweigh` policy.
 
         Runs under the session lock, with queries serialized out, after
-        the session invalidated every worker's view — so every worker's
-        accelerator has already dropped the index."""
+        the session invalidated every context's view — so every
+        context's accelerator has already dropped the index."""
         if self._landmark_index is None:
             return
         self.index_degrade_reason = degrade_on_reweigh(
@@ -332,56 +345,82 @@ class QueryService(ServeFrontEnd):
         self._landmark_index = None
         self.index_source = "degraded"
 
-    def _worker(self) -> None:
+    def _context(self) -> _Context:
+        """A view and its accelerator, built once, over the shared index
+        and cache; mutations reach the accelerator only through the view's
+        invalidation hooks.  Built and attached under the session lock, so
+        no reweigh can close the index in between."""
         aug = AugmentedView(self.network, self.points)
         session = self.session
-        # The thread's accelerator is built once, over the shared index
-        # and cache; mutations reach it only through the view's
-        # invalidation hooks.  Built and attached under the session lock,
-        # so no reweigh can close the index in between.
         with session.lock if session is not None else nullcontext():
-            self._worker_state.accel = accelerator(
-                aug, self._landmark_index, self._distance_cache
-            )
+            accel = accelerator(aug, self._landmark_index,
+                                self._distance_cache)
             if session is not None:
                 session.attach(aug)
+        return _Context(aug, accel)
+
+    def _worker(self) -> None:
+        """Drain the requests nobody is waiting on yet."""
         while True:
             item = self._queue.get()
             if item is STOP:
                 return
-            future = item.future
-            if not future.set_running_or_notify_cancel():
-                continue
-            request = item.request
-            exec_start = None
-            if item.admitted_at is not None:
-                exec_start = self._clock()
-                self._h_queue_wait.observe(exec_start - item.admitted_at)
-            self._inflight += 1
+            ctx = self._contexts.get()
             try:
-                deadline = item.deadline
-                with deadline.activate():
-                    # Sheds requests that aged out while queued before any
-                    # work happens on their behalf.
-                    deadline.check("serve.dequeue")
-                    if request.get("trace") and (
-                        _OBS.enabled or _OBS.sampling
-                    ):
-                        result = self._execute_traced(request, aug)
-                    else:
-                        result = self._execute(request, aug)
-            except Exception as exc:
-                # Per-request isolation: whatever a request raises —
-                # injected crash, corrupt page, bad parameters — is its
-                # own failure; the worker and its siblings live on.
-                settle(future, exc=exc)
-            else:
-                settle(future, result)
+                self._run(item, ctx)
             finally:
-                self._inflight -= 1
-            self._observe_done(item, exec_start)
+                self._contexts.put(ctx)
 
-    def _execute_traced(self, request: dict, aug: AugmentedView) -> object:
+    def _run_waiting(self, item: Admitted) -> None:
+        """Run ``item`` on the thread about to wait for it, when a context
+        is free and no worker has taken the item yet; otherwise the
+        caller just waits.  This saves the two thread handoffs of a queued
+        request, which cost more than a range or kNN query itself."""
+        try:
+            ctx = self._contexts.get_nowait()
+        except queue.Empty:
+            return
+        try:
+            if self._queue.withdraw(item):
+                self._run(item, ctx)
+        finally:
+            self._contexts.put(ctx)
+
+    def _run(self, item: Admitted, ctx: _Context) -> None:
+        """Claim and execute one request; whichever thread took it off
+        the queue runs this."""
+        future = item.future
+        # Never ``frontend.start``: it accepts a running future.
+        if not future.set_running_or_notify_cancel():
+            return
+        request = item.request
+        exec_start = None
+        if item.admitted_at is not None:
+            exec_start = self._clock()
+            self._h_queue_wait.observe(exec_start - item.admitted_at)
+        self._inflight += 1
+        try:
+            deadline = item.deadline
+            with deadline.activate():
+                # Sheds requests that aged out while queued before any
+                # work happens on their behalf.
+                deadline.check("serve.dequeue")
+                if request.get("trace") and (_OBS.enabled or _OBS.sampling):
+                    result = self._execute_traced(request, ctx)
+                else:
+                    result = self._execute(request, ctx)
+        except Exception as exc:
+            # Per-request isolation: whatever a request raises — injected
+            # crash, corrupt page, bad parameters — is its own failure; the
+            # thread that ran it and every other request live on.
+            settle(future, exc=exc)
+        else:
+            settle(future, result)
+        finally:
+            self._inflight -= 1
+        self._observe_done(item, exec_start)
+
+    def _execute_traced(self, request: dict, ctx: _Context) -> object:
         """Run one request inside a trace-sampled ``serve.request`` root
         span stamped with its request id, so its whole span tree lands in
         the trace file even when only sampled requests are being traced."""
@@ -391,9 +430,9 @@ class QueryService(ServeFrontEnd):
         with _obs_sampled(), _obs_span(
             "serve.request", request_id=request_id, op=request.get("op")
         ):
-            return self._execute(request, aug)
+            return self._execute(request, ctx)
 
-    def _execute(self, request: dict, aug: AugmentedView) -> object:
+    def _execute(self, request: dict, ctx: _Context) -> object:
         # ``stats`` reads *this* service's telemetry, so it is answered
         # here; everything else runs through the shared module-level
         # executor — the same code path the supervised pool's worker
@@ -403,30 +442,42 @@ class QueryService(ServeFrontEnd):
         if op == "stats":
             return self.stats_snapshot()
         session = self.session
-        accel = self._worker_state.accel
         if session is None:
-            return run_query(request, aug, accel=accel)
+            return run_query(request, ctx.aug, accel=ctx.accel)
         if op == "mutate":
             return session.mutate(request.get("mutation"))
         if op == "snapshot":
             return session.snapshot()
-        # Queries run under the session lock: a mutation in another
-        # worker thread must not change the world mid-traversal.
+        # Queries run under the session lock: a mutation on another
+        # thread must not change the world mid-traversal.
         with session.lock:
-            return run_query(request, aug, accel=accel)
+            return run_query(request, ctx.aug, accel=ctx.accel)
 
     # -- lifecycle -------------------------------------------------------
 
     def _stop_executor(self, timeout_s: float) -> bool:
+        deadline = time.monotonic() + timeout_s
         for _ in self._threads:
             self._queue.put(STOP)
         for thread in self._threads:
-            thread.join(timeout_s)
+            thread.join(max(deadline - time.monotonic(), 0.0))
+        # A request a waiting thread runs holds a context, not a thread:
+        # the close is over once every context is back.
+        held = []
+        try:
+            for _ in self._threads:
+                held.append(self._contexts.get(
+                    timeout=max(deadline - time.monotonic(), 0.0)
+                ))
+        except queue.Empty:
+            pass
+        for ctx in held:
+            self._contexts.put(ctx)
         # Workers that exited cleanly leave nothing behind; if any timed
         # out or died, fail whatever is still queued so no caller blocks
         # on a future nobody will ever resolve.
         stops_swept = self._cancel_queued()
-        joined = self._joined()
+        joined = self._joined() and len(held) == len(self._threads)
         if not joined:
             # Straggling workers still need their stop sentinels back so
             # they exit if they ever come unstuck (best-effort: they are
@@ -440,3 +491,14 @@ class QueryService(ServeFrontEnd):
 
     def _joined(self) -> bool:
         return all(not t.is_alive() for t in self._threads)
+
+
+class _Context:
+    """One execution context: a view and its accelerator, used by one
+    thread at a time."""
+
+    __slots__ = ("aug", "accel")
+
+    def __init__(self, aug: AugmentedView, accel) -> None:
+        self.aug = aug
+        self.accel = accel

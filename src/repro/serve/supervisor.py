@@ -37,6 +37,10 @@ into typed, bounded behaviour:
   is quarantined: resolved — and thereafter rejected at submission —
   with :class:`~repro.exceptions.PoisonRequest`, so one poisonous
   request cannot cycle the whole pool through crash/restart.
+* **Inline dispatch.**  There is no dispatcher thread.  The thread that
+  makes a hand-off possible runs it: the one that queues a request, or
+  the slot thread that frees, readies or loses a worker, sends queued
+  requests to idle workers until either runs out.
 
 * **Durable live mutations.**  With ``wal_path`` set the supervisor owns
   the pool's :class:`~repro.live.LiveSession` and its single-writer
@@ -87,7 +91,6 @@ from repro.obs.core import add as _obs_add
 from repro.resilience.breaker import CircuitBreaker
 from repro.serve.frames import read_frame, write_frame
 from repro.serve.frontend import (
-    STOP,
     Admitted,
     ServeFrontEnd,
     check_backend,
@@ -355,9 +358,6 @@ class SupervisedPool(ServeFrontEnd):
                 target=self._slot_loop, args=(slot,),
                 name=f"repro-supervise-{slot.index}", daemon=True,
             )
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="repro-dispatch", daemon=True
-        )
         self._monitor: threading.Thread | None = None
         self._monitor_stop = threading.Event()
         if hang_timeout_s is not None:
@@ -366,7 +366,6 @@ class SupervisedPool(ServeFrontEnd):
             )
         for slot in self._slots:
             slot.thread.start()
-        self._dispatcher.start()
         if self._monitor is not None:
             self._monitor.start()
 
@@ -381,7 +380,8 @@ class SupervisedPool(ServeFrontEnd):
 
     def _admit(self, item: Admitted) -> None:
         """Refuse quarantined work and shed when fully degraded, else
-        queue for the dispatcher (caller holds the pool lock)."""
+        queue it (caller holds the pool lock); :meth:`_dispatch` follows
+        outside the lock."""
         # Fingerprinting is a JSON encode under the pool lock: skip it
         # until something has been quarantined.
         if self._quarantined:
@@ -396,46 +396,61 @@ class SupervisedPool(ServeFrontEnd):
             raise Overloaded(self._queue.maxsize)
         super()._admit(item)
 
-    # -- dispatcher ------------------------------------------------------
+    # -- dispatch --------------------------------------------------------
 
-    def _dispatch_loop(self) -> None:
+    def _dispatch(self) -> None:
+        """Hand queued requests to idle slots until one or the other runs
+        out; once no slot is left alive, shed what is queued with
+        ``Overloaded``.
+
+        Runs on the thread that made a hand-off possible: the one that
+        queued a request, the slot thread that freed or readied a worker,
+        failed a request over, or degraded its slot.  There is no
+        dispatcher thread to wake.
+        """
         while True:
-            item = self._queue.get()
-            if item is STOP:
-                return
-            if not start(item.future):
-                continue
-            try:
-                item.deadline.check("serve.dequeue")
-            except DeadlineExceeded as exc:
-                self._resolve_error(item, exc)
-                continue
             with self._cond:
-                slot = None
-                while not self._stopping:
-                    live = [s for s in self._slots if s.state != _DEAD]
-                    if not live:
-                        break
-                    idle = [s for s in live if s.state == _IDLE]
-                    if idle:
-                        slot = min(idle, key=lambda s: s.index)
-                        break
-                    self._cond.wait()
-                if slot is None:
-                    # Fully degraded (or closing): nobody will ever run it.
-                    self._resolve_error(item, Overloaded(self._queue.maxsize))
+                if self._stopping:
+                    return
+                slot = next(
+                    (s for s in self._slots if s.state == _IDLE), None
+                )
+                if slot is None and any(
+                    s.state != _DEAD for s in self._slots
+                ):
+                    return  # every live worker is busy or starting
+                try:
+                    item = self._queue.get_nowait()
+                except queue.Empty:
+                    if self._closed:
+                        self._cond.notify_all()  # a draining close waits
+                    return
+                if not start(item.future):
                     continue
-                slot.state = _BUSY
-                slot.busy = item
-                slot.seq += 1
-                item.seq = slot.seq
-                item.dispatched_at = self._clock()
-                self._inflight += 1
-                if item.admitted_at is not None:
-                    self._h_queue_wait.observe(
-                        item.dispatched_at - item.admitted_at
-                    )
-                handle = slot.handle
+                failure = None
+                if slot is None:
+                    # Fully degraded: nobody will ever run it.
+                    failure = Overloaded(self._queue.maxsize)
+                else:
+                    try:
+                        item.deadline.check("serve.dequeue")
+                    except DeadlineExceeded as exc:
+                        failure = exc
+                if failure is None:
+                    slot.state = _BUSY
+                    slot.busy = item
+                    slot.seq += 1
+                    item.seq = slot.seq
+                    item.dispatched_at = self._clock()
+                    self._inflight += 1
+                    if item.admitted_at is not None:
+                        self._h_queue_wait.observe(
+                            item.dispatched_at - item.admitted_at
+                        )
+                    handle = slot.handle
+            if failure is not None:
+                self._resolve_error(item, failure)
+                continue
             frame = {"seq": item.seq, "request": item.request}
             remaining = item.deadline.remaining()
             if math.isfinite(remaining):
@@ -579,13 +594,12 @@ class SupervisedPool(ServeFrontEnd):
             try:
                 slot.breaker.allow("serve.supervisor.restart")
             except Exception:
-                # The notify wakes the dispatcher: once no slot is left it
-                # resolves what it holds, and everything still queued,
-                # with Overloaded.
                 with self._cond:
                     slot.state = _DEAD
                     self._cond.notify_all()
                 _obs_add("serve.supervisor.degraded")
+                # Once no slot is left, what is queued is shed.
+                self._dispatch()
                 return False
             attempt = slot.consecutive_failures
             if attempt > 0:
@@ -623,6 +637,7 @@ class SupervisedPool(ServeFrontEnd):
             # request can be dispatched to it (idle-marking happens inside
             # _catch_up, atomically against broadcasts).
             if self._catch_up(slot, handle, int(ready.get("epoch", 0))):
+                self._dispatch()
                 return True
             if self._stopping:
                 # The pool is closing and this worker was never registered
@@ -679,6 +694,7 @@ class SupervisedPool(ServeFrontEnd):
                         pass
             if requeued:
                 _obs_add("serve.supervisor.failovers")
+                self._dispatch()
                 return
         self._resolve_error(
             item,
@@ -700,6 +716,7 @@ class SupervisedPool(ServeFrontEnd):
             self._cond.notify_all()
         slot.consecutive_failures = 0
         slot.breaker.record_success()
+        self._dispatch()
         if doc.get("ok"):
             settle(item.future, doc.get("result"))
         else:
@@ -795,15 +812,17 @@ class SupervisedPool(ServeFrontEnd):
         """Reap every worker process.  Returns True when no worker
         survived — the no-orphans guarantee the chaos CI job asserts with
         a ``ps`` delta."""
-        self._queue.put(STOP)
         deadline = time.monotonic() + timeout_s
-        # The dispatcher exits at the stop sentinel, after handing every
-        # request admitted before it to a worker; only then may stopping
-        # be set, or a request it still held would be shed, not drained.
-        self._dispatcher.join(timeout_s)
+        # Every request admitted before the close is handed to a worker
+        # and answered first (or shed, once no slot is left); only then
+        # may stopping be set, or queued work would be cancelled, not
+        # drained.
         with self._cond:
             self._cond.wait_for(
-                lambda: all(s.busy is None for s in self._slots),
+                lambda: (
+                    self._queue.empty()
+                    or all(s.state == _DEAD for s in self._slots)
+                ) and all(s.busy is None for s in self._slots),
                 timeout=max(deadline - time.monotonic(), 0.0),
             )
             self._stopping = True
@@ -814,7 +833,6 @@ class SupervisedPool(ServeFrontEnd):
         for slot in self._slots:
             if slot.handle is not None:
                 slot.handle.close_stdin()
-        self._dispatcher.join(max(deadline - time.monotonic(), 0.1))
         for slot in self._slots:
             if slot.thread is not None:
                 slot.thread.join(max(deadline - time.monotonic(), 0.1))

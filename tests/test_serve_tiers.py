@@ -220,10 +220,8 @@ class TestFrontEnd:
         service = open_tier(tier, workload_path, queue_depth=4, gate=gate)
         try:
             futures = [service.submit(_knn(i)) for i in range(4)]
-            # The threaded worker holds one request and queues the rest;
-            # the pool's worker holds one, its dispatcher holds the next
-            # (waiting for an idle slot) and the admission queue the rest.
-            queued = {"threaded": 3, "supervised": 2}[tier]
+            # Either executor holds one request; the rest stay queued.
+            queued = 3
             _wait(lambda: service._queue.qsize() == queued)
             withdrawn = futures[-1]
             assert withdrawn.cancel()  # its client gives up on it
@@ -275,10 +273,6 @@ class TestFrontEnd:
         try:
             fates.append(service.submit(_knn(0)))
             _wait(lambda: service._queue.empty())  # the executor holds it
-            if tier == "supervised":
-                # The dispatcher takes the next one off the queue too.
-                fates.append(service.submit(_knn(1)))
-                _wait(lambda: service._queue.empty())
             fates.append(service.submit({**_knn(2), "timeout_ms": 100}))
             fates.append(service.submit({"op": "range", "point_id": 3}))
             for _ in range(2):  # queue full: shed

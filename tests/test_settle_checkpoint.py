@@ -135,7 +135,7 @@ LOOPS = {
     "epslink_edgewise": (
         "epslink.expand",
         lambda net, pts: lambda: EpsLinkEdgewise(net, pts, EPS).run().assignment,
-        None,
+        _counter("epslink.vertices_visited"),
     ),
     "kmedoids_update": ("kmedoids.update_settle", _kmedoids_update, None),
     "node_distance_astar": (
