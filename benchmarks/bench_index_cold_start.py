@@ -23,7 +23,12 @@ import pytest
 pytest.importorskip("numpy")
 
 from repro.network.augmented import AugmentedView
-from repro.perf import DistanceAccelerator, build_index_file, load_index
+from repro.perf import (
+    DistanceAccelerator,
+    LandmarkIndex,
+    build_index_file,
+    load_index,
+)
 
 from benchmarks._workloads import get_workload
 
@@ -35,14 +40,15 @@ LANDMARKS = 8
 def bench_cold_start_persisted_vs_built(benchmark, tmp_path):
     """Time-to-first-response: mmap a persisted index vs build one.
 
-    The first response is a corridor-pruned point-to-point distance — the
-    cheapest accelerated operation, so the measurement isolates startup
-    cost (L Dijkstra sweeps vs one CRC-verified load) instead of burying
-    it under a full-scan query that both variants pay identically.
+    The first response is the probe object's landmark vector — the first
+    thing every accelerated range or kNN query computes, so the
+    measurement isolates startup cost (L Dijkstra sweeps vs one
+    CRC-verified load) instead of burying it under the all-objects
+    prefilter scan that both variants pay identically.
     """
     network, points, spec, eps = get_workload("SF", k=K)
     rng = random.Random(3)
-    probe, target = rng.sample(list(points), 2)
+    probe = rng.choice(list(points))
     artifact = str(tmp_path / "sf.rlix")
     build_summary = build_index_file(
         artifact, network, num_landmarks=LANDMARKS
@@ -51,20 +57,17 @@ def bench_cold_start_persisted_vs_built(benchmark, tmp_path):
     def cold_built():
         t0 = time.perf_counter()
         accel = DistanceAccelerator(
-            AugmentedView(network, points), landmarks=LANDMARKS,
-            cache_mb=0.0,
+            AugmentedView(network, points),
+            index=LandmarkIndex(network, LANDMARKS),
         )
-        first, _settled = accel._point_distance_search(probe, target)
+        first = accel.point_vector(probe)
         return time.perf_counter() - t0, first
 
     def cold_mmap():
         t0 = time.perf_counter()
         index = load_index(artifact, network)
-        accel = DistanceAccelerator(
-            AugmentedView(network, points), landmarks=0, cache_mb=0.0,
-            index=index,
-        )
-        first, _settled = accel._point_distance_search(probe, target)
+        accel = DistanceAccelerator(AugmentedView(network, points), index=index)
+        first = accel.point_vector(probe)
         return time.perf_counter() - t0, first, index
 
     built_s, built_first = cold_built()

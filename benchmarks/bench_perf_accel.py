@@ -1,10 +1,7 @@
 """Distance-acceleration layer: landmark bounds + shared distance cache.
 
-Three measurements for the ``repro.perf`` subsystem:
+Two measurements for the ``repro.perf`` subsystem:
 
-* corridor-pruned point-to-point search vs plain Dijkstra — the landmark
-  upper bound caps how far the search may wander, so it settles a
-  fraction of the vertices while returning bit-identical distances;
 * range queries with the landmark candidate prefilter vs the plain
   expansion;
 * warm repeated queries through :class:`repro.serve.QueryService` with
@@ -24,51 +21,13 @@ import pytest
 
 from repro.network.augmented import AugmentedView
 from repro.network.queries import range_query
-from repro.perf import DistanceAccelerator, unaccelerated_point_distance
+from repro.perf import DistanceAccelerator, LandmarkIndex
 from repro.serve import QueryService
 
 from benchmarks._workloads import get_workload
 
 K = 10
 LANDMARKS = 8
-N_PAIRS = 40
-
-
-@pytest.mark.benchmark(group="perf-accel")
-def bench_landmark_p2p_vs_dijkstra(benchmark):
-    """Settled-vertex counts for corridor-pruned vs plain p2p search."""
-    network, points, spec, eps = get_workload("SF", k=K)
-    aug = AugmentedView(network, points)
-    accel = DistanceAccelerator(aug, landmarks=LANDMARKS, cache_mb=0.0)
-    rng = random.Random(7)
-    pts = list(points)
-    pairs = [tuple(rng.sample(pts, 2)) for _ in range(N_PAIRS)]
-
-    def run():
-        settled = 0
-        for p, q in pairs:
-            _, s = accel._point_distance_search(p, q)
-            settled += s
-        return settled / len(pairs)
-
-    accel_avg = benchmark.pedantic(run, rounds=1, iterations=1)
-    plain_settled = 0
-    for p, q in pairs:
-        d_plain, s = unaccelerated_point_distance(aug, p, q)
-        d_accel, _ = accel._point_distance_search(p, q)
-        assert d_accel == d_plain  # bit-identical, not approximately equal
-        plain_settled += s
-    plain_avg = plain_settled / len(pairs)
-    benchmark.extra_info.update(
-        {
-            "landmarks": LANDMARKS,
-            "accel_avg_settled": round(accel_avg, 1),
-            "plain_avg_settled": round(plain_avg, 1),
-            "settled_ratio": round(accel_avg / plain_avg, 3),
-        }
-    )
-    # The acceptance bar: at least 30% fewer settled vertices.
-    assert accel_avg <= 0.7 * plain_avg
 
 
 @pytest.mark.benchmark(group="perf-accel")
@@ -76,7 +35,7 @@ def bench_landmark_range_vs_plain(benchmark):
     """Range queries with the landmark candidate prefilter."""
     network, points, spec, eps = get_workload("SF", k=K)
     aug = AugmentedView(network, points)
-    accel = DistanceAccelerator(aug, landmarks=LANDMARKS, cache_mb=0.0)
+    accel = DistanceAccelerator(aug, index=LandmarkIndex(network, LANDMARKS))
     rng = random.Random(11)
     queries = rng.sample(list(points), 20)
 

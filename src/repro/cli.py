@@ -111,23 +111,6 @@ def _build_budget(args: argparse.Namespace):
     )
 
 
-def _build_accelerator(args: argparse.Namespace, network, points):
-    """A :class:`~repro.perf.DistanceAccelerator` when ``--landmarks`` or
-    ``--distance-cache-mb`` is set, else None."""
-    landmarks = getattr(args, "landmarks", 0)
-    cache_mb = getattr(args, "distance_cache_mb", 0.0)
-    if landmarks <= 0 and cache_mb <= 0:
-        return None
-    from repro.network.augmented import AugmentedView
-    from repro.perf import DistanceAccelerator
-
-    return DistanceAccelerator(
-        AugmentedView(network, points),
-        landmarks=max(landmarks, 0),
-        cache_mb=max(cache_mb, 0.0),
-    )
-
-
 def _cluster_spec(args: argparse.Namespace) -> dict:
     """The ``cluster`` flags as the wire's ``cluster`` request fields."""
     spec = {
@@ -245,7 +228,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         algorithm = build_algorithm(
             _cluster_spec(args), network, points,
             budget=_build_budget(args),
-            accelerator=_build_accelerator(args, network, points),
             backend=args.backend,
         )
     except ParameterError as exc:
@@ -830,13 +812,6 @@ def build_parser() -> argparse.ArgumentParser:
     clus.add_argument("--timeout-ms", type=float, default=None, metavar="T",
                       help="abort cleanly (exit 3, checkpoint kept) once the "
                            "run exceeds this wall-clock budget")
-    clus.add_argument("--landmarks", type=int, default=0, metavar="L",
-                      help="accelerate with L landmark distance bounds "
-                           "(identical results, fewer settles; 0 = off)")
-    clus.add_argument("--distance-cache-mb", type=float, default=0.0,
-                      metavar="MB",
-                      help="share an MB-bounded distance/result memo across "
-                           "restarts and swaps (0 = off)")
     clus.add_argument("--backend", choices=["dict", "csr"], default="dict",
                       help="traversal backend: dict (default, the "
                            "bit-exactness oracle) or csr (freeze the "

@@ -128,7 +128,6 @@ class EpsLink(NetworkClusterer):
         check_connectivity: bool | None = None,
         checkpoint=None,
         resume: dict | None = None,
-        accelerator=None,
         backend: str | None = None,
     ) -> None:
         super().__init__(
@@ -141,12 +140,6 @@ class EpsLink(NetworkClusterer):
             raise ParameterError(f"min_sup must be >= 1, got {min_sup!r}")
         self.eps = float(eps)
         self.min_sup = int(min_sup)
-        #: Optional :class:`repro.perf.DistanceAccelerator`: its
-        #: :meth:`~repro.perf.DistanceAccelerator.isolated_points`
-        #: prefilter lets the sweep emit provably-singleton clusters
-        #: without running their expansion.  Labels and assignment are
-        #: identical with or without it.
-        self.accelerator = accelerator
 
     # ------------------------------------------------------------------
     def _cluster(self) -> ClusteringResult:
@@ -168,24 +161,13 @@ class EpsLink(NetworkClusterer):
             "vertices_visited": vertices_visited,
             "next_label": next_label,
         }
-        isolated: frozenset[int] = frozenset()
-        if self.accelerator is not None:
-            # Isolation w.r.t. the full point set implies isolation
-            # w.r.t. the not-yet-clustered remainder, so the prefilter is
-            # valid for every seed the sweep reaches.
-            isolated = self.accelerator.isolated_points(self.eps)
         with _span("epslink.sweep"):
             for seed in self.points:
                 if seed.point_id in assignment:
                     continue
-                if seed.point_id in isolated:
-                    # Provably no neighbour within eps: a singleton
-                    # cluster, exactly what the expansion would return.
-                    members, visited = {seed.point_id}, 0
-                else:
-                    members, visited = self._expand_cluster(
-                        aug, seed.point_id, assignment
-                    )
+                members, visited = self._expand_cluster(
+                    aug, seed.point_id, assignment
+                )
                 vertices_visited += visited
                 for pid in members:
                     assignment[pid] = next_label

@@ -128,7 +128,6 @@ class NetworkKMedoids(NetworkClusterer):
         check_connectivity: bool | None = None,
         checkpoint=None,
         resume: dict | None = None,
-        accelerator=None,
         backend: str | None = None,
     ) -> None:
         super().__init__(
@@ -157,12 +156,6 @@ class NetworkKMedoids(NetworkClusterer):
         self.initial_medoids = list(initial_medoids) if initial_medoids else None
         self.max_swaps = int(max_swaps)
         self._rng = random.Random(seed)
-        #: Optional :class:`repro.perf.DistanceAccelerator` whose
-        #: :meth:`~repro.perf.DistanceAccelerator.screen_swap` rejects
-        #: provably-losing swaps before their (incremental) evaluation.
-        #: The screen consumes no randomness and mirrors a rejected
-        #: swap's bookkeeping, so results are identical with or without.
-        self.accelerator = accelerator
         self._incident_cache: dict[int, list[tuple[int, int]]] | None = None
         #: live references for _checkpoint_state (set by _cluster/_swap_loop)
         self._live: dict = {}
@@ -434,7 +427,6 @@ class NetworkKMedoids(NetworkClusterer):
             "restarts": self.n_restarts,
             "iterations": 0,
             "committed_swaps": 0,
-            "screened_swaps": 0,
             "first_iteration_time_s": 0.0,
             "incremental_iteration_time_s": 0.0,
             "incremental_iterations": 0,
@@ -508,7 +500,6 @@ class NetworkKMedoids(NetworkClusterer):
         assignment: dict[int, int] = {}
         medoids: list[int] = []
         total_R = 0.0
-        screened = 0
         unclustered = 0
         per_component: list[dict] = []
         for (comp, count), quota in zip(populated, quotas):
@@ -529,7 +520,6 @@ class NetworkKMedoids(NetworkClusterer):
                 seed=self._rng.randrange(2**32),
                 max_swaps=self.max_swaps,
                 check_connectivity=False,
-                accelerator=self.accelerator,
             )
             # _cluster (not run): the surrounding run() already owns the
             # span, timing, and budget activation.
@@ -537,7 +527,6 @@ class NetworkKMedoids(NetworkClusterer):
             assignment.update(sub_result.assignment)
             medoids.extend(sub_result.stats["medoids"])
             total_R += sub_result.stats["R"]
-            screened += sub_result.stats.get("screened_swaps", 0)
             per_component.append(
                 {"points": count, "k": quota, "R": sub_result.stats["R"]}
             )
@@ -553,7 +542,6 @@ class NetworkKMedoids(NetworkClusterer):
             stats={
                 "R": total_R,
                 "medoids": sorted(medoids),
-                "screened_swaps": screened,
                 "per_component": per_component,
                 "unclustered_points": unclustered,
             },
@@ -681,28 +669,6 @@ class NetworkKMedoids(NetworkClusterer):
             new_medoid = self.points.get(new_id)
             cand_set = (medoid_set - {old_id}) | {new_id}
             cand_medoids = [self.points.get(pid) for pid in sorted(cand_set)]
-
-            if self.accelerator is not None and self.accelerator.screen_swap(
-                self.points, assignment, distance, old_id, new_medoid,
-                cand_medoids, R,
-            ):
-                # The bounds prove cand_R >= R: same outcome as a rejected
-                # evaluation, at bound-arithmetic cost and without touching
-                # the tagging.  Placed after the RNG draws so the random
-                # trajectory matches the unscreened run exactly.
-                stats["screened_swaps"] += 1
-                stats["iterations"] += 1
-                bad += 1
-                if _OBS.enabled:
-                    _obs_add("perf.kmedoids.screened_swaps")
-                if self.checkpoint is not None:
-                    self._live.update(
-                        medoid_set=medoid_set, state=state,
-                        assignment=assignment, distance=distance, R=R,
-                        bad=bad, swaps=swaps,
-                    )
-                    self._ckpt_tick()
-                continue
 
             t1 = time.perf_counter()
             if self.incremental:

@@ -4,10 +4,8 @@ These are the traversal building blocks the paper's algorithms are assembled
 from:
 
 * :func:`single_source` — classic Dijkstra from one node, with optional
-  target set, distance cutoff and push predicate (each adjacency list
-  visited at most once, as the paper notes).  The predicate, ``prune(nd,
-  nbr)``, drops a push the caller can prove useless; the landmark corridor
-  of :meth:`repro.perf.DistanceAccelerator.point_distance` is its one user.
+  target set and distance cutoff (each adjacency list visited at most
+  once, as the paper notes).
 * :func:`node_distance` — point-to-point shortest path distance between two
   nodes with early termination.
 * :func:`multi_source` — *concurrent expansion* from many labelled seeds
@@ -42,7 +40,7 @@ single-source loop recording a predecessor map:
   deadline is active, or :mod:`repro.obs` is enabled.
 
 Dispatch order: instrumented if any of those flags is set; otherwise the
-backend kernel for an untargeted, unpruned :func:`single_source` when the
+backend kernel for an untargeted :func:`single_source` when the
 network exposes one; otherwise the plain loop.
 
 The instrumented loop hits the ``dijkstra.settle`` injection site on every
@@ -85,8 +83,6 @@ def single_source(
     source: int,
     targets: Iterable[int] | None = None,
     cutoff: float = math.inf,
-    *,
-    prune=None,
 ) -> dict[int, float]:
     """Shortest-path distances from ``source`` to reachable nodes.
 
@@ -101,20 +97,14 @@ def single_source(
         only then can distances to non-target nodes be partial.
     cutoff:
         Nodes farther than this are not expanded or reported.
-    prune:
-        Optional push predicate ``prune(nd, nbr) -> bool``, asked after
-        the cutoff test; a push it answers true for is dropped.  It only
-        removes pushes and never reorders the rest, so a node settles at
-        its unpruned distance, bit for bit, whenever the pushes along one
-        of its shortest paths survive.
 
     Returns
     -------
     dict mapping node -> distance, containing every settled node.
     """
     if _FAULTS.engaged or _RES.engaged or _OBS.enabled:
-        return _single_source_instrumented(network, source, targets, cutoff, prune=prune)
-    if targets is None and prune is None:
+        return _single_source_instrumented(network, source, targets, cutoff)
+    if targets is None:
         kernel = getattr(network, "dijkstra_single_source", None)
         if kernel is not None:
             return kernel(source, cutoff)
@@ -135,7 +125,7 @@ def single_source(
             if nbr in dist:
                 continue
             nd = d + weight
-            if nd <= cutoff and (prune is None or not prune(nd, nbr)):
+            if nd <= cutoff:
                 heapq.heappush(heap, (nd, nbr))
     return dist
 
@@ -146,7 +136,6 @@ def _single_source_instrumented(
     targets: Iterable[int] | None,
     cutoff: float,
     pred: dict[int, int] | None = None,
-    prune=None,
 ) -> dict[int, float]:
     """Fault/budget/deadline/obs twin of :func:`single_source`.
 
@@ -184,7 +173,7 @@ def _single_source_instrumented(
             if nbr in dist:
                 continue
             nd = d + weight
-            if nd <= cutoff and (prune is None or not prune(nd, nbr)):
+            if nd <= cutoff:
                 heapq.heappush(heap, (nd, nbr))
                 pushes += 1
                 if pred is not None:

@@ -1,14 +1,14 @@
 """Distance acceleration: landmark (ALT) bounds + shared memoization.
 
 Everything in this package is an *exactness-preserving* accelerator: the
-guided searches, screens, and caches return bit-identical results to the
-plain primitives in :mod:`repro.network` and :mod:`repro.core` (a
-property-tested guarantee — see ``tests/test_perf.py``), they just get
-there settling fewer vertices and recomputing less.  See
+bounded range and kNN searches and the cache return bit-identical results
+to the plain primitives in :mod:`repro.network` (a property-tested
+guarantee — see ``tests/test_perf.py``), they just get there settling
+fewer vertices and recomputing less.  See
 ``docs/performance.md`` for tuning guidance.
 """
 
-from repro.perf.accel import DistanceAccelerator, unaccelerated_point_distance
+from repro.perf.accel import DistanceAccelerator
 from repro.perf.cache import ENTRY_BYTES, DistanceCache
 from repro.perf.landmarks import (
     LandmarkIndex,
@@ -34,7 +34,6 @@ __all__ = [
     "load_index_or_degrade",
     "network_fingerprint",
     "save_index",
-    "unaccelerated_point_distance",
     "vector_lower_bound",
     "vector_upper_bound",
 ]

@@ -8,11 +8,6 @@ search returns bit-identical results to its plain counterpart** (a
 property-tested invariant).  Acceleration only ever skips work a plain
 search would provably have wasted:
 
-* :meth:`point_distance` — goal-directed Dijkstra over the point-augmented
-  graph: pushes whose distance-so-far plus landmark lower bound to the
-  target exceed the landmark *upper* bound are outside the shortest-path
-  corridor and dropped (settling a fraction of plain Dijkstra's vertices),
-  memoized in the shared cache.
 * :meth:`range_query` — prefilters the objects whose landmark lower bound
   to the query is ≤ ε and terminates the expansion as soon as all of them
   are settled; non-candidates cannot be within ε, so the result set is
@@ -42,24 +37,15 @@ characteristic magnitude — about four orders of magnitude wider than the
 worst accumulated rounding error, and about six narrower than any distance
 the pruning actually needs to discriminate.  Slack only weakens pruning;
 it never changes a result.
-* :meth:`screen_swap` — a sound k-medoids swap rejection test: when the
-  lower-bounded candidate evaluation ``Σ_p min(d_p, lb)`` already reaches
-  the current ``R``, the swap would certainly be rejected and the full
-  (incremental) evaluation is skipped.  The screen consumes no randomness
-  and mirrors rejected-swap bookkeeping, so the clustering trajectory is
-  unchanged.
-* :meth:`isolated_points` — an ε-Link prefilter: per-landmark
-  nearest-coordinate gaps lower-bound each object's distance to its
-  nearest neighbour; objects provably farther than ε from everything form
-  singleton clusters without running their expansion.
 
 Staleness is handled through the **single invalidation path** of
 :class:`~repro.network.AugmentedView`: the accelerator registers
 :meth:`DistanceAccelerator._on_invalidate` at construction, and the view
 calls it with ``(point_ids, reweigh)`` — what changed.  An insert or a
-remove names its object: only that object's point vector and the cache
-entries that can involve it go, because objects carry no weight and the
-distances between the others are unchanged.  A mutation nobody announced
+remove names its object: only that object's point vector goes, because
+objects carry no weight and the vectors of the others are unchanged; the
+cache is cleared, since every entry is a range or kNN result that can
+gain or lose the object.  A mutation nobody announced
 (every public method first runs the view's :meth:`AugmentedView.sync`,
 which compares the point set's ``version`` and the network's ``edition``
 against the watermark it captured) drops every point vector and the
@@ -74,9 +60,7 @@ from __future__ import annotations
 import heapq
 import math
 
-from repro.exceptions import UnreachableError
-from repro.network.augmented import AugmentedView, NODE, point_vertex
-from repro.network.dijkstra import single_source
+from repro.network.augmented import AugmentedView
 from repro.network.points import NetworkPoint
 from repro.network.queries import _search, knn_query, range_query
 from repro.obs.core import STATE as _OBS, add as _obs_add
@@ -87,7 +71,7 @@ from repro.perf.landmarks import (
     vector_upper_bound,
 )
 
-__all__ = ["DistanceAccelerator", "unaccelerated_point_distance"]
+__all__ = ["DistanceAccelerator"]
 
 _NO_ENTRY = object()
 
@@ -97,23 +81,6 @@ _NO_ENTRY = object()
 #: relative.  1e-9 sits squarely between: pruning that matters survives,
 #: pruning that would gamble on the last ulp is declined.
 _REL_SLACK = 1e-9
-
-
-def unaccelerated_point_distance(
-    aug: AugmentedView, p: NetworkPoint, q: NetworkPoint
-) -> tuple[float, int]:
-    """``(distance, vertices_settled)`` by plain Dijkstra.
-
-    The baseline the accelerated search is measured against — functionally
-    :func:`repro.network.distance.network_distance`, but reporting the
-    settled-vertex count and returning ``inf`` instead of raising for
-    unreachable pairs.
-    """
-    if p.point_id == q.point_id:
-        return 0.0, 0
-    target = point_vertex(q.point_id)
-    dist = single_source(aug, point_vertex(p.point_id), targets=(target,))
-    return dist.get(target, math.inf), len(dist)
 
 
 class DistanceAccelerator:
@@ -126,39 +93,33 @@ class DistanceAccelerator:
         an invalidation hook on it; whatever the view's ``invalidate``
         reports as changed (or its ``sync`` watermark shows moved) is
         dropped from the memos.
-    landmarks:
-        Landmarks to select when ``index`` is not given; ``0`` disables
-        the bound machinery (searches fall back to the plain primitives,
-        still through the cache when one is present).
-    cache_mb:
-        Budget for a private :class:`DistanceCache` when ``cache`` is not
-        given; ``0`` disables memoization entirely.
-    index / cache:
-        Pre-built shared components.  The :class:`~repro.serve.QueryService`
-        builds one index and one cache and hands them to a per-worker
-        accelerator, so all workers share the warm state; share them only
-        between accelerators over the *same* network and point set.
+    index:
+        The landmark index over ``aug``'s network; ``None`` (or an empty
+        index) disables the bounds, and searches fall back to the plain
+        primitives, still through the cache when one is present.
+    cache:
+        The memo for query results; ``None`` (or a disabled cache)
+        disables memoization.
+
+    The :class:`~repro.serve.QueryService` builds one index and one cache
+    and hands them to a per-worker accelerator, so all workers share the
+    warm state; share them only between accelerators over the *same*
+    network and point set.
     """
 
     def __init__(
         self,
         aug: AugmentedView,
         *,
-        landmarks: int = 8,
-        cache_mb: float = 16.0,
         index: LandmarkIndex | None = None,
         cache: DistanceCache | None = None,
     ) -> None:
         self._aug = aug
         # Pin the view's watermark to the world the index is built on.
         aug.sync()
-        if index is None and landmarks > 0:
-            index = LandmarkIndex(aug.network, landmarks)
         if index is not None and len(index) == 0:
             index = None
         self._index = index
-        if cache is None and cache_mb > 0:
-            cache = DistanceCache(cache_mb)
         if cache is not None and not cache.enabled:
             cache = None
         self._cache = cache
@@ -184,24 +145,22 @@ class DistanceAccelerator:
         * ``point_ids is None`` — the point set moved, but which objects
           changed is unknown: every point vector and the whole cache go.
         * ids — the objects inserted or removed.  Objects add no
-          weight, so no distance between two other objects changed:
-          only those objects' vectors go, and the cache drops only what
-          can involve them (:meth:`DistanceCache.invalidate_region`).
+          weight, so no other object's vector changed: only those
+          objects' vectors go.  The whole cache still goes, because any
+          cached range or kNN result can gain or lose one of them.
         """
         if reweigh:
             self._index = None
         if reweigh or point_ids is None:
             self._point_vectors.clear()
-            if self._cache is not None:
-                self._cache.clear()
-            return
-        for pid in point_ids:
-            self._point_vectors.pop(pid, None)
+        else:
+            for pid in point_ids:
+                self._point_vectors.pop(pid, None)
         if self._cache is not None:
-            self._cache.invalidate_region(point_ids)
+            self._cache.clear()
 
     # ------------------------------------------------------------------
-    # Landmark coordinates and bounds
+    # Landmark coordinates
     # ------------------------------------------------------------------
     @property
     def index(self) -> LandmarkIndex | None:
@@ -218,104 +177,6 @@ class DistanceAccelerator:
             vec = self._index.point_vector(point)
             self._point_vectors[point.point_id] = vec
         return vec
-
-    def lower_bound(self, p: NetworkPoint, q: NetworkPoint) -> float:
-        """Admissible lower bound on ``d(p, q)`` (0 without an index)."""
-        self._aug.sync()
-        if self._index is None or p.point_id == q.point_id:
-            return 0.0
-        return vector_lower_bound(self.point_vector(p), self.point_vector(q))
-
-    def upper_bound(self, p: NetworkPoint, q: NetworkPoint) -> float:
-        """Upper bound on ``d(p, q)`` (``inf`` without an index)."""
-        self._aug.sync()
-        if p.point_id == q.point_id:
-            return 0.0
-        if self._index is None:
-            return math.inf
-        return vector_upper_bound(self.point_vector(p), self.point_vector(q))
-
-    # ------------------------------------------------------------------
-    # Point-to-point distance
-    # ------------------------------------------------------------------
-    def point_distance(self, p: NetworkPoint, q: NetworkPoint) -> float:
-        """Exact ``d(p, q)`` via cached, landmark-pruned Dijkstra.
-
-        Bit-identical to :func:`repro.network.distance.network_distance`,
-        including raising :class:`UnreachableError` for disconnected
-        pairs (the cache remembers unreachability too).
-        """
-        self._aug.sync()
-        if p.point_id == q.point_id:
-            return 0.0
-        key = None
-        if self._cache is not None:
-            # The key is directional on purpose: the search folds edge
-            # weights left-to-right from the source, so d(p, q) and
-            # d(q, p) can differ in the last ulp — serving the reversed
-            # value would break bit-identity with the plain search.
-            key = ("p2p", p.point_id, q.point_id)
-            hit = self._cache.get(key, _NO_ENTRY)
-            if hit is not _NO_ENTRY:
-                if math.isinf(hit):
-                    raise UnreachableError(
-                        f"point {q.point_id} is not reachable from "
-                        f"point {p.point_id}"
-                    )
-                return hit
-        distance, settled = self._point_distance_search(p, q)
-        if key is not None:
-            self._cache.put(key, distance)
-        if _OBS.enabled:
-            _obs_add("perf.p2p.searches")
-            _obs_add("perf.p2p.vertices_settled", settled)
-        if math.isinf(distance):
-            raise UnreachableError(
-                f"point {q.point_id} is not reachable from point {p.point_id}"
-            )
-        return distance
-
-    def _point_distance_search(
-        self, p: NetworkPoint, q: NetworkPoint
-    ) -> tuple[float, int]:
-        """The corridor-pruned Dijkstra behind :meth:`point_distance`.
-
-        The same targeted :func:`single_source` call as
-        :func:`unaccelerated_point_distance` — same heap keys, same
-        relaxation sums, hence the same returned float — with a ``prune``
-        predicate that drops a push provably outside the shortest-path
-        corridor (``d_so_far + lower_bound(nbr, q) > upper_bound(p, q)``,
-        with slack).  Every dropped vertex would have settled after the
-        target, so the target's settled value is untouched.
-        """
-        aug = self._aug
-        index = self._index
-        if index is None:
-            return unaccelerated_point_distance(aug, p, q)
-        qvec = self.point_vector(q)
-        pvec = self.point_vector(p)
-        if math.isinf(vector_lower_bound(pvec, qvec)):
-            # Some landmark reaches exactly one of the two points: they
-            # are in different components, no search needed.
-            return math.inf, 0
-        ub = vector_upper_bound(pvec, qvec)
-        corridor = ub + _REL_SLACK * (ub + index.scale)
-        points = aug.points
-
-        def prune(nd: float, nbr) -> bool:
-            kind, ident = nbr
-            if kind == NODE:
-                h = vector_lower_bound(index.node_vector(ident), qvec)
-            else:
-                h = vector_lower_bound(self.point_vector(points.get(ident)), qvec)
-            # An infinite bound: provably in a different component than q.
-            return math.isinf(h) or nd + h > corridor
-
-        target = point_vertex(q.point_id)
-        dist = single_source(
-            aug, point_vertex(p.point_id), targets=(target,), prune=prune
-        )
-        return dist.get(target, math.inf), len(dist)
 
     # ------------------------------------------------------------------
     # Range query (candidate prefilter + early termination)
@@ -423,103 +284,3 @@ class DistanceAccelerator:
             _obs_add("perf.knn.vertices_settled", settled)
             _obs_add("perf.knn.pruned_pushes", pruned)
         return results
-
-    # ------------------------------------------------------------------
-    # k-medoids swap screening
-    # ------------------------------------------------------------------
-    def screen_swap(
-        self,
-        points,
-        assignment: dict[int, int],
-        distance: dict[int, float],
-        old_id: int,
-        new_medoid: NetworkPoint,
-        cand_medoids: list[NetworkPoint],
-        current_R: float,
-    ) -> bool:
-        """True when bounds prove swapping ``old_id -> new_medoid`` cannot
-        lower ``R`` — the swap loop may skip its evaluation outright.
-
-        The lower-bounded candidate evaluation: a point keeping its medoid
-        contributes ``min(d_p, lb(p, new))`` (its distance can only change
-        by moving to the new medoid); a point orphaned by the removal
-        contributes ``min over candidate medoids of lb(p, m)``.  Both
-        never exceed the point's true candidate distance, so when the sum
-        reaches ``current_R`` the true candidate ``R`` does too, and the
-        swap would be rejected ("cand_R < R" fails).  Returns early the
-        moment the partial sum crosses the threshold (``current_R`` plus
-        a float slack that absorbs the bounds' accumulated rounding, so
-        the screen never rejects a swap the exact evaluation would have
-        accepted by an ulp).
-        """
-        self._aug.sync()
-        if self._index is None:
-            return False
-        new_vec = self.point_vector(new_medoid)
-        cand_vecs = [self.point_vector(m) for m in cand_medoids]
-        points = list(points)
-        threshold = current_R + _REL_SLACK * (
-            current_R + len(points) * self._index.scale
-        )
-        acc = 0.0
-        for p in points:
-            pid = p.point_id
-            if assignment.get(pid) == old_id:
-                pv = self.point_vector(p)
-                nearest = math.inf
-                for mv in cand_vecs:
-                    lb = vector_lower_bound(pv, mv)
-                    if lb < nearest:
-                        nearest = lb
-                        if nearest == 0.0:
-                            break
-                acc += nearest
-            else:
-                d_p = distance[pid]
-                lb = vector_lower_bound(self.point_vector(p), new_vec)
-                acc += d_p if d_p <= lb else lb
-            if acc >= threshold:
-                return True
-        return acc >= threshold
-
-    # ------------------------------------------------------------------
-    # eps-Link isolation prefilter
-    # ------------------------------------------------------------------
-    def isolated_points(self, eps: float) -> frozenset[int]:
-        """Objects provably farther than ``eps`` from every other object.
-
-        For each landmark, sort the objects by their coordinate; the gap
-        to the nearest coordinate lower-bounds the distance to the
-        nearest *reachable* object (unreachable ones are infinitely far
-        anyway), so ``max over landmarks of the gap > eps`` proves
-        isolation.  An ε-Link expansion from such a seed would return
-        just the seed; the sweep can skip it.
-        """
-        self._aug.sync()
-        if self._index is None:
-            return frozenset()
-        # The float slack makes "farther than eps" strict: a gap within
-        # rounding distance of eps does not count as isolation.
-        threshold = eps + _REL_SLACK * (eps + self._index.scale)
-        vecs = {p.point_id: self.point_vector(p) for p in self._aug.points}
-        best_gap = dict.fromkeys(vecs, 0.0)
-        for axis in range(len(self._index)):
-            finite = sorted(
-                (vec[axis], pid)
-                for pid, vec in vecs.items()
-                if not math.isinf(vec[axis])
-            )
-            for i, (value, pid) in enumerate(finite):
-                gap = math.inf
-                if i > 0:
-                    gap = value - finite[i - 1][0]
-                if i + 1 < len(finite):
-                    gap = min(gap, finite[i + 1][0] - value)
-                if gap > best_gap[pid]:
-                    best_gap[pid] = gap
-        isolated = frozenset(
-            pid for pid, gap in best_gap.items() if gap > threshold
-        )
-        if _OBS.enabled and isolated:
-            _obs_add("perf.epslink.isolated", len(isolated))
-        return isolated

@@ -1,12 +1,12 @@
 """A thread-safe, bounded, memoizing distance cache.
 
 One :class:`DistanceCache` can be shared by every consumer that memoizes
-something derived from a point set: the accelerated point-to-point searches
-(pair-distance entries), the k-medoids swap loop across restarts, and the
-:class:`~repro.serve.QueryService` workers (whole query results for warm
-repeated-query throughput).  Keys are arbitrary hashable tuples whose first
-element names the entry kind (``("p2p", 3, 17)``, ``("range", 4, 0.5,
-True)``), so heterogeneous entries share one memory budget.
+something derived from a point set — chiefly the
+:class:`~repro.serve.QueryService` workers, whose accelerators memoize
+whole range and kNN results for warm repeated-query throughput.  Keys are
+arbitrary hashable tuples whose first element names the entry kind
+(``("range", 4, 0.5, True)``, ``("knn", 4, 10, False)``), so
+heterogeneous entries share one memory budget.
 
 Capacity is given in **megabytes** and converted to an entry count using a
 documented per-entry estimate (:data:`ENTRY_BYTES` — key tuple + float +
@@ -20,9 +20,8 @@ Invalidation is **not** automatic here — the cache has no idea which point
 set its entries were derived from.  The
 :class:`~repro.perf.DistanceAccelerator` registers a hook with
 :meth:`repro.network.AugmentedView.add_invalidation_hook` on construction
-that calls :meth:`invalidate_region` for the objects an insert or a remove
-names and :meth:`clear` otherwise, making ``AugmentedView.invalidate`` the
-single notification point after a mutation.
+that calls :meth:`clear` on any change, making ``AugmentedView.invalidate``
+the single notification point after a mutation.
 
 Counters (local, always on, plus ``perf.cache.*`` obs counters when
 :mod:`repro.obs` is enabled): ``hits``, ``misses``, ``evictions``,
@@ -126,42 +125,6 @@ class DistanceCache:
                 _obs_add("perf.cache.invalidations")
                 if dropped:
                     _obs_add("perf.cache.invalidated_entries", dropped)
-
-    def invalidate_region(self, point_ids) -> int:
-        """Drop only what a localized point mutation can have changed.
-
-        Point insertions/removals never alter the network distance
-        between two *surviving* points (objects do not carry weight in
-        the augmented view), so a pair-distance entry stays valid unless
-        one of its endpoints is in ``point_ids``.  Every other entry kind
-        — range and kNN result sets, or anything this cache does not
-        recognise — is dropped conservatively: a result set can gain or
-        lose a member for any anchor, and the cached ε values are not
-        recoverable from the key alone.  Returns the number of entries
-        dropped.  Edge reweighs must use :meth:`clear` instead — they
-        change distances globally.
-        """
-        affected = frozenset(point_ids)
-        with self._lock:
-            doomed = []
-            for key in self._data:
-                if (
-                    isinstance(key, tuple)
-                    and len(key) == 3
-                    and key[0] == "p2p"
-                    and key[1] not in affected
-                    and key[2] not in affected
-                ):
-                    continue
-                doomed.append(key)
-            for key in doomed:
-                del self._data[key]
-            self.invalidations += 1
-            if _OBS.enabled:
-                _obs_add("perf.cache.region_invalidations")
-                if doomed:
-                    _obs_add("perf.cache.invalidated_entries", len(doomed))
-            return len(doomed)
 
     def hit_ratio(self) -> float | None:
         """Hits / (hits + misses) over the cache's lifetime, or ``None``

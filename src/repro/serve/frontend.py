@@ -101,9 +101,7 @@ def accelerator(aug, index, cache):
         return None
     from repro.perf import DistanceAccelerator
 
-    return DistanceAccelerator(
-        aug, landmarks=0, cache_mb=0.0, index=index, cache=cache
-    )
+    return DistanceAccelerator(aug, index=index, cache=cache)
 
 
 def degrade_on_reweigh(index, index_path: str | None, network,
@@ -458,9 +456,12 @@ class ServeFrontEnd:
             self._cancel_queued()
         joined = self._stop_executor(timeout_s)
         # Gauges close over this service's queue and workers; left
-        # registered, a later stats read would sample a dead pool.
+        # registered, a later stats read would sample a dead pool.  Kept
+        # in ``_gauges``, their callables would tie the closed service
+        # into a reference cycle that only a cyclic GC pass frees.
         for gauge in self._gauges:
             _METRICS.unregister_gauge(gauge.name, owner=gauge)
+        self._gauges.clear()
         return joined
 
     def _cancel_queued(self) -> int:

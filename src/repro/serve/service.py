@@ -75,20 +75,17 @@ def _field(request: dict, key: str, conv: Callable):
         raise ParameterError(f"field {key!r}: {exc}") from None
 
 
-def build_algorithm(spec: dict, network, points, *, budget=None,
-                    accelerator=None, backend=None):
+def build_algorithm(spec: dict, network, points, *, budget=None, backend=None):
     """A clustering algorithm from a ``cluster`` request's parameters.
 
     The one factory behind the CLI's ``--algorithm`` flags and the wire's
     ``cluster`` op, with the same defaults.  ``budget`` and ``backend``
-    go to every algorithm, ``accelerator`` to k-medoids and ε-Link, the
-    two that consume one.  Raises :class:`ParameterError` (wire name
+    go to every algorithm.  Raises :class:`ParameterError` (wire name
     ``BadRequest``) on unknown names, missing required parameters, or
     unconvertible parameter values.
     """
     try:
-        return _build_algorithm(spec, network, points, accelerator,
-                                budget=budget, backend=backend)
+        return _build_algorithm(spec, network, points, budget=budget, backend=backend)
     except ParameterError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -97,7 +94,7 @@ def build_algorithm(spec: dict, network, points, *, budget=None,
         raise ParameterError(f"cluster request: {exc}") from None
 
 
-def _build_algorithm(spec: dict, network, points, accelerator, **common):
+def _build_algorithm(spec: dict, network, points, **common):
     from repro.core import (
         EpsLink,
         NetworkDBSCAN,
@@ -113,13 +110,11 @@ def _build_algorithm(spec: dict, network, points, accelerator, **common):
         return NetworkKMedoids(
             network, points, k=int(spec.get("k", 10)),
             seed=int(spec.get("seed", 0)),
-            n_restarts=int(spec.get("restarts", 1)),
-            accelerator=accelerator, **common,
+            n_restarts=int(spec.get("restarts", 1)), **common,
         )
     if name == "eps-link":
         return EpsLink(network, points, eps=float(spec["eps"]),
-                       min_sup=int(spec.get("min_pts", 2)),
-                       accelerator=accelerator, **common)
+                       min_sup=int(spec.get("min_pts", 2)), **common)
     if name == "dbscan":
         return NetworkDBSCAN(network, points, eps=float(spec["eps"]),
                              min_pts=int(spec.get("min_pts", 2)), **common)

@@ -42,6 +42,7 @@ from repro.network.graph import SpatialNetwork
 from repro.network.interface import NetworkBackend
 from repro.network.queries import knn_query, range_query
 from repro.perf.accel import DistanceAccelerator
+from repro.perf.landmarks import LandmarkIndex
 from tests.conftest import (
     make_grid_network,
     make_random_connected_network,
@@ -263,20 +264,16 @@ class TestQueryBitIdentity:
         )
         _identical(knn_query(aug_dict, query, k), knn_query(aug_csr, query, k))
         for lm in (0, 4):
-            oracle = DistanceAccelerator(aug_dict, landmarks=lm, cache_mb=0.0)
-            accel = DistanceAccelerator(aug_csr, landmarks=lm, cache_mb=0.0)
+            oracle = DistanceAccelerator(
+                aug_dict, index=LandmarkIndex(aug_dict.network, lm)
+            )
+            accel = DistanceAccelerator(
+                aug_csr, index=LandmarkIndex(aug_csr.network, lm)
+            )
             _identical(
                 oracle.range_query(query, eps), accel.range_query(query, eps)
             )
             _identical(oracle.knn_query(query, k), accel.knn_query(query, k))
-            other = pts[rng.randrange(len(pts))]
-            try:
-                expected = oracle.point_distance(query, other)
-            except UnreachableError:
-                with pytest.raises(UnreachableError):
-                    accel.point_distance(query, other)
-            else:
-                assert accel.point_distance(query, other) == expected
 
 
 # ----------------------------------------------------------------------

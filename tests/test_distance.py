@@ -28,7 +28,6 @@ from repro.network.distance import (
 from repro.network.graph import SpatialNetwork
 from repro.network.points import PointSet
 from repro.network.transform import object_graph
-from repro.perf import DistanceAccelerator
 
 from tests.conftest import make_random_connected_network, scatter_points
 
@@ -151,25 +150,18 @@ class TestGuarded:
 
 @pytest.fixture(scope="module")
 def routed_searches():
-    """The three searches that run ``single_source`` over the augmented
-    view: landmark-pruned p2p, the distance matrix and the object graph."""
+    """The two searches that run ``single_source`` over the augmented
+    view: the distance matrix and the object graph."""
     rng = random.Random(23)
     net = make_random_connected_network(rng, 40, extra_edges=20)
     points = scatter_points(rng, net, 25)
-    aug = AugmentedView(net, points)
-    # Built before any budget is active: the landmark tables are not
-    # part of the searches under test.
-    accel = DistanceAccelerator(aug, landmarks=4, cache_mb=0.0)
-    p = points.get(0)
-    q = max(points, key=lambda o: network_distance(aug, p, o))
     return {
-        "p2p": lambda: accel.point_distance(p, q),
         "matrix": lambda: DistanceMatrix.from_points(net, points).values.tobytes(),
         "object_graph": lambda: object_graph(net, points),
     }
 
 
-@pytest.mark.parametrize("search", ["p2p", "matrix", "object_graph"])
+@pytest.mark.parametrize("search", ["matrix", "object_graph"])
 class TestRoutedThroughSingleSource:
     """Budgets, the ``dijkstra.settle`` fault site and the ``dijkstra.*``
     counters reach every search folded into :func:`single_source`."""
@@ -205,8 +197,6 @@ class TestRoutedThroughSingleSource:
         assert counted == plain
         assert counters["dijkstra.nodes_settled"] == budget.expansions > 1
         assert counters["dijkstra.edges_relaxed"] == budget.distance_computations
-        if search == "p2p":
-            assert counters["perf.p2p.vertices_settled"] == budget.expansions
 
 
 # ---------------------------------------------------------------------------

@@ -125,11 +125,9 @@ class TestRoundTrip:
         aug = AugmentedView(net, pts)
         idx = load_index(index_path, net)
         try:
-            persisted = DistanceAccelerator(
-                aug, landmarks=0, cache_mb=0.0, index=idx
-            )
+            persisted = DistanceAccelerator(aug, index=idx)
             built = DistanceAccelerator(
-                AugmentedView(net, pts), landmarks=LANDMARKS, cache_mb=0.0
+                AugmentedView(net, pts), index=LandmarkIndex(net, LANDMARKS)
             )
             for p in list(pts)[::4]:
                 for eps in (1.0, 5.0):

@@ -25,11 +25,10 @@ from repro.exceptions import (
 from repro.live import LiveSession, WriteAheadLog
 from repro.live.mutate import validate_mutation
 from repro.network.augmented import AugmentedView, point_vertex
-from repro.network.distance import network_distance
 from repro.network.graph import SpatialNetwork
 from repro.network.points import PointSet
 from repro.network.queries import knn_query, range_query
-from repro.perf import DistanceAccelerator, DistanceCache
+from repro.perf import DistanceAccelerator, DistanceCache, LandmarkIndex
 from repro.serve import LIVE_OPS, QueryService
 
 
@@ -296,26 +295,38 @@ class TestLiveSession:
 
 
 # ----------------------------------------------------------------------
-# Precise staleness: per-region cache invalidation, reweigh degrade
+# Precise staleness: per-object point vectors, reweigh degrade
 # ----------------------------------------------------------------------
 class TestPreciseInvalidation:
     def attach_cache(self, session) -> DistanceCache:
         aug = AugmentedView(session.network, session.points)
         cache = DistanceCache(1.0)
-        DistanceAccelerator(aug, landmarks=0, cache_mb=0.0, cache=cache)
+        DistanceAccelerator(aug, cache=cache)
         session.attach(aug)
         return cache
+
+    def attach_accelerator(self, session, ids) -> DistanceAccelerator:
+        """An attached accelerator with the point vectors of ``ids`` warm."""
+        aug = AugmentedView(session.network, session.points)
+        accel = DistanceAccelerator(aug, index=LandmarkIndex(session.network, 2))
+        session.attach(aug)
+        for pid in ids:
+            accel.point_vector(session.points.get(pid))
+        return accel
 
     def test_point_mutation_keeps_unaffected_pairs(self, tmp_path):
         session = make_session(tmp_path)
         a = session.mutate(insert(1, 2, 1.0))["point_id"]
         b = session.mutate(insert(2, 3, 1.0))["point_id"]
-        cache = self.attach_cache(session)
-        cache.put(("p2p", a, b), 10.0)
-        # A third point appears elsewhere: the (a, b) distance is provably
-        # unchanged and must survive the invalidation.
+        accel = self.attach_accelerator(session, (a, b))
+        # A third point appears elsewhere: the landmark vectors of a and b
+        # are provably unchanged and must survive the invalidation.
         session.mutate(insert(3, 4, 1.0))
-        assert cache.get(("p2p", a, b)) == 10.0
+        assert set(accel._point_vectors) == {a, b}
+        for pid in (a, b):
+            assert accel._point_vectors[pid] == accel.index.point_vector(
+                session.points.get(pid)
+            )
         session.close()
 
     def test_removal_drops_touching_pairs(self, tmp_path):
@@ -323,12 +334,9 @@ class TestPreciseInvalidation:
         a = session.mutate(insert(1, 2, 1.0))["point_id"]
         b = session.mutate(insert(2, 3, 1.0))["point_id"]
         c = session.mutate(insert(3, 4, 1.0))["point_id"]
-        cache = self.attach_cache(session)
-        cache.put(("p2p", a, b), 10.0)
-        cache.put(("p2p", b, c), 11.0)
+        accel = self.attach_accelerator(session, (a, b, c))
         session.mutate({"kind": "remove_point", "point_id": c})
-        assert cache.get(("p2p", a, b)) == 10.0
-        assert cache.get(("p2p", b, c)) is None
+        assert set(accel._point_vectors) == {a, b}
         session.close()
 
     def test_result_set_entries_dropped_conservatively(self, tmp_path):
@@ -346,9 +354,9 @@ class TestPreciseInvalidation:
         a = session.mutate(insert(1, 2, 1.0))["point_id"]
         b = session.mutate(insert(2, 3, 1.0))["point_id"]
         cache = self.attach_cache(session)
-        cache.put(("p2p", a, b), 10.0)
+        cache.put(("knn", a, b, False), [(b, 10.0)])
         session.mutate({"kind": "reweigh_edge", "u": 3, "v": 4, "weight": 9.0})
-        assert cache.get(("p2p", a, b)) is None
+        assert cache.get(("knn", a, b, False)) is None
         session.close()
 
     def test_reweigh_hooks_fire_only_on_reweigh(self, tmp_path):
@@ -435,10 +443,10 @@ BRIDGED = (1.0, 3.5, 6.0)
 class TestMutationInvalidation:
     """Each apply invalidates the attached view with exactly what
     changed: the inserted or removed object, or ``(None, True)`` for a
-    reweigh.  Everything the accelerator keeps is still exact (the
-    contract in ``DistanceCache.invalidate_region``'s docstring): an
-    insert keeps every cached pair, a remove drops only the removed
-    object's, and a reweigh drops the landmark index and every memo."""
+    reweigh.  Everything the accelerator keeps is still exact: an insert
+    keeps every point vector, a remove drops only the removed object's,
+    both clear the cached results (any of them can gain or lose the
+    object), and a reweigh drops the landmark index and every memo."""
 
     @pytest.mark.parametrize("kind", [
         "insert-joins", "remove-split", "remove-no-split", "reweigh",
@@ -454,7 +462,9 @@ class TestMutationInvalidation:
         ids += [session.mutate(insert(u, v, 4.0))["point_id"]
                 for u, v in ((3, 4), (1, 4))]
         aug = AugmentedView(session.network, session.points)
-        accel = DistanceAccelerator(aug, landmarks=2, cache_mb=1.0)
+        accel = DistanceAccelerator(
+            aug, index=LandmarkIndex(session.network, 2), cache=DistanceCache(1.0)
+        )
         seen: list = []
         aug.add_invalidation_hook(
             lambda point_ids, reweigh: seen.append((point_ids, reweigh))
@@ -462,9 +472,10 @@ class TestMutationInvalidation:
         session.attach(aug)
         points = [session.points.get(pid) for pid in ids]
         for p in points:
-            for q in points:
-                accel.point_distance(p, q)
-                accel.lower_bound(p, q)
+            accel.range_query(p, 3.0)
+            accel.knn_query(p, 3)
+        assert set(accel._point_vectors) == set(ids)
+        assert len(accel.cache) == 2 * len(ids)
         clusters = session.live.num_clusters
 
         gone = None
@@ -485,36 +496,24 @@ class TestMutationInvalidation:
             )
 
         cold = AugmentedView(session.network, session.points)
-        entries = [
-            (key, value) for key, value in accel.cache._data.items()
-            if key[0] == "p2p"
-        ]
+        assert len(accel.cache) == 0
+        survivors = [pid for pid in ids if pid != gone]
         if kind == "reweigh":
             assert accel.index is None
-            assert entries == [] and accel._point_vectors == {}
-            # Objects on the reweighed edge were re-placed.
-            points = [session.points.get(pid) for pid in ids]
-            for p in points:
-                assert accel.range_query(p, 3.0) == range_query(cold, p, 3.0)
-                assert accel.knn_query(p, 3) == knn_query(cold, p, 3)
-                for q in points:
-                    assert accel.point_distance(p, q) == (
-                        0.0 if p is q else network_distance(cold, p, q)
-                    )
-            session.close()
-            return
-        survivors = [pid for pid in ids if pid != gone]
-        assert accel.index is not None
-        assert len(entries) == len(survivors) * (len(survivors) - 1)
-        for (_, a, b), value in entries:
-            assert a in survivors and b in survivors
-            assert value == network_distance(
-                cold, session.points.get(a), session.points.get(b)
-            )
-        vectors = accel._point_vectors
-        assert set(vectors) == set(survivors)
-        for pid, vector in vectors.items():
-            assert vector == accel.index.point_vector(session.points.get(pid))
+            assert accel._point_vectors == {}
+        else:
+            assert accel.index is not None
+            vectors = accel._point_vectors
+            assert set(vectors) == set(survivors)
+            for pid, vector in vectors.items():
+                assert vector == accel.index.point_vector(
+                    session.points.get(pid)
+                )
+        # Objects on a reweighed edge were re-placed.
+        for pid in survivors:
+            p = session.points.get(pid)
+            assert accel.range_query(p, 3.0) == range_query(cold, p, 3.0)
+            assert accel.knn_query(p, 3) == knn_query(cold, p, 3)
         session.close()
 
 

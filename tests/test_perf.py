@@ -1,9 +1,8 @@
 """Tests for the distance-acceleration layer (repro.perf).
 
 The headline property, asserted from every angle hypothesis can reach:
-**accelerated == unaccelerated, bit for bit** — point-to-point distances,
-range queries, kNN queries, full k-medoids and ε-Link runs — across
-landmark counts, cache sizes, disconnected components, and networks
+**accelerated == unaccelerated, bit for bit** — range and kNN queries —
+across landmark counts, cache sizes, disconnected components, and networks
 without coordinates.
 """
 
@@ -17,12 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
-from repro.exceptions import UnreachableError
 from repro.faults import FaultRule, OpBudget, plan
-from repro.core import EpsLink, EpsLinkEdgewise, NetworkKMedoids
 from repro.network.augmented import AugmentedView
 from repro.network.dijkstra import single_source
-from repro.network.distance import network_distance
 from repro.network.graph import SpatialNetwork
 from repro.network.points import PointSet
 from repro.network.queries import knn_query, range_query
@@ -30,7 +26,6 @@ from repro.perf import (
     DistanceAccelerator,
     DistanceCache,
     LandmarkIndex,
-    unaccelerated_point_distance,
     vector_lower_bound,
     vector_upper_bound,
 )
@@ -49,7 +44,9 @@ CACHE_MBS = [0.0, 0.5]
 def _accelerators(aug):
     """One accelerator per (landmarks, cache) combination under test."""
     return [
-        DistanceAccelerator(aug, landmarks=lm, cache_mb=mb)
+        DistanceAccelerator(
+            aug, index=LandmarkIndex(aug.network, lm), cache=DistanceCache(mb)
+        )
         for lm in LANDMARK_COUNTS
         for mb in CACHE_MBS
     ]
@@ -189,30 +186,6 @@ class TestVectorBounds:
 
 
 @settings(max_examples=50, deadline=None)
-@given(clustering_instance(max_points=10))
-def test_point_distance_bit_identical(instance):
-    net, points, _seed = instance
-    aug = AugmentedView(net, points)
-    pts = list(points)
-    for accel in _accelerators(aug):
-        for p in pts:
-            for q in pts:
-                try:
-                    expected = network_distance(aug, p, q)
-                except UnreachableError:
-                    expected = None
-                if expected is None:
-                    with pytest.raises(UnreachableError):
-                        accel.point_distance(p, q)
-                    # The cached unreachable verdict raises as well.
-                    with pytest.raises(UnreachableError):
-                        accel.point_distance(p, q)
-                else:
-                    assert accel.point_distance(p, q) == expected
-                    assert accel.point_distance(p, q) == expected
-
-
-@settings(max_examples=50, deadline=None)
 @given(
     clustering_instance(max_points=10),
     st.floats(min_value=0.0, max_value=30.0),
@@ -263,7 +236,7 @@ def test_guarded_search_charges_what_it_reports(kind, landmarks):
     net = make_random_connected_network(random.Random(5), 40, extra_edges=20)
     points = scatter_points(random.Random(6), net, 60)
     aug = AugmentedView(net, points)
-    accel = DistanceAccelerator(aug, landmarks=landmarks, cache_mb=0.0)
+    accel = DistanceAccelerator(aug, index=LandmarkIndex(net, landmarks))
     query = next(iter(points))
     search = {
         "range": lambda: accel.range_query(query, 6.0),
@@ -288,41 +261,6 @@ def test_guarded_search_charges_what_it_reports(kind, landmarks):
     assert rule.fired == 0
 
 
-@settings(max_examples=25, deadline=None)
-@given(clustering_instance(min_points=3, max_points=10), st.integers(0, 2**31))
-def test_kmedoids_bit_identical(instance, algo_seed):
-    net, points, _seed = instance
-    k = min(3, len(points))
-    plain = NetworkKMedoids(net, points, k=k, seed=algo_seed, n_restarts=2).run()
-    for lm in (1, 4):
-        accel = DistanceAccelerator(
-            AugmentedView(net, points), landmarks=lm, cache_mb=0.5
-        )
-        fast = NetworkKMedoids(
-            net, points, k=k, seed=algo_seed, n_restarts=2, accelerator=accel
-        ).run()
-        assert fast.assignment == plain.assignment
-        assert fast.stats["medoids"] == plain.stats["medoids"]
-        assert fast.stats["R"] == plain.stats["R"]
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    clustering_instance(max_points=10),
-    st.floats(min_value=0.05, max_value=15.0),
-)
-def test_epslink_bit_identical(instance, eps):
-    net, points, _seed = instance
-    for cls in (EpsLink, EpsLinkEdgewise):
-        plain = cls(net, points, eps=eps).run()
-        for lm in (1, 4):
-            accel = DistanceAccelerator(
-                AugmentedView(net, points), landmarks=lm, cache_mb=0.0
-            )
-            fast = cls(net, points, eps=eps, accelerator=accel).run()
-            assert fast.assignment == plain.assignment
-
-
 def test_acceleration_needs_no_coordinates():
     import random
 
@@ -331,11 +269,12 @@ def test_acceleration_needs_no_coordinates():
     net = _strip_coords(coords_net)
     points = scatter_points(random.Random(10), net, 12)
     aug = AugmentedView(net, points)
-    accel = DistanceAccelerator(aug, landmarks=4, cache_mb=0.5)
-    pts = list(points)
-    for p in pts:
-        for q in pts:
-            assert accel.point_distance(p, q) == network_distance(aug, p, q)
+    accel = DistanceAccelerator(
+        aug, index=LandmarkIndex(net, 4), cache=DistanceCache(0.5)
+    )
+    for p in points:
+        for eps in (1.0, 4.0):
+            assert accel.range_query(p, eps) == range_query(aug, p, eps)
         assert accel.knn_query(p, 3) == knn_query(aug, p, 3)
 
 
@@ -347,36 +286,12 @@ def test_exact_on_grid_ties():
 
     points = scatter_points(random.Random(3), net, 15)
     aug = AugmentedView(net, points)
-    accel = DistanceAccelerator(aug, landmarks=4, cache_mb=0.0)
-    pts = list(points)
-    for p in pts:
-        for q in pts:
-            assert accel.point_distance(p, q) == network_distance(aug, p, q)
+    accel = DistanceAccelerator(aug, index=LandmarkIndex(net, 4))
+    for p in points:
         for k in (1, 5, 20):
             assert accel.knn_query(p, k) == knn_query(aug, p, k)
         for eps in (0.0, 1.0, 3.5):
             assert accel.range_query(p, eps) == range_query(aug, p, eps)
-
-
-def test_corridor_search_settles_fewer_vertices():
-    import random
-
-    rng = random.Random(21)
-    net = make_random_connected_network(rng, 60, extra_edges=40)
-    points = scatter_points(rng, net, 40)
-    aug = AugmentedView(net, points)
-    accel = DistanceAccelerator(aug, landmarks=8, cache_mb=0.0)
-    pts = list(points)
-    total_plain = total_accel = 0
-    for p in pts[:10]:
-        for q in pts[10:30]:
-            d_plain, s_plain = unaccelerated_point_distance(aug, p, q)
-            d_accel, s_accel = accel._point_distance_search(p, q)
-            assert d_accel == d_plain
-            total_plain += s_plain
-            total_accel += s_accel
-    # The acceptance bar: at least 30% fewer settled vertices.
-    assert total_accel <= 0.7 * total_plain
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +359,8 @@ class TestDistanceCache:
         def worker(base):
             try:
                 for i in range(500):
-                    cache.put(("p2p", base, i), float(i))
-                    cache.get(("p2p", base, i))
+                    cache.put(("range", base, i), float(i))
+                    cache.get(("range", base, i))
                     if i % 100 == 0:
                         cache.clear()
             except Exception as exc:  # pragma: no cover - failure path
@@ -462,8 +377,13 @@ class TestDistanceCache:
 
 
 # ---------------------------------------------------------------------------
-# Invalidation: mutation can never serve a stale distance
+# Invalidation: mutation can never serve a stale answer
 # ---------------------------------------------------------------------------
+
+
+def _distances(results):
+    """``(point_id, distance)`` pairs of a query result."""
+    return [(p.point_id, d) for p, d in results]
 
 
 class TestInvalidation:
@@ -475,20 +395,22 @@ class TestInvalidation:
         points.add(1, 2, 1.0, point_id=0)
         points.add(1, 2, 9.0, point_id=1)
         aug = AugmentedView(net, points)
-        accel = DistanceAccelerator(aug, landmarks=2, cache_mb=1.0)
+        accel = DistanceAccelerator(
+            aug, index=LandmarkIndex(net, 2), cache=DistanceCache(1.0)
+        )
         return net, points, aug, accel
 
     def test_mutation_without_explicit_invalidate(self):
         net, points, aug, accel = self._setup()
-        p0, p1 = points.get(0), points.get(1)
-        before = accel.point_distance(p0, p1)
-        assert before == 8.0
-        # A new point between them changes nothing for p2p distance, but
-        # changes the answer of a range query; more importantly the cache
-        # must notice the version bump *without* anyone calling
-        # invalidate() — the regression this guards: a cache hit skips
-        # the traversal layer whose auto-check would otherwise fire.
+        p0 = points.get(0)
+        # A new point between p0 and p1 changes the answer of a range
+        # query, and the cache must notice the version bump *without*
+        # anyone calling invalidate() — the regression this guards: a
+        # cache hit skips the traversal layer whose auto-check would
+        # otherwise fire.
         hits_before = accel.range_query(p0, 10.0)
+        assert accel.range_query(p0, 10.0) == hits_before
+        assert accel.cache.hits == 1  # the warm entry a mutation must retire
         points.add(1, 2, 5.0, point_id=2)
         hits_after = accel.range_query(p0, 10.0)
         assert hits_after == range_query(
@@ -502,12 +424,13 @@ class TestInvalidation:
         # landmark index bound to the old weights must all go.
         net, points, aug, accel = self._setup()
         p0, p5 = points.get(0), points.add(2, 3, 1.0, point_id=5)
-        assert accel.point_distance(p0, p5) == 10.0
+        assert _distances(accel.knn_query(p0, 2)) == [(1, 8.0), (5, 10.0)]
         assert [p.point_id for p, _ in accel.range_query(p0, 12.0)] == [0, 1, 5]
         net.add_edge(1, 2, 30.0)
         fresh = AugmentedView(net, points)
         assert accel.range_query(p0, 12.0) == range_query(fresh, p0, 12.0)
-        assert accel.point_distance(p0, p5) == 20.0
+        assert accel.knn_query(p0, 2) == knn_query(fresh, p0, 2)
+        assert _distances(accel.knn_query(p0, 2))[1] == (5, 20.0)
         assert accel.index is None
 
     def test_remove_invalidate(self):
@@ -519,8 +442,7 @@ class TestInvalidation:
 
     def test_explicit_invalidate_clears_cache(self):
         net, points, aug, accel = self._setup()
-        p0, p1 = points.get(0), points.get(1)
-        accel.point_distance(p0, p1)
+        accel.knn_query(points.get(0), 1)
         assert len(accel.cache) > 0
         aug.invalidate()
         assert len(accel.cache) == 0
@@ -531,16 +453,16 @@ class TestInvalidation:
         index = LandmarkIndex(net, 2)
         shared = DistanceCache(1.0)
         aug2 = AugmentedView(net, points)
-        accel2 = DistanceAccelerator(
-            aug2, landmarks=0, cache_mb=0.0, index=index, cache=shared
-        )
-        p0, p1 = points.get(0), points.get(1)
-        accel2.point_distance(p0, p1)
+        accel2 = DistanceAccelerator(aug2, index=index, cache=shared)
+        p0 = points.get(0)
+        accel2.range_query(p0, 15.0)
         assert len(shared) == 1
         points.add(2, 3, 5.0, point_id=7)
         # The other view's accelerator syncs on its next call and drops
         # the shared entries.
-        accel2.point_distance(p0, p1)
+        assert accel2.range_query(p0, 15.0) == range_query(
+            AugmentedView(net, points), p0, 15.0
+        )
         assert shared.invalidations >= 1
 
 
@@ -570,14 +492,14 @@ class TestObsCounters:
         obs.enable(fresh=True)
         try:
             aug = AugmentedView(small_network, small_points)
-            accel = DistanceAccelerator(aug, landmarks=2, cache_mb=0.0)
+            accel = DistanceAccelerator(
+                aug, index=LandmarkIndex(small_network, 2)
+            )
             pts = list(small_points)
-            accel.point_distance(pts[0], pts[1])
             accel.range_query(pts[0], 2.0)
             accel.knn_query(pts[0], 2)
             counters = obs.snapshot()["counters"]
             assert counters["perf.landmarks.built"] == 2
-            assert counters["perf.p2p.searches"] == 1
             assert counters["perf.range.queries"] == 1
             assert counters["perf.knn.queries"] == 1
         finally:

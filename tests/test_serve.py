@@ -9,11 +9,13 @@ request/outcome history is deterministic.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import random
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -285,6 +287,22 @@ class TestQueryService:
         assert svc.close()
         with pytest.raises(RuntimeError):
             svc.submit({"op": "range", "point_id": 0, "eps": 1.0})
+
+    def test_closed_service_freed_without_cyclic_gc(self, workload):
+        # close() must leave no reference cycle through the service's
+        # gauges: with the cyclic collector off, dropping the last
+        # reference frees it at once.
+        net, pts = workload
+        gc.disable()
+        try:
+            svc = QueryService(net, pts, workers=1)
+            assert svc.call({"op": "knn", "point_id": 0, "k": 3})
+            assert svc.close()
+            ref = weakref.ref(svc)
+            del svc
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_graceful_drain_finishes_queued_work(self, workload):
         net, pts = workload

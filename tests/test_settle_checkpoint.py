@@ -26,7 +26,7 @@ from repro.network.astar import node_distance_astar, point_distance_astar
 from repro.network.augmented import AugmentedView, point_vertex
 from repro.network.dijkstra import multi_source, single_source
 from repro.network.queries import knn_query, range_query
-from repro.perf import DistanceAccelerator
+from repro.perf import DistanceAccelerator, LandmarkIndex
 from repro.resilience import Deadline, TickingClock
 from repro.resilience.deadline import STATE
 
@@ -72,7 +72,7 @@ def _last(pts):
 
 
 def _accelerated(net, pts, op):
-    accel = DistanceAccelerator(AugmentedView(net, pts), landmarks=4, cache_mb=0)
+    accel = DistanceAccelerator(AugmentedView(net, pts), index=LandmarkIndex(net, 4))
     if op == "range":
         return lambda: accel.range_query(_first(pts), 3 * EPS)
     return lambda: accel.knn_query(_first(pts), 10)
