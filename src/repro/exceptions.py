@@ -412,6 +412,9 @@ class IndexStaleError(StorageError):
     being loaded against, or it was written by a different ``RLIX`` format
     version.  Serving its bounds could silently return wrong query
     results, so the load is refused; rebuild with ``repro index build``.
+    :meth:`repro.perf.DistanceAccelerator.point_vector` raises it too,
+    when the accelerator has no index left to answer from (a reweigh
+    dropped it, or none was given).
     """
 
 

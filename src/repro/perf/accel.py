@@ -60,6 +60,7 @@ from __future__ import annotations
 import heapq
 import math
 
+from repro.exceptions import IndexStaleError
 from repro.network.augmented import AugmentedView
 from repro.network.points import NetworkPoint
 from repro.network.queries import _search, knn_query, range_query
@@ -171,7 +172,24 @@ class DistanceAccelerator:
         return self._cache
 
     def point_vector(self, point: NetworkPoint) -> tuple[float, ...]:
-        """Memoized landmark coordinate vector of an object."""
+        """Memoized landmark coordinate vector of an object.
+
+        Runs the view's sync first, like every public method, so it never
+        answers from a world that has moved.  Raises
+        :class:`~repro.exceptions.IndexStaleError` when there is no index
+        to answer from: none was given, or a reweigh dropped it.
+        """
+        self._aug.sync()
+        if self._index is None:
+            raise IndexStaleError(
+                "no landmark index: none was given, or a reweigh dropped it"
+            )
+        return self._vector(point)
+
+    def _vector(self, point: NetworkPoint) -> tuple[float, ...]:
+        """The memo lookup behind :meth:`point_vector`, with no sync: the
+        prefilter scans call it once per object, after their query's one
+        sync, with the index present."""
         vec = self._point_vectors.get(point.point_id)
         if vec is None:
             vec = self._index.point_vector(point)
@@ -210,7 +228,7 @@ class DistanceAccelerator:
         self, query: NetworkPoint, eps: float, include_query: bool
     ) -> list[tuple[NetworkPoint, float]]:
         aug = self._aug
-        qvec = self.point_vector(query)
+        qvec = self._vector(query)
         # Only candidates can lie within eps (the bound never
         # overestimates, and the slack absorbs its float rounding); once
         # all of them are settled the expansion is done, even though the
@@ -219,7 +237,7 @@ class DistanceAccelerator:
         candidates = {
             p.point_id
             for p in aug.points
-            if vector_lower_bound(qvec, self.point_vector(p)) <= cutoff
+            if vector_lower_bound(qvec, self._vector(p)) <= cutoff
         }
         n_candidates = len(candidates)
         results, settled, _ = _search(
@@ -263,12 +281,12 @@ class DistanceAccelerator:
         self, query: NetworkPoint, k: int, include_query: bool
     ) -> list[tuple[NetworkPoint, float]]:
         aug = self._aug
-        qvec = self.point_vector(query)
+        qvec = self._vector(query)
         # The k-th smallest upper bound caps the k-th neighbour's true
         # distance: pushes beyond it (plus float slack) can never
         # contribute a result, nor sit on a shortest path to one.
         ubs = [
-            vector_upper_bound(qvec, self.point_vector(p))
+            vector_upper_bound(qvec, self._vector(p))
             for p in aug.points
             if include_query or p.point_id != query.point_id
         ]

@@ -24,11 +24,15 @@ Propagation
 -----------
 The *active* deadline is tracked in a :mod:`contextvars` ``ContextVar``, so
 it flows naturally into nested calls (clustering -> range query ->
-Dijkstra -> pager) and is isolated per thread: each worker of
-:class:`repro.serve.QueryService` activates its request's deadline without
-seeing its neighbours'.  Cooperative checkpoints observe whichever deadline
-is active in their context — traversal code never threads deadline
-arguments through its signatures.
+Dijkstra -> pager) and is isolated per thread: each thread of
+:class:`repro.serve.QueryService` activates its timed request's deadline
+without seeing its neighbours'.  Cooperative checkpoints observe whichever
+deadline is active in their context — traversal code never threads
+deadline arguments through its signatures.  The serve tiers build and
+activate a deadline only for a request that has an expiry (its own
+``timeout_ms`` or the service default): an untimed request, which nothing
+could cancel, runs with no deadline active, so while no timed work runs
+anywhere in the process its traversals take the disarmed path.
 
 Interrupts compose with checkpoint/resume: a timed-out clustering run
 leaves its periodic snapshot in place (the interrupt is raised *between*
@@ -78,6 +82,10 @@ STATE = ResilienceState()
 
 _ENGAGE_LOCK = threading.Lock()
 
+# Serializes every token's first cancel; cancels are rare, so one lock
+# for all tokens costs nothing and keeps a token as cheap as two slots.
+_CANCEL_LOCK = threading.Lock()
+
 _ACTIVE: contextvars.ContextVar[Deadline | None] = contextvars.ContextVar(
     "repro_resilience_deadline", default=None
 )
@@ -87,34 +95,32 @@ class CancelToken:
     """A thread-safe, one-shot cancellation flag.
 
     The first :meth:`cancel` wins and records its ``reason``; later calls
-    are no-ops.  Checking is a single ``Event.is_set`` — cheap enough for
-    traversal inner loops.
+    are no-ops.  Checking is a single attribute read of ``cancelled`` —
+    cheap enough for traversal inner loops.  Nothing ever waits on a
+    token, so it holds a plain flag rather than a ``threading.Event``.
     """
 
-    __slots__ = ("_event", "reason")
+    __slots__ = ("cancelled", "reason")
 
     def __init__(self) -> None:
-        self._event = threading.Event()
+        self.cancelled = False
         self.reason: str | None = None
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.is_set()
 
     def cancel(self, reason: str = "cancelled") -> bool:
         """Trip the token.  Returns True iff this call did the tripping."""
-        if self._event.is_set():
-            return False
-        # Publish the reason before the flag so a concurrent reader that
-        # sees ``cancelled`` also sees a reason.
-        self.reason = reason
-        self._event.set()
-        return True
+        with _CANCEL_LOCK:
+            if self.cancelled:
+                return False
+            # Publish the reason before the flag so a concurrent reader
+            # that sees ``cancelled`` also sees a reason.
+            self.reason = reason
+            self.cancelled = True
+            return True
 
     def raise_if_cancelled(
         self, site: str = "", partial: object | None = None
     ) -> None:
-        if self._event.is_set():
+        if self.cancelled:
             _obs_add("resilience.cancelled")
             raise Cancelled(self.reason or "cancelled", site=site, partial=partial)
 
@@ -183,7 +189,7 @@ class Deadline:
         """
         self.checks += 1
         token = self.token
-        if token._event.is_set():
+        if token.cancelled:
             _obs_add("resilience.cancelled")
             raise Cancelled(
                 token.reason or "cancelled", site=site, partial=partial

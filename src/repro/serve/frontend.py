@@ -1,10 +1,11 @@
 """The serve front end both tiers share, and their shared set-up policies.
 
 :class:`ServeFrontEnd` owns what a request meets whichever tier answers
-it: deadline stamping at admission, ``timeout_ms`` parsing, the refusal
-of live ops without a session, bounded admission and shedding, the one
-``subscribe_epoch`` waiter, outcome counting (:func:`settle`), the
-``serve.*`` histograms and gauges, the base ``stats`` document, and close.
+it: deadline stamping at admission (only for a request that has an
+expiry), ``timeout_ms`` parsing, the refusal of live ops without a
+session, bounded admission and shedding, the one ``subscribe_epoch``
+waiter, outcome counting (:func:`settle`), the ``serve.*`` histograms
+and gauges, the base ``stats`` document, and close.
 Its two subclasses are executors: :class:`~repro.serve.QueryService`
 runs admitted work on threads in this process,
 :class:`~repro.serve.SupervisedPool` on supervised worker processes.
@@ -231,9 +232,10 @@ class RequestFuture(Future):
 
 
 class Admitted:
-    """One admitted request.  ``admitted_at`` is None with observability
-    off; ``retried`` / ``seq`` / ``dispatched_at`` are the supervised
-    pool's dispatch bookkeeping."""
+    """One admitted request.  ``deadline`` is None for a request with no
+    expiry, ``admitted_at`` None with observability off; ``retried`` /
+    ``seq`` / ``dispatched_at`` are the supervised pool's dispatch
+    bookkeeping."""
 
     __slots__ = ("request", "deadline", "future", "admitted_at", "retried",
                  "seq", "dispatched_at")
@@ -295,8 +297,11 @@ class ServeFrontEnd:
 
     def submit(self, request: dict, timeout_s: object = UNSET) -> Future:
         """Admit a request and return its future; the deadline starts now,
-        so queue wait is part of the budget.  Refused here, uncounted: a
-        bad ``timeout_ms`` or a live op without a session
+        so queue wait is part of the budget.  A request with no expiry
+        (no ``timeout_ms`` and no ``default_timeout_s``) gets no
+        :class:`~repro.resilience.Deadline` at all: nothing could cancel
+        it, so nothing is armed on its account.  Refused here,
+        uncounted: a bad ``timeout_ms`` or a live op without a session
         (``ParameterError``), and a closed service (``RuntimeError``).  A
         full admission queue sheds with ``Overloaded``."""
         if timeout_s is UNSET:
@@ -312,8 +317,10 @@ class ServeFrontEnd:
         # One flag check: with observability off no clock is read and the
         # item carries None, so the executor skips all histogram work.
         future = RequestFuture(self)
-        item = Admitted(request, Deadline(timeout_s, clock=self._clock),
-                        future, self._clock() if _OBS.enabled else None)
+        deadline = (None if timeout_s is None
+                    else Deadline(timeout_s, clock=self._clock))
+        item = Admitted(request, deadline, future,
+                        self._clock() if _OBS.enabled else None)
         central = op == "subscribe_epoch" or op in self._inline_ops
         if not central:
             future._item = item
@@ -354,7 +361,8 @@ class ServeFrontEnd:
     def _answer_inline(self, item: Admitted) -> object:
         # A request expired on arrival does no work, exactly like one that
         # aged out in the queue: no mutation is logged or applied for it.
-        item.deadline.check("serve.dequeue")
+        if item.deadline is not None:
+            item.deadline.check("serve.dequeue")
         if item.request.get("op") == "stats":
             return self.stats_snapshot()
         return self._mutate(item.request)
@@ -368,7 +376,8 @@ class ServeFrontEnd:
         session = self.session
 
         def wait() -> dict:
-            item.deadline.check("serve.dequeue")
+            if item.deadline is not None:
+                item.deadline.check("serve.dequeue")
             from_epoch = item.request.get("from_epoch", 0)
             if isinstance(from_epoch, bool) or not isinstance(from_epoch, int):
                 raise ParameterError(

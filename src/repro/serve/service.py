@@ -10,12 +10,15 @@ cache, built once — and one thread at a time runs a request on a context.
 The thread that calls ``result()`` (or ``exception()``) on a
 still-queued request runs it itself when a context is free, which saves
 the two thread handoffs of a queued request; worker threads drain the
-requests nobody is waiting on.  Whichever thread claims a request
+requests nobody is waiting on.  Whichever thread claims a timed request
 activates its deadline for its scope, so the cooperative checkpoints
-inside the traversals enforce it, and catches every ``Exception`` it
-raises, so a poisoned request fails alone.  With a live session each
-context's view is attached to it, so every mutation reaches the
-accelerator through the view's invalidation hooks.  Requests run in this
+inside the traversals enforce it; an untimed request carries no
+deadline, so nothing is activated and, unless timed work elsewhere in
+the process engages the checkpoints, its traversals run the plain
+loops.  The thread catches every ``Exception`` a request raises, so a
+poisoned request fails alone.  With a live session each context's view
+is attached to it, so every mutation reaches the accelerator through
+the view's invalidation hooks.  Requests run in this
 process, so an installed :class:`~repro.recovery.RetryPolicy` or
 :class:`~repro.resilience.CircuitBreaker` (the ``breaker.state`` gauge)
 applies to them as is, and a request carrying ``"trace": true`` runs under
@@ -44,6 +47,7 @@ from repro.obs.core import STATE as _OBS
 from repro.obs.core import sampled as _obs_sampled
 from repro.obs.core import span as _obs_span
 from repro.resilience.breaker import installed_state_code as _breaker_state
+from repro.resilience.deadline import current as _deadline_current
 from repro.serve.frontend import (
     LIVE_OPS,
     STOP,
@@ -370,7 +374,12 @@ class QueryService(ServeFrontEnd):
         """Run ``item`` on the thread about to wait for it, when a context
         is free and no worker has taken the item yet; otherwise the
         caller just waits.  This saves the two thread handoffs of a queued
-        request, which cost more than a range or kNN query itself."""
+        request, which cost more than a range or kNN query itself.  An
+        untimed request is left to a worker thread when the caller has a
+        deadline of its own active: it activates none that would shadow
+        the caller's, and it must not run under someone else's."""
+        if item.deadline is None and _deadline_current() is not None:
+            return
         try:
             ctx = self._contexts.get_nowait()
         except queue.Empty:
@@ -396,10 +405,13 @@ class QueryService(ServeFrontEnd):
         self._inflight += 1
         try:
             deadline = item.deadline
-            with deadline.activate():
+            # An untimed request has no deadline: nothing to activate or
+            # check, so it does not engage the traversals' checkpoints.
+            with nullcontext() if deadline is None else deadline.activate():
                 # Sheds requests that aged out while queued before any
                 # work happens on their behalf.
-                deadline.check("serve.dequeue")
+                if deadline is not None:
+                    deadline.check("serve.dequeue")
                 if request.get("trace") and (_OBS.enabled or _OBS.sampling):
                     result = self._execute_traced(request, ctx)
                 else:

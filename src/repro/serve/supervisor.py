@@ -431,7 +431,7 @@ class SupervisedPool(ServeFrontEnd):
                 if slot is None:
                     # Fully degraded: nobody will ever run it.
                     failure = Overloaded(self._queue.maxsize)
-                else:
+                elif item.deadline is not None:
                     try:
                         item.deadline.check("serve.dequeue")
                     except DeadlineExceeded as exc:
@@ -452,7 +452,8 @@ class SupervisedPool(ServeFrontEnd):
                 self._resolve_error(item, failure)
                 continue
             frame = {"seq": item.seq, "request": item.request}
-            remaining = item.deadline.remaining()
+            deadline = item.deadline
+            remaining = math.inf if deadline is None else deadline.remaining()
             if math.isfinite(remaining):
                 # No key means "no limit" to the worker; ``inf`` would
                 # encode as the non-standard JSON token ``Infinity``.

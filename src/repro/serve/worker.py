@@ -22,7 +22,8 @@ restart (a fresh worker starts a fresh pipe).  ``deadline_s`` is the
 request's *remaining* budget at dispatch time — the supervisor already
 charged queue wait against it — enforced here with a local
 :class:`~repro.resilience.Deadline` on the real monotonic clock.  A
-request without a deadline carries no ``deadline_s`` key.
+request without a deadline carries no ``deadline_s`` key and runs with
+no deadline armed.
 
 When the pool serves live mutations the spec also carries ``wal`` (the
 supervisor's mutation-log path), ``epoch`` (the pool epoch at spawn
@@ -246,10 +247,14 @@ def _serve_one(doc: dict, aug, accel, session=None) -> dict:
         }
     deadline_s = doc.get("deadline_s")
     try:
-        deadline = Deadline(None if deadline_s is None else float(deadline_s))
-        with deadline.activate():
-            deadline.check("serve.worker.dispatch")
+        if deadline_s is None:
+            # Untimed: nothing can cancel it, so no deadline is armed.
             result = _run_request(request, aug, accel, session)
+        else:
+            deadline = Deadline(float(deadline_s))
+            with deadline.activate():
+                deadline.check("serve.worker.dispatch")
+                result = _run_request(request, aug, accel, session)
     except Exception as exc:
         return {
             "seq": seq,

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
+from repro.exceptions import IndexStaleError
 from repro.faults import FaultRule, OpBudget, plan
 from repro.network.augmented import AugmentedView
 from repro.network.dijkstra import single_source
@@ -204,9 +205,9 @@ def test_queries_bit_identical(instance, eps, k):
                 assert accel.knn_query(q, k, include) == knn_query(
                     aug, q, k, include
                 )
-    # Every served request runs under an active deadline, so the guarded
-    # branch of the shared range and kNN loops is the one in production:
-    # it must answer exactly as the unguarded plain search does.
+    # A timed served request runs under an active deadline, so it takes
+    # the guarded branch of the shared range and kNN loops: that branch
+    # must answer exactly as the unguarded plain search does.
     expected = {
         (q.point_id, include): (
             range_query(aug, q, eps, include), knn_query(aug, q, k, include)
@@ -432,6 +433,28 @@ class TestInvalidation:
         assert accel.knn_query(p0, 2) == knn_query(fresh, p0, 2)
         assert _distances(accel.knn_query(p0, 2))[1] == (5, 20.0)
         assert accel.index is None
+
+    def test_point_vector_syncs_before_answering(self):
+        # The public lookup must see an unannounced reweigh itself, not
+        # answer from the memo of the old weights.
+        net, points, aug, accel = self._setup()
+        p1 = points.get(1)
+        assert accel.point_vector(p1) == LandmarkIndex(net, 2).point_vector(p1)
+        net.add_edge(1, 2, 30.0)
+        with pytest.raises(IndexStaleError):
+            accel.point_vector(p1)
+        assert accel.index is None
+
+    def test_point_vector_after_the_index_was_dropped(self):
+        net, points, aug, accel = self._setup()
+        p0 = points.get(0)
+        net.add_edge(1, 2, 30.0)
+        accel.range_query(p0, 12.0)  # syncs, and drops the index
+        assert accel.index is None
+        with pytest.raises(IndexStaleError):
+            accel.point_vector(p0)
+        with pytest.raises(IndexStaleError):
+            DistanceAccelerator(aug).point_vector(p0)
 
     def test_remove_invalidate(self):
         net, points, aug, accel = self._setup()

@@ -12,6 +12,7 @@ silent choice.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import os
@@ -32,10 +33,15 @@ from repro.exceptions import (
 )
 from repro.io import load_workload_file, workload_to_dict
 from repro.network.augmented import AugmentedView
-from repro.resilience import VirtualClock
+from repro.resilience import Deadline, TickingClock, VirtualClock
+from repro.resilience import deadline as deadline_mod
 from repro.serve import QueryService, SupervisedPool
+from repro.serve import service as service_mod
+from repro.serve import worker as worker_mod
+from repro.serve.frames import read_frame, write_frame
 from repro.serve.frontend import open_live_session
-from repro.serve.worker import _build_session, _serve_one
+from repro.serve.protocol import error_name
+from repro.serve.worker import _build_session, _serve_one, worker_entry
 from tests.conftest import make_random_connected_network, scatter_points
 
 TIERS = ("threaded", "supervised")
@@ -482,3 +488,188 @@ def test_pool_degrading_under_queued_work_sheds_it(workload_path, counters):
         assert pool.close()
     seen = counters()
     assert seen["serve.submitted"] == seen["serve.errors"] == 1
+
+
+# ----------------------------------------------------------------------
+# Untimed requests run with no deadline machinery; timed ones keep it
+# ----------------------------------------------------------------------
+def _range(i=0):
+    return {"op": "range", "point_id": i, "eps": LIVE_EPS}
+
+
+def _observe_ranges(monkeypatch):
+    """Wrap the range primitive of the shared execution path; each call
+    records ``(engaged count, active deadline)`` as seen inside it."""
+    seen = []
+    plain = service_mod.range_query
+
+    def observed(*args, **kwargs):
+        seen.append((deadline_mod.STATE.engaged, deadline_mod.current()))
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(service_mod, "range_query", observed)
+    return seen
+
+
+def _expired_at(exc: BaseException) -> str:
+    """The checkpoint site of a ``DeadlineExceeded``, also when it crossed
+    a worker pipe as a wire name and message."""
+    assert error_name(exc) == "DeadlineExceeded", exc
+    if isinstance(exc, DeadlineExceeded):
+        return exc.site
+    return str(exc).split("deadline exceeded at ", 1)[1].split(":", 1)[0]
+
+
+@pytest.mark.parametrize("tier", TIERS)
+class TestUntimedRequests:
+    def test_untimed_request_runs_disarmed(self, tier, workload_path,
+                                           monkeypatch):
+        seen = _observe_ranges(monkeypatch)
+        service = open_tier(tier, workload_path)
+        try:
+            service.call(_range(0))
+            service.call({**_range(1), "timeout_ms": 60_000})
+        finally:
+            close_tier(service)
+        untimed, timed = seen
+        assert untimed == (0, None)
+        assert timed[0] == 1 and timed[1] is not None
+
+    def test_untimed_request_builds_no_deadline(self, tier, workload_path,
+                                                monkeypatch):
+        built = []
+        init = Deadline.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Deadline, "__init__", counted)
+        service = open_tier(tier, workload_path)
+        try:
+            service.call(_knn(0))
+            service.call(_range(0))
+            service.call({"op": "stats"})
+            assert built == []
+            service.call({**_knn(1), "timeout_ms": 60_000})
+            assert built  # a timed request still builds its deadline
+        finally:
+            close_tier(service)
+
+    def test_timed_request_still_checked_per_settle(self, tier, workload_path,
+                                                    monkeypatch):
+        """Each cooperative check reads the ticking clock once: the
+        ``serve.dequeue`` (threaded) or ``serve.worker.dispatch``
+        (supervised) check passes, the first settle passes, the second
+        settle is past the budget."""
+        if tier == "threaded":
+            service = open_tier(tier, workload_path,
+                                clock=TickingClock(1.0).monotonic)
+            timeout_ms = 2_500
+        else:
+            clock = TickingClock(25.0)
+            monkeypatch.setattr(
+                worker_mod, "Deadline",
+                lambda timeout_s: Deadline(timeout_s, clock=clock.monotonic),
+            )
+            service = open_tier(tier, workload_path)
+            timeout_ms = 60_000
+        try:
+            with pytest.raises(Exception) as exc_info:
+                service.call({**_knn(0), "timeout_ms": timeout_ms})
+            assert _expired_at(exc_info.value) == "queries.settle"
+            assert len(service.call(_knn(0))) == 3
+        finally:
+            close_tier(service)
+
+    def test_timed_request_aged_out_in_queue(self, tier, workload_path):
+        vc = VirtualClock()
+        gate = threading.Event()
+        service = open_tier(tier, workload_path, gate=gate,
+                            clock=vc.monotonic)
+        try:
+            busy = service.submit(_knn())
+            _wait(lambda: service._queue.empty())
+            aged = service.submit({**_knn(1), "timeout_ms": 100})
+            untimed = service.submit(_knn(2))
+            vc.advance(0.2)  # the timed one's whole budget burns queued
+            gate.set()
+            assert busy.result(10)
+            with pytest.raises(DeadlineExceeded) as exc_info:
+                aged.result(10)
+            assert exc_info.value.site == "serve.dequeue"
+            assert len(untimed.result(10)) == 3  # no budget to burn
+        finally:
+            gate.set()
+            close_tier(service)
+
+    def test_untimed_answer_same_bytes_beside_a_timed_request(
+            self, tier, workload_path):
+        """A timed request active on another thread engages the
+        checkpoints process-wide; an untimed one run meanwhile takes the
+        guarded loops with no deadline of its own and answers the same
+        bytes."""
+        requests = [op(i) for i in range(8) for op in (_knn, _range)]
+        service = open_tier(tier, workload_path)
+        active, release = threading.Event(), threading.Event()
+
+        def timed_elsewhere():
+            with Deadline(3600.0).activate():
+                active.set()
+                release.wait(30)
+
+        try:
+            alone = [json.dumps(service.call(r)) for r in requests]
+            other = threading.Thread(target=timed_elsewhere)
+            other.start()
+            try:
+                assert active.wait(10)
+                assert deadline_mod.STATE.engaged == 1
+                beside = [json.dumps(service.call(r)) for r in requests]
+            finally:
+                release.set()
+                other.join(10)
+        finally:
+            close_tier(service)
+        assert not other.is_alive()
+        assert beside == alone
+
+
+def test_untimed_request_not_run_under_the_waiters_deadline(workload_path):
+    """A waiter with an expired deadline of its own leaves an untimed
+    request to a worker thread, which runs it with no deadline; a timed
+    request still runs on the waiter, under its own deadline."""
+    service = open_tier("threaded", workload_path)
+    try:
+        expected = service.call(_knn(0))
+        with Deadline(0.0).activate():
+            assert service.call(_knn(0)) == expected
+            assert service.call({**_knn(0), "timeout_ms": 60_000}) == expected
+    finally:
+        close_tier(service)
+
+
+def test_worker_arms_only_timed_frames(workload_path, monkeypatch):
+    """The worker process's loop, in process over injected pipes: a frame
+    without ``deadline_s`` runs with no deadline armed; one with it is
+    activated, and an expired one is refused at ``serve.worker.dispatch``
+    before any work."""
+    seen = _observe_ranges(monkeypatch)
+    stdin = io.BytesIO()
+    write_frame(stdin, {"seq": 1, "request": _range(0)})
+    write_frame(stdin, {"seq": 2, "request": _range(0), "deadline_s": 60.0})
+    write_frame(stdin, {"seq": 3, "request": _range(0), "deadline_s": 0.0})
+    stdin.seek(0)
+    stdout = io.BytesIO()
+    assert worker_entry({"workload": workload_path},
+                        stdin=stdin, stdout=stdout) == 0
+    stdout.seek(0)
+    assert read_frame(stdout)["ready"]
+    untimed, timed, expired = (read_frame(stdout) for _ in range(3))
+    assert untimed["ok"] and untimed["result"] == timed["result"]
+    assert expired["error"] == "DeadlineExceeded"
+    assert "at serve.worker.dispatch:" in expired["message"]
+    assert len(seen) == 2
+    assert seen[0] == (0, None)
+    assert seen[1][0] == 1 and seen[1][1] is not None
+    assert deadline_mod.STATE.engaged == 0
