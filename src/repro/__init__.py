@@ -50,7 +50,6 @@ from repro.exceptions import (
 )
 from repro.network import (
     AugmentedView,
-    CSRNetwork,
     NetworkBackend,
     NetworkPoint,
     PointSet,
@@ -101,8 +100,10 @@ def __getattr__(name):
 
     Keeps ``import repro`` light while still allowing
     ``from repro import EpsLink`` etc. without importing everything eagerly.
+    ``CSRNetwork`` is lazy too: its module imports numpy and scipy.
     """
     lazy = {
+        "CSRNetwork": "repro.network.csr",
         "NetworkKMedoids": "repro.core",
         "EpsLink": "repro.core",
         "EpsLinkEdgewise": "repro.core",

@@ -7,6 +7,7 @@ from contextlib import ExitStack
 
 from repro.core.degrade import analyze_connectivity
 from repro.exceptions import Interrupted, ParameterError
+from repro.network.interface import resolve_backend
 from repro.network.points import PointSet
 from repro.obs.core import STATE as _OBS, span as _span
 
@@ -94,10 +95,7 @@ class NetworkClusterer:
         resume: dict | None = None,
         backend: str | None = None,
     ) -> None:
-        if backend is not None:
-            from repro.network.csr import resolve_backend
-
-            network = resolve_backend(network, backend)
+        network = resolve_backend(network, backend)
         if points.network is not network and not self._same_backend(network, points):
             raise ParameterError(
                 "the point set was built against a different network object"

@@ -4,6 +4,11 @@ shortest-path traversals, and network queries.
 This subpackage implements Section 3 of the paper (problem definitions) and
 the traversal primitives that Section 4's clustering algorithms are built
 from.
+
+:class:`~repro.network.csr.CSRNetwork` is a lazy attribute: its module
+(and with it numpy and scipy) loads on first access, or when
+:func:`resolve_backend` is asked for ``"csr"``, so importing this package
+loads neither.
 """
 
 from repro.network.augmented import AugmentedView, NODE, POINT, node_vertex, point_vertex
@@ -28,9 +33,8 @@ from repro.network.distance import (
     pairwise_point_distances,
 )
 from repro.network.astar import node_distance_astar, point_distance_astar
-from repro.network.csr import CSRNetwork, resolve_backend
 from repro.network.graph import SpatialNetwork, normalize_edge
-from repro.network.interface import NetworkBackend
+from repro.network.interface import NetworkBackend, resolve_backend
 from repro.network.knngraph import build_knn_graph, mutual_knn_edges
 from repro.network.multinet import (
     CombinedNetwork,
@@ -108,3 +112,13 @@ __all__ = [
     "toll_measure",
     "travel_time_measure",
 ]
+
+
+def __getattr__(name):
+    """Load the CSR backend, and numpy with it, on first access."""
+    if name == "CSRNetwork":
+        from repro.network.csr import CSRNetwork
+
+        globals()[name] = CSRNetwork
+        return CSRNetwork
+    raise AttributeError(f"module 'repro.network' has no attribute {name!r}")

@@ -63,6 +63,7 @@ from repro.exceptions import (
     StaleBackendError,
 )
 from repro.network.graph import normalize_edge
+from repro.network.interface import resolve_backend
 
 try:  # scipy is an optional accelerator, never a hard dependency
     from scipy.sparse import csr_matrix as _csr_matrix
@@ -72,22 +73,6 @@ except ImportError:  # pragma: no cover - exercised where scipy is absent
     _scipy_dijkstra = None
 
 __all__ = ["CSRNetwork", "resolve_backend"]
-
-
-def resolve_backend(network, backend: str | None):
-    """Materialise the requested backend over ``network``.
-
-    ``None`` / ``"dict"`` return the network unchanged (the oracle path);
-    ``"csr"`` freezes it into a :class:`CSRNetwork` (a no-op when it is
-    one already).
-    """
-    if backend is None or backend == "dict":
-        return network
-    if backend == "csr":
-        return CSRNetwork.freeze(network)
-    raise ParameterError(
-        f"unknown network backend {backend!r} (expected 'dict' or 'csr')"
-    )
 
 
 class CSRNetwork:

@@ -33,6 +33,14 @@ instrumented run — takes the generic loops over ``neighbors()``.  The
 kernel must be a drop-in twin of the plain loop: bit-identical distances,
 settle (dict insertion) order, and tie-breaking, and it must raise
 :class:`~repro.exceptions.NodeNotFoundError` for an unknown source.
+
+Choosing a backend
+------------------
+:func:`resolve_backend` maps a ``backend`` name (``"dict"`` or
+``"csr"``) to the network the algorithms and serve tiers run on.  It
+lives here, not beside the CSR backend, because this module needs no
+numpy: the CSR module, and numpy and scipy with it, is imported only
+when ``"csr"`` is asked for.
 """
 
 from __future__ import annotations
@@ -40,7 +48,29 @@ from __future__ import annotations
 from collections.abc import Iterator
 from typing import Protocol, runtime_checkable
 
-__all__ = ["NetworkBackend"]
+from repro.exceptions import ParameterError
+
+__all__ = ["NetworkBackend", "resolve_backend"]
+
+
+def resolve_backend(network, backend: str | None):
+    """Materialise the requested backend over ``network``.
+
+    ``None`` / ``"dict"`` return the network unchanged (the oracle path);
+    ``"csr"`` freezes it into a :class:`~repro.network.csr.CSRNetwork` (a
+    no-op when it is one already).  Only the ``"csr"`` branch imports
+    :mod:`repro.network.csr`, and with it numpy and scipy, so a process
+    that serves the dict backend never loads either.
+    """
+    if backend is None or backend == "dict":
+        return network
+    if backend == "csr":
+        from repro.network.csr import CSRNetwork
+
+        return CSRNetwork.freeze(network)
+    raise ParameterError(
+        f"unknown network backend {backend!r} (expected 'dict' or 'csr')"
+    )
 
 
 @runtime_checkable

@@ -98,10 +98,16 @@ def _search(
     pushes pruned)``.
 
     Expands the augmented graph around ``query`` and collects objects in
-    settle order.  A push beyond ``cutoff`` is counted and dropped: it can
-    neither be a result nor lie on a shortest path to one (the range
-    radius, or the landmark upper bound on the k-th neighbour's distance
-    in :mod:`repro.perf`).  The search stops at the ``k``-th collected
+    settle order, which is ascending distance but not always ascending
+    point id among equal distances: coincident objects reached from the
+    larger endpoint of their edge settle in descending id order, over
+    their zero-length segment.  So the results are sorted by
+    ``(distance, point id)`` at the end.
+
+    A push beyond ``cutoff`` is counted and dropped: it can neither be a
+    result nor lie on a shortest path to one (the range radius, or the
+    landmark upper bound on the k-th neighbour's distance in
+    :mod:`repro.perf`).  The search stops at the ``k``-th collected
     object when ``k > 0``.  ``candidates``, when given, is a set of point
     ids that holds every result (the landmark range prefilter): each
     settled object, the query included, is discarded from it, and the

@@ -41,7 +41,7 @@ from typing import Callable
 
 from repro.exceptions import ParameterError, PointNotFoundError
 from repro.network.augmented import AugmentedView
-from repro.network.csr import resolve_backend
+from repro.network.interface import resolve_backend
 from repro.network.queries import knn_query, range_query
 from repro.obs.core import STATE as _OBS
 from repro.obs.core import sampled as _obs_sampled

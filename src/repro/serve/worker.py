@@ -65,7 +65,7 @@ from repro.exceptions import ParameterError
 from repro.faults import FaultRule, STATE, WorkerKilled, clear, install, reseed
 from repro.io import load_workload_file
 from repro.network.augmented import AugmentedView
-from repro.network.csr import resolve_backend
+from repro.network.interface import resolve_backend
 from repro.resilience.deadline import Deadline
 from repro.serve.frames import read_frame, write_frame
 from repro.serve.frontend import (

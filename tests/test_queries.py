@@ -8,12 +8,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.network.augmented import AugmentedView
+from repro.network.csr import CSRNetwork
 from repro.network.distance import network_distance
 from repro.network.graph import SpatialNetwork
 from repro.network.points import PointSet
-from repro.network.queries import knn_query, nearest_point, range_query
+from repro.network.queries import _search, knn_query, nearest_point, range_query
+from repro.storage import NetworkStore
 
-from tests.conftest import make_random_connected_network, scatter_points
+from tests.conftest import (
+    make_grid_network,
+    make_random_connected_network,
+    scatter_points,
+)
 
 
 @pytest.fixture
@@ -78,6 +84,86 @@ class TestKnnQuery:
         p = ps.add(1, 2, 0.5)
         aug = AugmentedView(net, ps)
         assert nearest_point(aug, p) is None
+
+
+# ---------------------------------------------------------------------------
+# Result order: (distance, point id) on every backend
+# ---------------------------------------------------------------------------
+
+
+def _tied_grid():
+    """A unit grid whose objects sit at offsets 0, 0.5 and 1, several of
+    them coincident: every distance is a multiple of 0.5, so nearly every
+    answer has ties, some joined by zero-length segments."""
+    net = make_grid_network(4, 4)
+    rng = random.Random(11)
+    edges = list(net.edges())
+    points = PointSet(net)
+    for _ in range(30):
+        u, v, _w = edges[rng.randrange(len(edges))]
+        points.add(u, v, rng.choice((0.0, 0.5, 1.0)))
+    return net, points
+
+
+def _random_instance(seed):
+    rng = random.Random(seed)
+    net = make_random_connected_network(rng, 12, extra_edges=6)
+    return net, scatter_points(rng, net, 25)
+
+
+def _views(net, points, backend, tmp_path, request):
+    """``(aug, points)`` of one instance on ``backend``."""
+    if backend == "csr":
+        return AugmentedView(CSRNetwork.freeze(net), points), points
+    if backend == "store":
+        store = NetworkStore.build(str(tmp_path / "q.db"), net, points)
+        request.addfinalizer(store.close)
+        store_points = store.points()
+        return AugmentedView(store, store_points), store_points
+    return AugmentedView(net, points), points
+
+
+def _ordered(hits):
+    keys = [(d, p.point_id) for p, d in hits]
+    return keys == sorted(keys)
+
+
+@pytest.mark.parametrize("backend", ["dict", "csr", "store"])
+@pytest.mark.parametrize("instance", ["tied-grid", "random-1", "random-2"])
+def test_search_results_sorted_by_distance_then_id(
+    backend, instance, tmp_path, request
+):
+    if instance == "tied-grid":
+        net, points = _tied_grid()
+    else:
+        net, points = _random_instance(int(instance[-1]))
+    aug, pts = _views(net, points, backend, tmp_path, request)
+    for query in list(pts):
+        for include_query in (True, False):
+            for eps in (0.0, 0.5, 1.5, 4.0):
+                hits, _, _ = _search(aug, query, include_query, cutoff=eps)
+                assert _ordered(hits)
+                assert hits == range_query(aug, query, eps, include_query)
+            for k in (1, 3, 8):
+                hits, _, _ = _search(aug, query, include_query, k=k)
+                assert _ordered(hits)
+                assert hits == knn_query(aug, query, k, include_query)
+
+
+def test_coincident_points_reached_from_larger_endpoint_sorted_by_id():
+    # Objects 1 and 2 share a position; walking in from node 2 reaches
+    # object 2 first and object 1 over a zero-length segment, so they
+    # settle in descending id order and the answer must be re-sorted.
+    net = SpatialNetwork.from_edge_list([(1, 2, 2.0), (2, 3, 3.0)])
+    points = PointSet(net)
+    query = points.add(2, 3, 1.0)
+    points.add(1, 2, 0.5)
+    points.add(1, 2, 0.5)
+    aug = AugmentedView(net, points)
+    got = range_query(aug, query, 10.0, include_query=False)
+    assert [(p.point_id, d) for p, d in got] == [(1, 2.5), (2, 2.5)]
+    got = knn_query(aug, query, 2)
+    assert [(p.point_id, d) for p, d in got] == [(1, 2.5), (2, 2.5)]
 
 
 # ---------------------------------------------------------------------------
