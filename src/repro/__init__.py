@@ -136,10 +136,6 @@ def __getattr__(name):
         "DistanceAccelerator": "repro.perf",
         "DistanceCache": "repro.perf",
         "LandmarkIndex": "repro.perf",
-        "build_index_file": "repro.perf",
-        "load_index": "repro.perf",
-        "network_fingerprint": "repro.perf",
-        "verify_index": "repro.perf",
     }
     if name in lazy:
         import importlib

@@ -342,90 +342,35 @@ def _finding_doc(f) -> dict:
     }
 
 
-def _report_findings(args, key: str, path: str, findings,
-                     index=None) -> int:
+def _report_findings(args, key: str, path: str, findings) -> int:
     """Print one verifier's findings report; returns the exit code.
 
     Text: each finding, then ``<path>: OK`` or ``<path>: N problem(s)
     found``.  ``--json``: one document naming ``path`` under ``key``,
-    with the exit code and every finding.  ``index`` is an optional
-    ``(path, findings)`` pair reported after the first (``repro check
-    --index``).  The exit code is 2 when anything was found, else 0.
+    with the exit code and every finding.  The exit code is 2 when
+    anything was found, else 0.
     """
-    sections = [(path, findings)] + ([index] if index is not None else [])
-    code = 2 if any(found for _, found in sections) else 0
+    code = 2 if findings else 0
     if args.json:
-        doc = {
+        print(json.dumps({
             key: path,
             "exit_code": code,
             "findings": [_finding_doc(f) for f in findings],
-        }
-        if index is not None:
-            doc["index"] = {
-                "path": index[0],
-                "findings": [_finding_doc(f) for f in index[1]],
-            }
-        print(json.dumps(doc, indent=2))
+        }, indent=2))
     else:
-        for where, found in sections:
-            for f in found:
-                print(f)
-            print(f"{where}: " + (
-                f"{len(found)} problem(s) found" if found else "OK"
-            ))
+        for f in findings:
+            print(f)
+        print(f"{path}: " + (
+            f"{len(findings)} problem(s) found" if findings else "OK"
+        ))
     return code
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     from repro.storage.verify import verify_store
 
-    findings = verify_store(args.store)
-    index = None
-    if args.index:
-        from repro.perf import verify_index
-
-        # Fingerprint validation needs the stored network; only a store
-        # that just verified clean can provide it — against a condemned
-        # store the index is checked structurally (header + every CRC).
-        network = None
-        if not findings:
-            from repro.storage.netstore import NetworkStore
-
-            network = NetworkStore(args.store)
-        try:
-            index = (args.index, verify_index(args.index, network))
-        finally:
-            if network is not None:
-                network.close()
-    return _report_findings(args, "store", args.store, findings, index)
-
-
-def _cmd_index_build(args: argparse.Namespace) -> int:
-    from repro.perf import build_index_file
-
-    network, _points = load_workload_file(args.workload)
-    observing = _obs_begin(args)
-    summary = build_index_file(
-        args.out, network, num_landmarks=args.landmarks, seed=args.seed
-    )
-    print(
-        f"wrote {args.out}: {summary['landmarks']} landmark(s) over "
-        f"{summary['nodes']} nodes ({summary['bytes']} bytes, "
-        f"fingerprint {summary['fingerprint'][:12]}…)"
-    )
-    if observing:
-        _obs_end(args)
-    return 0
-
-
-def _cmd_index_check(args: argparse.Namespace) -> int:
-    from repro.perf import verify_index
-
-    network = None
-    if args.workload:
-        network, _points = load_workload_file(args.workload)
-    findings = verify_index(args.index, network)
-    return _report_findings(args, "index", args.index, findings)
+    return _report_findings(args, "store", args.store,
+                            verify_store(args.store))
 
 
 def _cmd_wal_verify(args: argparse.Namespace) -> int:
@@ -617,7 +562,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     default_timeout_s=default_timeout_s,
                     landmarks=args.landmarks,
                     distance_cache_mb=args.distance_cache_mb,
-                    index_path=args.index,
                     max_restarts=args.max_restarts,
                     restart_window_s=args.restart_window_s,
                     wal_path=args.wal,
@@ -639,17 +583,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     default_timeout_s=default_timeout_s,
                     landmarks=args.landmarks,
                     distance_cache_mb=args.distance_cache_mb,
-                    index_path=args.index,
                     session=session,
                     backend=args.backend,
                 )
                 pool_desc = f"{args.workers} worker(s)"
-                if service.index_degrade_reason is not None:
-                    print(
-                        f"landmark index degraded: "
-                        f"{service.index_degrade_reason}",
-                        file=sys.stderr,
-                    )
         except (OSError, WalCorruptError) as exc:
             if not args.wal:
                 raise
@@ -867,12 +804,6 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="MB",
                      help="serve repeated queries from an MB-bounded memo "
                           "shared across workers (0 = off)")
-    srv.add_argument("--index", default=None, metavar="FILE",
-                     help="mmap a persisted landmark index (repro index "
-                          "build) read-only instead of building one per "
-                          "process; a missing/corrupt/stale artifact "
-                          "degrades to the unaccelerated path instead of "
-                          "refusing to serve")
     srv.add_argument("--wal", default=None, metavar="FILE",
                      help="enable the live mutation ops (mutate / "
                           "subscribe_epoch / snapshot) backed by an "
@@ -928,48 +859,9 @@ def build_parser() -> argparse.ArgumentParser:
         "check", help="verify a disk network store's integrity"
     )
     chk.add_argument("store", help="network-store file built by NetworkStore")
-    chk.add_argument("--index", default=None, metavar="FILE",
-                     help="also verify a persisted landmark index: header, "
-                          "every section CRC, and (when the store is "
-                          "healthy) the content fingerprint binding it to "
-                          "this store")
     chk.add_argument("--json", action="store_true",
                      help="emit findings as JSON instead of text")
     chk.set_defaults(func=_cmd_check)
-
-    idx = sub.add_parser(
-        "index",
-        help="build / verify persisted landmark indexes (RLIX files)",
-    )
-    idx_sub = idx.add_subparsers(dest="index_command", required=True)
-    idxb = idx_sub.add_parser(
-        "build",
-        help="precompute a landmark index once, offline, for --index",
-    )
-    idxb.add_argument("workload", help="workload JSON from `generate`")
-    idxb.add_argument("--out", required=True, metavar="FILE",
-                      help="output index file (written atomically)")
-    idxb.add_argument("--landmarks", type=int, default=8, metavar="L",
-                      help="landmarks to select (default 8; one Dijkstra "
-                           "each at build time)")
-    idxb.add_argument("--seed", type=int, default=0,
-                      help="selection seed recorded in the artifact")
-    idxb.add_argument("--stats", action="store_true",
-                      help="print the repro.obs per-phase time/counter table")
-    idxb.add_argument("--trace", default=None, metavar="FILE",
-                      help="write hierarchical timing spans as JSONL to FILE")
-    idxb.set_defaults(func=_cmd_index_build)
-    idxc = idx_sub.add_parser(
-        "check", help="verify a persisted landmark index's integrity"
-    )
-    idxc.add_argument("index", help="index file from `repro index build`")
-    idxc.add_argument("--workload", default=None, metavar="FILE",
-                      help="also validate the content fingerprint against "
-                           "this workload JSON (without it the check is "
-                           "structural only)")
-    idxc.add_argument("--json", action="store_true",
-                      help="emit findings as JSON instead of text")
-    idxc.set_defaults(func=_cmd_index_check)
 
     walp = sub.add_parser(
         "wal",

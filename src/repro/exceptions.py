@@ -35,7 +35,6 @@ __all__ = [
     "ChecksumError",
     "PageCorruptError",
     "CorruptRecordError",
-    "IndexCorruptError",
     "IndexStaleError",
     "TreeError",
     "RecoveryError",
@@ -392,29 +391,13 @@ class CorruptRecordError(StorageError):
     """
 
 
-class IndexCorruptError(ChecksumError):
-    """A persisted landmark index (``RLIX`` file) failed integrity checks.
-
-    Raised by :func:`repro.perf.load_index` when the header or a section
-    CRC32 does not match, the file is truncated or uncommitted, the magic
-    is foreign, or the decoded metadata is structurally impossible.  The
-    artifact must not serve bounds; consumers degrade to the unaccelerated
-    path (see :func:`repro.perf.load_index_or_degrade`) or rebuild with
-    ``repro index build``.
-    """
-
-
 class IndexStaleError(StorageError):
-    """A persisted landmark index does not belong to the served network.
+    """A landmark index no longer answers for the served network.
 
-    The file itself is intact — header, CRCs, and layout all check out —
-    but its recorded content fingerprint does not match the network it is
-    being loaded against, or it was written by a different ``RLIX`` format
-    version.  Serving its bounds could silently return wrong query
-    results, so the load is refused; rebuild with ``repro index build``.
-    :meth:`repro.perf.DistanceAccelerator.point_vector` raises it too,
-    when the accelerator has no index left to answer from (a reweigh
-    dropped it, or none was given).
+    :meth:`repro.perf.DistanceAccelerator.point_vector` raises it when
+    the accelerator has no index left to answer from: none was given, or
+    a reweigh dropped it, because the landmark node tables bind to edge
+    weights and an index is never silently rebuilt.
     """
 
 

@@ -1,12 +1,12 @@
-"""CRC-framed file writing shared by the ``RLIX`` index and the ``RWAL`` log.
+"""CRC-framed file writing for the ``RWAL`` mutation log.
 
-Both formats open with the same 16-byte header ``<4s H H I I>`` = magic,
-format version, flags (bit 0 = committed), meta length, CRC32 of bytes
-``[0:12)``, and frame a section the same way: the payload padded with
-spaces to an 8-byte boundary, then an 8-byte trailer ``<I I>`` = CRC32 of
-the padded payload and a zero word that keeps the next section aligned.
-The readers stay with each format, because their error types and their
-tail recovery differ.
+The format opens with a 16-byte header ``<4s H H I I>`` = magic, format
+version, flags (bit 0 = committed), meta length, CRC32 of bytes
+``[0:12)``, and frames a section as the payload padded with spaces to an
+8-byte boundary, then an 8-byte trailer ``<I I>`` = CRC32 of the padded
+payload and a zero word that keeps the next section aligned.  The reader
+stays with the log (:mod:`repro.live.wal`), with its error types and its
+torn-tail recovery.
 """
 
 from __future__ import annotations

@@ -20,8 +20,7 @@ together:
   removed object, or a reweigh.  Objects carry no weight, so an insert
   or a remove changes no distance between two other objects; a reweigh
   changes distances globally, and additionally fires the registered
-  reweigh hooks so index-backed consumers can re-run their fingerprint
-  check (``load_index_or_degrade``) and close the index.
+  reweigh hooks so index-backed consumers can retire the index.
 * :meth:`snapshot` — the current epoch and full cluster assignment, in a
   canonical shape that is bit-comparable across processes: a supervisor,
   each of its workers, and a single-threaded oracle applying the same
@@ -105,10 +104,9 @@ class LiveSession:
 
         Hooks run after every attached view was invalidated, so the
         accelerators over those views have already dropped their landmark
-        index.  This is where the index's owner re-runs the network
-        fingerprint check (:func:`repro.perf.load_index_or_degrade`) and
-        closes it — never silently rebuilds — because the landmark node
-        tables bind to edge weights.
+        index.  This is where the index's owner retires it and records
+        why — never silently rebuilds — because the landmark node tables
+        bind to edge weights.
         """
         with self.lock:
             self._reweigh_hooks.append(hook)

@@ -3,8 +3,8 @@
 The serve tier's live-mutation subsystem must never lose an acknowledged
 mutation and never resurrect an unacknowledged one.  This module provides
 the durability half of that contract: an append-only, CRC-trailed log in
-the house style of ``RPCK``/``RLIX``, where every mutation is written and
-fsynced *before* the caller acknowledges it to the client.
+the house style of the ``RPCK`` checkpoint, where every mutation is
+written and fsynced *before* the caller acknowledges it to the client.
 
 On-disk layout (``RWAL``, little-endian, format version 1)::
 

@@ -8,12 +8,12 @@ around the query with a Dijkstra whose frontier never exceeds the answer
 region, so cost is proportional to the part of the network within range.
 
 Both searches run one loop, :func:`_search`, and differ only in its stop
-rule: a range query prunes pushes beyond ε, a kNN query stops at the
-k-th object.  The landmark accelerator in :mod:`repro.perf` runs the same
-loop with its prefilter passed in (a candidate set, a push cutoff), so
-the plain and the accelerated searches share their heap discipline,
-their ``queries.settle`` checkpoint (fault site, deadline and budget
-charge) and their result ordering.
+rule: a range query prunes pushes beyond ε, a kNN query stops past the
+k-th object's distance.  The landmark accelerator in :mod:`repro.perf`
+runs the same loop with its prefilter passed in (a candidate set, a push
+cutoff), so the plain and the accelerated searches share their heap
+discipline, their ``queries.settle`` checkpoint (fault site, deadline and
+budget charge) and their result ordering.
 """
 
 from __future__ import annotations
@@ -70,10 +70,10 @@ def knn_query(
 
     Returns at most ``k`` ``(point, distance)`` pairs sorted by ascending
     distance, ties broken by point id — including the tie *at the k-th
-    distance*: vertices settle in ``(distance, vertex)`` order and point
-    vertices encode their point id, so of several objects exactly at the
-    k-th distance the smallest ids win deterministically (the accelerated
-    search in :mod:`repro.perf` makes the same choice).  Fewer pairs are
+    distance*: the search collects every object exactly at the k-th
+    distance before it sorts and cuts, so the smallest ids win
+    deterministically (the accelerated search in :mod:`repro.perf` runs
+    the same loop and makes the same choice).  Fewer pairs are
     returned when the reachable component holds fewer objects.  The query
     point itself is excluded by default.
     """
@@ -107,11 +107,14 @@ def _search(
     A push beyond ``cutoff`` is counted and dropped: it can neither be a
     result nor lie on a shortest path to one (the range radius, or the
     landmark upper bound on the k-th neighbour's distance in
-    :mod:`repro.perf`).  The search stops at the ``k``-th collected
-    object when ``k > 0``.  ``candidates``, when given, is a set of point
-    ids that holds every result (the landmark range prefilter): each
-    settled object, the query included, is discarded from it, and the
-    search stops once it is empty.  The set is consumed.  Every settle
+    :mod:`repro.perf`).  When ``k > 0`` the search goes on past the
+    ``k``-th collected object only while vertices settle at exactly its
+    distance, pushing nothing farther, so every object tied with it is
+    collected before the sort; the results are then cut to ``k``, and
+    the smallest ids win the tie.  ``candidates``, when given, is a set
+    of point ids that holds every result (the landmark range prefilter):
+    each settled object, the query included, is discarded from it, and
+    the search stops once it is empty.  The set is consumed.  Every settle
     goes through :func:`~repro.resilience.deadline.settle_checkpoint` at
     the ``queries.settle`` site, with the hits found so far as the
     partial result.
@@ -126,10 +129,13 @@ def _search(
     best: dict = {source: 0.0}  # tentative distances: no dominated pushes
     heap: list[tuple[float, tuple[int, int]]] = [(0.0, source)]
     pruned = 0
+    kth = math.inf  # the k-th collected object's distance, once there is one
     while heap:
         d, vertex = heapq.heappop(heap)
         if vertex in dist:
             continue
+        if d > kth:
+            break
         if guard:
             settle_checkpoint("queries.settle", results)
         dist[vertex] = d
@@ -138,11 +144,22 @@ def _search(
             if include_query or ident != query_id:
                 results.append((get_point(ident), d))
                 if len(results) == k:
-                    break
+                    kth = d
             if candidates is not None:
                 candidates.discard(ident)
                 if not candidates:
                     break
+        if d == kth:
+            # Past the k-th object only a tie at its distance can still
+            # be a result: follow the zero-length segments, nothing else.
+            for nbr, weight in neighbors(vertex):
+                if (d + weight == d and nbr not in dist
+                        and d < best.get(nbr, math.inf)):
+                    best[nbr] = d
+                    heapq.heappush(heap, (d, nbr))
+            if heap and heap[0][0] == d:
+                continue
+            break
         for nbr, weight in neighbors(vertex):
             if nbr in dist:
                 continue
@@ -154,6 +171,8 @@ def _search(
             else:
                 pruned += 1
     results.sort(key=_result_order)
+    if k > 0:
+        del results[k:]
     return results, len(dist), pruned
 
 

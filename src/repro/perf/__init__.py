@@ -6,34 +6,35 @@ to the plain primitives in :mod:`repro.network` (a property-tested
 guarantee — see ``tests/test_perf.py``), they just get there settling
 fewer vertices and recomputing less.  See
 ``docs/performance.md`` for tuning guidance.
-"""
 
-from repro.perf.accel import DistanceAccelerator
-from repro.perf.cache import ENTRY_BYTES, DistanceCache
-from repro.perf.landmarks import (
-    LandmarkIndex,
-    vector_lower_bound,
-    vector_upper_bound,
-)
-from repro.perf.persist import (
-    build_index_file,
-    load_index,
-    load_index_or_degrade,
-    network_fingerprint,
-    save_index,
-    verify_index,
-)
+The exports are lazy: the landmark tables need numpy, and a cache-only
+service must not pay for that import.
+"""
 
 __all__ = [
     "DistanceAccelerator",
     "DistanceCache",
     "ENTRY_BYTES",
     "LandmarkIndex",
-    "build_index_file",
-    "load_index",
-    "load_index_or_degrade",
-    "network_fingerprint",
-    "save_index",
     "vector_lower_bound",
     "vector_upper_bound",
 ]
+
+_LAZY = {
+    "DistanceAccelerator": "repro.perf.accel",
+    "DistanceCache": "repro.perf.cache",
+    "ENTRY_BYTES": "repro.perf.cache",
+    "LandmarkIndex": "repro.perf.landmarks",
+    "vector_lower_bound": "repro.perf.landmarks",
+    "vector_upper_bound": "repro.perf.landmarks",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module 'repro.perf' has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(_LAZY[name]), name)
+    globals()[name] = value
+    return value

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from typing import TYPE_CHECKING
 
 from repro.exceptions import IndexStaleError
 from repro.network.augmented import AugmentedView
@@ -66,11 +67,9 @@ from repro.network.points import NetworkPoint
 from repro.network.queries import _search, knn_query, range_query
 from repro.obs.core import STATE as _OBS, add as _obs_add
 from repro.perf.cache import DistanceCache
-from repro.perf.landmarks import (
-    LandmarkIndex,
-    vector_lower_bound,
-    vector_upper_bound,
-)
+
+if TYPE_CHECKING:  # numpy: imported only where an index is used
+    from repro.perf.landmarks import LandmarkIndex
 
 __all__ = ["DistanceAccelerator"]
 
@@ -139,10 +138,10 @@ class DistanceAccelerator:
           index (its node tables bind to edge weights), every point
           vector and the whole cache go.  The policy is *degrade, never
           silently rebuild*: searches keep working through the plain
-          bit-identical primitives until an operator rebuilds the index
-          (``repro index build``).  The index object is only
-          unreferenced, not closed — other accelerators may share it;
-          whoever opened it closes it.
+          bit-identical primitives until a fresh index is built over
+          the reweighed network.  The index object is only unreferenced
+          — other accelerators may share it; whoever built it retires
+          it.
         * ``point_ids is None`` — the point set moved, but which objects
           changed is unknown: every point vector and the whole cache go.
         * ids — the objects inserted or removed.  Objects add no
@@ -227,6 +226,8 @@ class DistanceAccelerator:
     def _range_accelerated(
         self, query: NetworkPoint, eps: float, include_query: bool
     ) -> list[tuple[NetworkPoint, float]]:
+        from repro.perf.landmarks import vector_lower_bound
+
         aug = self._aug
         qvec = self._vector(query)
         # Only candidates can lie within eps (the bound never
@@ -280,6 +281,8 @@ class DistanceAccelerator:
     def _knn_accelerated(
         self, query: NetworkPoint, k: int, include_query: bool
     ) -> list[tuple[NetworkPoint, float]]:
+        from repro.perf.landmarks import vector_upper_bound
+
         aug = self._aug
         qvec = self._vector(query)
         # The k-th smallest upper bound caps the k-th neighbour's true

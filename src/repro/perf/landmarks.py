@@ -41,10 +41,8 @@ bound returns ``inf``.  When both are unreachable the landmark says nothing
 and is skipped.
 
 The tables are one landmark-major ``(L, N)`` float64 array over the sorted
-node ids — the exact layout of the ``RLIX`` file (:mod:`repro.perf.persist`),
-which :func:`~repro.perf.load_index` maps back into a
-:class:`LandmarkIndex` without a copy.  Node vectors are read out as Python
-floats, so built and loaded indexes give bit-identical bounds.
+node ids.  Node vectors are read out as Python floats, so every bound is
+plain float arithmetic.
 """
 
 from __future__ import annotations
@@ -100,9 +98,7 @@ class LandmarkIndex:
 
     ``ids`` holds the network's node ids ascending (int64) and ``tables``
     the ``(L, N)`` float64 array whose row ``l`` holds the distances from
-    landmark ``l`` to every node, ``inf`` where unreached.  The same class
-    serves a freshly built index and one :func:`~repro.perf.load_index`
-    maps from an ``RLIX`` file, so both share one bound arithmetic.
+    landmark ``l`` to every node, ``inf`` where unreached.
 
     Parameters
     ----------
@@ -130,22 +126,6 @@ class LandmarkIndex:
                 network, ids, int(num_landmarks)
             )
         finite = tables[np.isfinite(tables)]
-        scale = max(1.0, float(finite.max())) if finite.size else 1.0
-        self._attach(network, landmarks, ids, tables, scale, None)
-        if _OBS.enabled:
-            _obs_add("perf.landmarks.built", len(self.landmarks))
-
-    @classmethod
-    def from_tables(cls, network, landmarks, ids, tables, scale: float,
-                    reader) -> LandmarkIndex:
-        """An index over existing tables, as :func:`~repro.perf.load_index`
-        maps them; ``reader`` (anything with a ``close()``) owns the memory
-        they view and is closed by :meth:`close`."""
-        index = cls.__new__(cls)
-        index._attach(network, landmarks, ids, tables, scale, reader)
-        return index
-
-    def _attach(self, network, landmarks, ids, tables, scale, reader) -> None:
         self._network = network
         self.landmarks: list[int] = [int(x) for x in landmarks]
         self.ids = ids
@@ -154,23 +134,13 @@ class LandmarkIndex:
         #: entry, at least 1.0).  Consumers that compare float bounds
         #: against float distances size their rounding tolerance from it
         #: — see the slack discussion in :mod:`repro.perf.accel`.
-        self.scale = float(scale)
-        self._reader = reader
+        self.scale = max(1.0, float(finite.max())) if finite.size else 1.0
         # Memo of the Python-float vectors of the nodes queries touched:
         # a repeated read costs a dict hit, not a searchsorted and a
         # column copy.
         self._vectors: dict[int, tuple[float, ...]] = {}
-
-    def close(self) -> None:
-        """Drop the views of a loaded file and unmap it; a no-op on a
-        built index."""
-        if self._reader is None:
-            return
-        self._vectors.clear()
-        self.ids = np.empty(0, dtype=np.int64)
-        self.tables = np.empty((len(self.landmarks), 0))
-        self._reader.close()
-        self._reader = None
+        if _OBS.enabled:
+            _obs_add("perf.landmarks.built", len(self.landmarks))
 
     # ------------------------------------------------------------------
     # Node-level bounds

@@ -11,8 +11,8 @@ runs admitted work on threads in this process,
 :class:`~repro.serve.SupervisedPool` on supervised worker processes.
 
 The set-up policies both executors apply to the served workload live
-here too: :func:`check_backend`, :func:`open_acceleration`,
-:func:`degrade_on_reweigh` and :func:`open_live_session`.
+here too: :func:`check_backend`, :func:`open_acceleration` and
+:func:`open_live_session`.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from repro.resilience.deadline import Deadline
 from repro.serve.protocol import error_name, timeout_ms_seconds
 
 __all__ = ["LIVE_OPS", "ServeFrontEnd", "accelerator", "check_backend",
-           "degrade_on_reweigh", "open_acceleration", "open_live_session",
-           "settle"]
+           "open_acceleration", "open_live_session", "settle"]
 
 #: Wire ops that require a live-mutation session (``repro serve --wal``).
 LIVE_OPS = frozenset({"mutate", "subscribe_epoch", "snapshot"})
@@ -62,37 +61,29 @@ def check_backend(backend: str | None, *, live: bool) -> str:
     return backend or "dict"
 
 
-def open_acceleration(network, *, landmarks: int = 0, cache_mb: float = 0.0,
-                      index_path: str | None = None) -> tuple:
-    """``(index, cache, source, reason)``: the shared landmark index and
-    distance cache (each may be None), where the index came from, and why
-    a supplied artifact was refused.
+def open_acceleration(network, *, landmarks: int = 0,
+                      cache_mb: float = 0.0) -> tuple:
+    """``(index, cache, source)``: the shared landmark index and distance
+    cache (each may be None) and where the index came from.
 
-    ``index_path`` replaces the in-process build outright: the artifact is
-    mapped read-only (``"mmap"``) or, missing / corrupt / stale, *degrades*
-    to the bit-identical unaccelerated path (``"degraded"``) rather than
-    silently re-paying the landmark Dijkstras it exists to avoid.
-    Otherwise ``landmarks > 0`` builds an index (``"built"``) or there is
-    none (``"none"``); ``cache_mb > 0`` adds a cache either way.
+    ``landmarks > 0`` builds an index in process (``"built"``), otherwise
+    there is none (``"none"``); ``cache_mb > 0`` adds a cache either way.
+    A reweigh later retires a built index, and the source then reads
+    ``"degraded"`` on both tiers.
     """
-    index = reason = None
+    index = None
     source = "none"
-    if index_path is not None:
-        from repro.perf import load_index_or_degrade
-
-        index, reason = load_index_or_degrade(index_path, network)
-        source = "mmap" if index is not None else "degraded"
-    elif landmarks > 0:
-        from repro.perf import LandmarkIndex
+    if landmarks > 0:
+        from repro.perf.landmarks import LandmarkIndex
 
         index = LandmarkIndex(network, landmarks)
         source = "built"
     cache = None
     if cache_mb > 0:
-        from repro.perf import DistanceCache
+        from repro.perf.cache import DistanceCache
 
         cache = DistanceCache(cache_mb)
-    return index, cache, source, reason
+    return index, cache, source
 
 
 def accelerator(aug, index, cache):
@@ -100,31 +91,9 @@ def accelerator(aug, index, cache):
     ``index`` and ``cache``; None when both are None (plain primitives)."""
     if index is None and cache is None:
         return None
-    from repro.perf import DistanceAccelerator
+    from repro.perf.accel import DistanceAccelerator
 
     return DistanceAccelerator(aug, index=index, cache=cache)
-
-
-def degrade_on_reweigh(index, index_path: str | None, network,
-                       u: int, v: int) -> str:
-    """Retire ``index`` after edge ``(u, v)`` was reweighed; returns why.
-
-    Landmark node tables bind to edge weights.  A persisted artifact is
-    re-checked through the one honest path, the fingerprint check of
-    :func:`repro.perf.load_index_or_degrade` against the reweighed
-    network, so it degrades and bumps ``perf.index.degraded``.  Never a
-    silent rebuild.  The caller drops its references; a mapped index is
-    closed here.
-    """
-    reason = None
-    if index_path is not None:
-        from repro.perf import load_index_or_degrade
-
-        reloaded, reason = load_index_or_degrade(index_path, network)
-        if reloaded is not None:  # pragma: no cover - fingerprint changed
-            reloaded.close()
-    index.close()
-    return reason or f"edge ({u}, {v}) reweighed under the landmark index"
 
 
 def open_live_session(network, points, wal_path: str, *, eps: float,

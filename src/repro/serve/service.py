@@ -55,7 +55,6 @@ from repro.serve.frontend import (
     ServeFrontEnd,
     accelerator,
     check_backend,
-    degrade_on_reweigh,
     open_acceleration,
     settle,
 )
@@ -215,13 +214,6 @@ class QueryService(ServeFrontEnd):
         answered from memory across all workers.  Results are bit-identical
         either way; with both at zero the request path runs the plain,
         uninstrumented primitives.
-    index_path:
-        Path to a persisted landmark index (``repro index build``), mapped
-        read-only instead of building one; overrides ``landmarks``.  A
-        bad artifact *degrades* (``frontend.open_acceleration``):
-        :attr:`index_source` reads ``"degraded"``,
-        the cause is in :attr:`index_degrade_reason`, and the service
-        serves the bit-identical unaccelerated path — it never refuses to.
     session:
         A :class:`~repro.live.LiveSession` (borrowed: the caller closes
         it) enabling the ``mutate`` / ``subscribe_epoch`` / ``snapshot``
@@ -231,8 +223,8 @@ class QueryService(ServeFrontEnd):
         full parallelism because each worker process applies between
         requests).  A reweigh degrades the landmark acceleration: every
         context's accelerator drops the index through its view, and the
-        service closes it
-        (:func:`~repro.serve.frontend.degrade_on_reweigh`).
+        service retires it (:attr:`index_source` reads ``"degraded"``,
+        the cause is in :attr:`index_degrade_reason`).
     backend:
         ``None``/``"dict"`` serve the network as given;  ``"csr"``
         freezes it once into a :class:`~repro.network.CSRNetwork` before
@@ -252,7 +244,6 @@ class QueryService(ServeFrontEnd):
         clock: Callable[[], float] = time.monotonic,
         landmarks: int = 0,
         distance_cache_mb: float = 0.0,
-        index_path: str | None = None,
         session=None,
         backend: str | None = None,
     ) -> None:
@@ -278,15 +269,15 @@ class QueryService(ServeFrontEnd):
         # The shared acceleration state is opened *before* the contexts
         # are built: each context's accelerator is made from it, and the
         # landmark Dijkstras must not race admission.
-        # ``index_source`` ("mmap" / "degraded" / "built" / "none") is what
-        # worker processes report in their ready frames: both tiers audit
-        # identically.
-        (self._landmark_index, self._distance_cache, self.index_source,
-         self.index_degrade_reason) = open_acceleration(
+        # ``index_source`` ("built" / "none", then "degraded" once a
+        # reweigh retired the index) is what worker processes report in
+        # their ready frames: both tiers audit identically.
+        (self._landmark_index, self._distance_cache,
+         self.index_source) = open_acceleration(
             network, landmarks=landmarks, cache_mb=distance_cache_mb,
-            index_path=index_path,
         )
-        self._index_path = index_path
+        #: why the index was retired, once a reweigh did
+        self.index_degrade_reason: str | None = None
         self.session = session
         if session is not None:
             session.add_reweigh_hook(self._on_reweigh)
@@ -330,16 +321,16 @@ class QueryService(ServeFrontEnd):
     # -- execution -------------------------------------------------------
 
     def _on_reweigh(self, u: int, v: int) -> None:
-        """Session reweigh hook: close the shared landmark index through
-        the :func:`~repro.serve.frontend.degrade_on_reweigh` policy.
+        """Session reweigh hook: retire the shared landmark index, whose
+        node tables bind to edge weights; never a silent rebuild.
 
         Runs under the session lock, with queries serialized out, after
         the session invalidated every context's view — so every
         context's accelerator has already dropped the index."""
         if self._landmark_index is None:
             return
-        self.index_degrade_reason = degrade_on_reweigh(
-            self._landmark_index, self._index_path, self.network, u, v
+        self.index_degrade_reason = (
+            f"edge ({u}, {v}) reweighed under the landmark index"
         )
         self._landmark_index = None
         self.index_source = "degraded"

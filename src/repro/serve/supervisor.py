@@ -205,12 +205,11 @@ class SupervisedPool(ServeFrontEnd):
         Path to the served workload JSON; every worker process opens it
         itself, read-only.
     processes / queue_depth / default_timeout_s / landmarks /
-    distance_cache_mb / index_path / backend:
+    distance_cache_mb / backend:
         As on :class:`~repro.serve.QueryService`, but per *process*:
         each worker (restarts included) opens its own accelerator state
-        and freezes its own CSR arrays.  A persisted index is one offline
-        build mapped by every process; each worker's ready frame reports
-        its index source, collected in :attr:`index_sources`.
+        and freezes its own CSR arrays.  Each worker's ready frame
+        reports its index source, collected in :attr:`index_sources`.
     max_restarts / restart_window_s:
         The restart-storm circuit: a slot may be restarted at most
         ``max_restarts`` times in a row before its breaker
@@ -256,7 +255,6 @@ class SupervisedPool(ServeFrontEnd):
         default_timeout_s: float | None = None,
         landmarks: int = 0,
         distance_cache_mb: float = 0.0,
-        index_path: str | None = None,
         max_restarts: int = 3,
         restart_window_s: float = 5.0,
         backoff_base_s: float = 0.05,
@@ -295,8 +293,6 @@ class SupervisedPool(ServeFrontEnd):
                       "distance_cache_mb": distance_cache_mb}
         if backend != "dict":
             self._spec["backend"] = backend
-        if index_path is not None:
-            self._spec["index_path"] = index_path
         if wal_path is not None:
             self._spec.update(wal=wal_path, epoch=0, live_eps=live_eps,
                               live_min_sup=live_min_sup)
@@ -338,10 +334,10 @@ class SupervisedPool(ServeFrontEnd):
         #: pid of every worker that reached readiness, in spawn order; the
         #: no-orphans tests assert every one is gone after close().
         self.spawned_pids: list[int] = []
-        #: index source each ready worker reported ("mmap" / "degraded" /
-        #: "built" / "none"), in spawn order — the zero-rebuild audit
-        #: trail: with a persisted index no entry may ever read "built",
-        #: including entries appended by kill-fault restarts.
+        #: index source each ready worker reported ("built" / "degraded" /
+        #: "none"), in spawn order, restarts included: a worker whose
+        #: replayed log reweighed an edge under its index reads
+        #: "degraded", as the threaded tier's ``index_source`` does.
         self.index_sources: list[str] = []
         self._slots = [
             _Slot(i, CircuitBreaker(

@@ -68,12 +68,7 @@ from repro.network.augmented import AugmentedView
 from repro.network.interface import resolve_backend
 from repro.resilience.deadline import Deadline
 from repro.serve.frames import read_frame, write_frame
-from repro.serve.frontend import (
-    LIVE_OPS,
-    accelerator,
-    degrade_on_reweigh,
-    open_acceleration,
-)
+from repro.serve.frontend import LIVE_OPS, accelerator, open_acceleration
 from repro.serve.protocol import error_name
 from repro.serve.service import run_query
 
@@ -96,14 +91,11 @@ def _build_view(spec: dict):
     """The workload view, its (optional) accelerator, and the index source.
 
     The returned source string lands in the ready frame so the supervisor
-    can audit how every worker got its acceleration: ``"mmap"`` (persisted
-    index mapped read-only), ``"degraded"`` (an ``index_path`` was supplied
-    but failed to load — the worker serves the unaccelerated bit-identical
-    path and ``perf.index.degraded`` was bumped), ``"built"`` (landmark
-    Dijkstras ran in-process), or ``"none"`` — the policy of
+    can audit how every worker got its acceleration: ``"built"`` (landmark
+    Dijkstras ran in-process) or ``"none"`` — the policy of
     :func:`~repro.serve.frontend.open_acceleration`, which the threaded
-    tier applies too.  With ``index_path`` set no worker ever builds an
-    index, restarts included: one offline build serves every process.
+    tier applies too.  A reweigh replayed from the mutation log turns
+    ``"built"`` into ``"degraded"`` (:func:`worker_entry`).
     """
     network, points = load_workload_file(spec["workload"])
     # Frozen once at startup (also on every restart) under ``csr``: the
@@ -111,14 +103,11 @@ def _build_view(spec: dict):
     # supervisor refuses csr + wal, so no mutation can stale the arrays.
     network = resolve_backend(network, spec.get("backend"))
     aug = AugmentedView(network, points)
-    index, cache, source, reason = open_acceleration(
+    index, cache, source = open_acceleration(
         network,
         landmarks=int(spec.get("landmarks", 0)),
         cache_mb=float(spec.get("distance_cache_mb", 0.0)),
-        index_path=spec.get("index_path"),
     )
-    if reason is not None:
-        print(f"landmark index degraded: {reason}", file=sys.stderr)
     return aug, accelerator(aug, index, cache), source
 
 
@@ -148,27 +137,25 @@ def _build_session(spec: dict, aug, accel):
         wal=wal,
     )
     session.attach(aug)
-    # The index this worker opened at build time.  A reweigh invalidates
-    # the view first, so the accelerator has dropped it — never silently
-    # rebuilt — and serves the plain bit-identical primitives; the hook
-    # below then closes it, once.
+    # The index this worker built.  A reweigh invalidates the view
+    # first, so the accelerator has dropped it — never silently rebuilt —
+    # and serves the plain bit-identical primitives; the hook below
+    # reports it, once.
     index = None if accel is None else accel.index
 
     def _degrade_on_reweigh(u: int, v: int) -> None:
         nonlocal index
         if index is None:
             return
-        reason = degrade_on_reweigh(
-            index, spec.get("index_path"), aug.network, u, v
-        )
         index = None
-        print(f"landmark index degraded: {reason}", file=sys.stderr)
+        print(f"landmark index degraded: edge ({u}, {v}) reweighed under "
+              f"the landmark index", file=sys.stderr)
 
-    # Registered *before* replay: _build_view fingerprint-checked the
-    # artifact against the pre-replay network, so a reweigh_edge record
-    # already in the log must degrade the index exactly as a live one
-    # would — otherwise a restarted or replacement worker serves landmark
-    # bounds bound to stale edge weights.
+    # Registered *before* replay: _build_view built the index over the
+    # pre-replay network, so a reweigh_edge record already in the log
+    # must degrade the index exactly as a live one would — otherwise a
+    # restarted or replacement worker serves landmark bounds bound to
+    # stale edge weights.
     session.add_reweigh_hook(_degrade_on_reweigh)
     session.replay_wal()
     target = int(spec.get("epoch", 0))
@@ -275,22 +262,19 @@ def worker_entry(spec: dict, stdin=None, stdout=None) -> int:
     out_fh = stdout if stdout is not None else sys.stdout.buffer
     _arm_faults(spec)
     aug, accel, index_source = _build_view(spec)
+    indexed = accel is not None and accel.index is not None
     session = _build_session(spec, aug, accel) if spec.get("wal") else None
-    if (
-        index_source == "mmap"
-        and accel is not None
-        and accel.index is None
-    ):
-        # A reweigh replayed from the mutation log degraded the mapped
-        # index before the ready frame went out; report it honestly so
-        # the supervisor's index_sources audit trail reflects what this
-        # worker actually serves with.
+    if indexed and accel.index is None:
+        # A reweigh replayed from the mutation log retired the index
+        # before the ready frame went out; report it as the threaded
+        # tier's index_source does, so the supervisor's index_sources
+        # audit trail reflects what this worker actually serves with.
         index_source = "degraded"
     # Ready handshake: the supervisor waits for this frame, so a worker
     # that dies during workload load is detected before it is dispatched
     # any request.  ``index`` reports where the acceleration state came
-    # from ("mmap" / "degraded" / "built" / "none") — the supervisor logs
-    # it, and the zero-rebuild tests assert on it.  With a live session
+    # from ("built" / "degraded" / "none") — the supervisor logs it,
+    # and the replayed-reweigh tests assert on it.  With a live session
     # the frame also carries the replayed ``epoch``: the supervisor
     # catches the worker up to the pool epoch before dispatching to it.
     ready = {"ready": True, "pid": os.getpid(), "index": index_source}

@@ -1,7 +1,6 @@
-"""Pins the stdout of ``repro check``, ``repro index check`` and
-``repro wal verify``.
+"""Pins the stdout of ``repro check`` and ``repro wal verify``.
 
-The three verifiers share one findings report: a text listing (one line
+The two verifiers share one findings report: a text listing (one line
 per finding, then ``<path>: OK`` or ``<path>: N problem(s) found``) or,
 under ``--json``, one document with the exit code and every finding.
 Each command runs on a clean and a damaged input, in both formats, from
@@ -19,12 +18,10 @@ import pytest
 
 from repro.cli import main
 from repro.live.wal import WriteAheadLog
-from repro.perf import build_index_file
 from repro.storage.netstore import NetworkStore
 from tests.conftest import make_random_connected_network, scatter_points
 
 STORE_CRC = "bad.db: page 10 at file offset 5160 is corrupt (CRC32 mismatch)"
-INDEX_CRC = "bad.rlix: section CRC mismatch at offset 16"
 WAL_TORN = (
     "torn tail: record 2 payload CRC mismatch at end of file (offset 160) "
     "— 64 trailing byte(s) will be truncated on the next read-write open"
@@ -42,7 +39,6 @@ def _finding(severity, kind, message, page_id=None, offset=None) -> dict:
 
 
 STORE_FINDING = _finding("error", "page", STORE_CRC, page_id=10, offset=5160)
-INDEX_FINDING = _finding("error", "index", INDEX_CRC, offset=16)
 WAL_FINDING = _finding("warning", "wal", WAL_TORN, offset=160)
 
 #: argv -> (exit code, text stdout, --json document)
@@ -56,36 +52,6 @@ CASES = {
         2,
         f"error:page [page 10]: {STORE_CRC}\nbad.db: 1 problem(s) found\n",
         {"store": "bad.db", "exit_code": 2, "findings": [STORE_FINDING]},
-    ),
-    ("check", "store.db", "--index", "idx.rlix"): (
-        0,
-        "store.db: OK\nidx.rlix: OK\n",
-        {"store": "store.db", "exit_code": 0, "findings": [],
-         "index": {"path": "idx.rlix", "findings": []}},
-    ),
-    ("check", "store.db", "--index", "bad.rlix"): (
-        2,
-        f"store.db: OK\nerror:index: {INDEX_CRC}\n"
-        "bad.rlix: 1 problem(s) found\n",
-        {"store": "store.db", "exit_code": 2, "findings": [],
-         "index": {"path": "bad.rlix", "findings": [INDEX_FINDING]}},
-    ),
-    ("check", "bad.db", "--index", "idx.rlix"): (
-        2,
-        f"error:page [page 10]: {STORE_CRC}\nbad.db: 1 problem(s) found\n"
-        "idx.rlix: OK\n",
-        {"store": "bad.db", "exit_code": 2, "findings": [STORE_FINDING],
-         "index": {"path": "idx.rlix", "findings": []}},
-    ),
-    ("index", "check", "idx.rlix"): (
-        0,
-        "idx.rlix: OK\n",
-        {"index": "idx.rlix", "exit_code": 0, "findings": []},
-    ),
-    ("index", "check", "bad.rlix"): (
-        2,
-        f"error:index: {INDEX_CRC}\nbad.rlix: 1 problem(s) found\n",
-        {"index": "bad.rlix", "exit_code": 2, "findings": [INDEX_FINDING]},
     ),
     ("wal", "verify", "m.wal"): (
         0,
@@ -111,20 +77,18 @@ def _flip(src: str, dst: str, offset: int) -> None:
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """A clean and a damaged store, index and mutation log."""
+    """A clean and a damaged store and mutation log."""
     root = tmp_path_factory.mktemp("reports")
     rng = random.Random(23)
     net = make_random_connected_network(rng, 30, extra_edges=10)
     pts = scatter_points(rng, net, 12)
     NetworkStore.build(str(root / "store.db"), net, pts,
                        page_size=512).close()
-    build_index_file(str(root / "idx.rlix"), net, num_landmarks=4)
     with WriteAheadLog(str(root / "m.wal")) as wal:
         wal.append({"kind": "insert_point", "u": 1, "v": 2,
                     "offset": 0.25, "point_id": 100})
         wal.append({"kind": "remove_point", "point_id": 100})
     _flip(str(root / "store.db"), str(root / "bad.db"), 5260)
-    _flip(str(root / "idx.rlix"), str(root / "bad.rlix"), 40)
     # The last record's payload: a torn tail, reported as a warning.
     _flip(str(root / "m.wal"), str(root / "bad.wal"), 221)
     return root

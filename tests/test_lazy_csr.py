@@ -1,10 +1,12 @@
-"""The CSR backend, and numpy and scipy with it, load only on request.
+"""The CSR backend and the landmark index, and numpy and scipy with
+them, load only on request.
 
 The dict backend — the only one the supervised tier serves live
 mutations on — needs neither library, so importing the package, the CLI
 or the worker entry point, and building a worker's view and live
-session, must leave both out of ``sys.modules``.  The checks run in a
-fresh interpreter: this test process has long since imported numpy.
+session, must leave both out of ``sys.modules`` — with a distance cache
+and no landmarks too.  The checks run in a fresh interpreter: this test
+process has long since imported numpy.
 """
 
 from __future__ import annotations
@@ -46,6 +48,11 @@ PROBE = textwrap.dedent(
     seen["repro.serve.worker"] = heavy()
     spec = json.loads(sys.argv[1])
     aug, accel, _ = worker._build_view(spec)
+    if accel is not None:
+        query = next(iter(aug.points))
+        accel.range_query(query, 1.0)
+        accel.knn_query(query, 3)
+    seen["accelerated"] = accel is not None
     seen["_build_view"] = heavy()
     session = worker._build_session(spec, aug, accel)
     seen["_build_session"] = heavy()
@@ -78,12 +85,21 @@ def live_spec(tmp_path):
     return {"workload": workload, "wal": wal, "epoch": 1, "live_eps": 1.0}
 
 
-@pytest.mark.parametrize("backend", [None, "dict"])
-def test_dict_worker_loads_neither_numpy_nor_scipy(live_spec, backend):
+@pytest.mark.parametrize("backend, cache_mb", [
+    pytest.param(None, 0.0, id="None"),
+    pytest.param("dict", 0.0, id="dict"),
+    # A distance cache without landmarks is pure Python too.
+    pytest.param("dict", 1.0, id="dict-cache"),
+])
+def test_dict_worker_loads_neither_numpy_nor_scipy(live_spec, backend,
+                                                   cache_mb):
     if backend is not None:
         live_spec["backend"] = backend
+    if cache_mb:
+        live_spec["distance_cache_mb"] = cache_mb
     seen = _probe(live_spec)
     assert seen.pop("epoch") == 1
+    assert seen.pop("accelerated") == bool(cache_mb)
     assert seen == {
         "repro": [],
         "repro.cli": [],
@@ -91,6 +107,21 @@ def test_dict_worker_loads_neither_numpy_nor_scipy(live_spec, backend):
         "_build_view": [],
         "_build_session": [],
     }
+
+
+def test_perf_exports_are_lazy_attributes():
+    pytest.importorskip("numpy")
+    import repro.perf
+    from repro.perf import DistanceAccelerator, LandmarkIndex
+    from repro.perf.accel import DistanceAccelerator as accel_class
+    from repro.perf.landmarks import LandmarkIndex as index_class
+
+    assert DistanceAccelerator is accel_class
+    assert LandmarkIndex is index_class
+    assert set(repro.perf.__all__) >= {"DistanceAccelerator",
+                                       "DistanceCache", "LandmarkIndex"}
+    with pytest.raises(AttributeError):
+        repro.perf.NoSuchExport  # noqa: B018
 
 
 def test_csr_network_is_a_lazy_attribute():

@@ -150,20 +150,27 @@ def test_search_results_sorted_by_distance_then_id(
                 assert hits == knn_query(aug, query, k, include_query)
 
 
-def test_coincident_points_reached_from_larger_endpoint_sorted_by_id():
+def test_coincident_points_reached_from_larger_endpoint_sorted_by_id(
+    tmp_path, request
+):
     # Objects 1 and 2 share a position; walking in from node 2 reaches
     # object 2 first and object 1 over a zero-length segment, so they
-    # settle in descending id order and the answer must be re-sorted.
+    # settle in descending id order: the answer must be re-sorted, and a
+    # kNN cut at the tie must keep the smaller id.
     net = SpatialNetwork.from_edge_list([(1, 2, 2.0), (2, 3, 3.0)])
     points = PointSet(net)
-    query = points.add(2, 3, 1.0)
+    points.add(2, 3, 1.0)
     points.add(1, 2, 0.5)
     points.add(1, 2, 0.5)
-    aug = AugmentedView(net, points)
-    got = range_query(aug, query, 10.0, include_query=False)
-    assert [(p.point_id, d) for p, d in got] == [(1, 2.5), (2, 2.5)]
-    got = knn_query(aug, query, 2)
-    assert [(p.point_id, d) for p, d in got] == [(1, 2.5), (2, 2.5)]
+    for backend in ("dict", "csr", "store"):
+        aug, pts = _views(net, points, backend, tmp_path, request)
+        query = pts.get(0)
+        got = range_query(aug, query, 10.0, include_query=False)
+        assert [(p.point_id, d) for p, d in got] == [(1, 2.5), (2, 2.5)]
+        got = knn_query(aug, query, 2)
+        assert [(p.point_id, d) for p, d in got] == [(1, 2.5), (2, 2.5)]
+        got = knn_query(aug, query, 1)
+        assert [(p.point_id, d) for p, d in got] == [(1, 2.5)]
 
 
 # ---------------------------------------------------------------------------

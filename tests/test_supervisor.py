@@ -667,3 +667,155 @@ class TestProcessPool:
         assert pool.close()
         assert len(pool.spawned_pids) == 3
         _assert_reaped(pool.spawned_pids)
+
+
+# ----------------------------------------------------------------------
+# A replayed reweigh retires a built landmark index
+# ----------------------------------------------------------------------
+def _reweigh_first_edge(net) -> dict:
+    u, v = min((a, b) for a, b, _w in net.edges())
+    # Reweigh *up*, past the generator's 10.0 ceiling: guaranteed to
+    # change distances and conflict-free whatever sits on the edge.
+    return {"kind": "reweigh_edge", "u": u, "v": v, "weight": 11.0}
+
+
+class TestReplayedReweighDegradesIndex:
+    """A ``reweigh_edge`` already in the mutation log must degrade the
+    landmark index a (re)started worker built: its bounds bind to the
+    pre-replay edge weights, and a worker that kept them would serve
+    stale range/knn answers.  Both tiers then report ``"degraded"``."""
+
+    LANDMARKS = 4
+
+    def make_wal_with_reweigh(self, workload_path: str,
+                              wal_path: str) -> None:
+        from repro.io import load_workload_file
+        from repro.live import LiveSession, WriteAheadLog
+
+        net, pts = load_workload_file(workload_path)
+        writer = LiveSession(net, pts, eps=2.0, wal=WriteAheadLog(wal_path))
+        writer.mutate(_reweigh_first_edge(net))
+        writer.close()
+
+    def oracle_answers(self, workload_path: str, wal_path: str,
+                       requests: list) -> list:
+        """Unaccelerated answers over the replayed (mutated) world."""
+        from repro.io import load_workload_file
+        from repro.live import LiveSession, WriteAheadLog
+        from repro.network.augmented import AugmentedView
+        from repro.serve.service import run_query
+
+        net, pts = load_workload_file(workload_path)
+        session = LiveSession(
+            net, pts, eps=2.0,
+            wal=WriteAheadLog(wal_path, read_only=True),
+        )
+        try:
+            session.replay_wal()
+            aug = AugmentedView(session.network, session.points)
+            return [run_query(r, aug) for r in requests]
+        finally:
+            session.close()
+
+    def test_restarted_worker_replays_reweigh_and_degrades(
+        self, workload, workload_path, tmp_path
+    ):
+        """Drive one worker in-process over a log holding a reweigh: the
+        ready frame must report ``degraded`` (not ``built``) and every
+        answer must match the unaccelerated oracle on the reweighed
+        network."""
+        pytest.importorskip("numpy")
+        from repro.serve.worker import worker_entry
+
+        wal_path = str(tmp_path / "reweigh.wal")
+        self.make_wal_with_reweigh(workload_path, wal_path)
+        _net, pts = workload
+        requests = [
+            {"op": "knn", "point_id": p.point_id, "k": 4}
+            for p in list(pts)[:6]
+        ]
+        stdin = io.BytesIO()
+        for i, request in enumerate(requests):
+            write_frame(stdin, {"seq": i, "request": request})
+        stdin.seek(0)
+        stdout = io.BytesIO()
+        spec = {
+            "workload": workload_path,
+            "landmarks": self.LANDMARKS,
+            "wal": wal_path,
+            "epoch": 1,
+            "live_eps": 2.0,
+        }
+        assert worker_entry(spec, stdin=stdin, stdout=stdout) == 0
+        stdout.seek(0)
+        ready = read_frame(stdout)
+        assert ready["ready"] and ready["epoch"] == 1
+        assert ready["index"] == "degraded"
+        answers = []
+        for _ in requests:
+            frame = read_frame(stdout)
+            assert frame["ok"], frame
+            answers.append(frame["result"])
+        assert answers == self.oracle_answers(
+            workload_path, wal_path, requests
+        )
+
+    def test_pool_restart_with_reweigh_in_log_degrades(
+        self, workload_path, tmp_path
+    ):
+        """Chaos acceptance: a pool acknowledges a reweigh, dies, and a
+        replacement pool over the same log comes up with every worker
+        degraded — no restarted worker ever serves the stale bounds — as
+        the threaded tier reports after the same reweigh."""
+        pytest.importorskip("numpy")
+        from repro.io import load_workload_file
+        from repro.serve.frontend import open_live_session
+
+        net, pts = load_workload_file(workload_path)
+        reweigh = _reweigh_first_edge(net)
+        requests = [
+            {"op": "knn", "point_id": p.point_id, "k": 4}
+            for p in list(pts)[:6]
+        ]
+        wal_path = str(tmp_path / "pool_reweigh.wal")
+        pool = SupervisedPool(
+            workload_path, processes=2, landmarks=self.LANDMARKS,
+            wal_path=wal_path, live_eps=2.0,
+        )
+        try:
+            # Both workers must be up before the mutate, or a slow spawn
+            # legitimately replays the reweigh and reports degraded.
+            deadline = time.monotonic() + 30.0
+            while pool.stats_snapshot()["supervisor"]["live"] < 2:
+                assert time.monotonic() < deadline, "workers never came up"
+                time.sleep(0.05)
+            ack = pool.call({"op": "mutate", "mutation": reweigh})
+            assert ack["epoch"] == 1
+        finally:
+            assert pool.close()
+        assert set(pool.index_sources) == {"built"}
+        pool2 = SupervisedPool(
+            workload_path, processes=2, landmarks=self.LANDMARKS,
+            wal_path=wal_path, live_eps=2.0,
+        )
+        try:
+            answers = [pool2.call(r) for r in requests]
+        finally:
+            assert pool2.close()
+        assert set(pool2.index_sources) == {"degraded"}
+        assert answers == self.oracle_answers(
+            workload_path, wal_path, requests
+        )
+        # Tier parity: the threaded tier, after the same reweigh.
+        session = open_live_session(
+            net, pts, str(tmp_path / "threaded.wal"), eps=2.0
+        )
+        svc = QueryService(net, pts, workers=1, landmarks=self.LANDMARKS,
+                           session=session)
+        try:
+            assert svc.index_source == "built"
+            svc.call({"op": "mutate", "mutation": reweigh})
+            assert {svc.index_source} == set(pool2.index_sources)
+        finally:
+            svc.close()
+            session.close()

@@ -2,7 +2,7 @@
 """Compare a perf-smoke run against ``BENCH_perf_baseline.json``.
 
 The perf-smoke benchmarks (``bench_perf_accel.py``,
-``bench_index_cold_start.py``, ``bench_csr_backend.py``) report
+``bench_csr_backend.py``) report
 hardware-independent counts next to their wall times: settled vertices,
 hits and cache traffic in each benchmark's ``extra_info``, and the
 ``perf.*`` counters in the metrics sidecar.  A count that moves means the
