@@ -2,7 +2,8 @@
 
 One measurement: batched single-source shortest-path trees over the SF
 workload, dict backend vs :class:`repro.network.CSRNetwork`.  The CSR
-backend's acceptance bar is a >= 3x wall-clock speedup while returning
+backend's acceptance bar is a >= 3x wall-clock speedup (the ratio of the
+per-side minima over interleaved rounds) while returning
 *bit-identical* distance maps (values and settle order) — the same
 "same bits, less work" contract as the perf layer.
 
@@ -28,11 +29,19 @@ from benchmarks._workloads import get_workload
 K = 10
 N_SOURCES = 60
 SPEEDUP_BAR = 3.0
+#: Timed rounds per side, interleaved dict, CSR, dict, CSR, ...
+ROUNDS = 5
 
 
 @pytest.mark.benchmark(group="csr-backend")
 def bench_csr_single_source_speedup(benchmark):
-    """Full shortest-path trees from sampled sources, dict vs CSR."""
+    """Full shortest-path trees from sampled sources, dict vs CSR.
+
+    The two sides are timed in alternation over ROUNDS rounds and the
+    bar is gated on the ratio of the per-side minima: load on a shared
+    runner only adds time, so each minimum is the side's least disturbed
+    round, and the alternation exposes both sides to the same periods.
+    """
     network, points, spec, eps = get_workload("SF", k=K)
     csr = CSRNetwork.freeze(network)
     rng = random.Random(23)
@@ -45,15 +54,20 @@ def bench_csr_single_source_speedup(benchmark):
 
     def run():
         obs.disable()  # measure the plain twins, not the counted ones
+        dict_times, csr_times = [], []
         try:
-            dict_s, dict_trees = timed(network)
-            csr_s, csr_trees = timed(csr)
+            for _ in range(ROUNDS):
+                dict_s, dict_trees = timed(network)
+                csr_s, csr_trees = timed(csr)
+                dict_times.append(dict_s)
+                csr_times.append(csr_s)
         finally:
             # Hand the sidecar fixture a live observer back, keeping any
             # counters other fixtures accumulated (fresh=True would wipe).
             obs.enable(fresh=False)
         for a, b in zip(dict_trees, csr_trees):
             assert a == b and list(a) == list(b)  # bit-identical, in order
+        dict_s, csr_s = min(dict_times), min(csr_times)
         return {"dict_s": dict_s, "csr_s": csr_s, "speedup": dict_s / csr_s}
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -61,6 +75,7 @@ def bench_csr_single_source_speedup(benchmark):
         {
             "kernel_backend": csr.kernel_backend,
             "n_sources": N_SOURCES,
+            "rounds": ROUNDS,
             "nodes": network.num_nodes,
             "edges": network.num_edges,
             "dict_s": round(result["dict_s"], 4),

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.epslink import EpsLink, EpsLinkEdgewise
+from repro.core.epslink import EpsLink
 from repro.core.singlelink import SingleLink
 from repro.datagen import generate_clustered_points, load_network, suggest_eps
 from repro.datagen.clusters import well_separated_seed_edges
@@ -66,20 +66,6 @@ def bench_full_scale_epslink(benchmark, name):
         }
     )
     assert ari > 0.95
-
-
-@pytest.mark.benchmark(group="full-scale")
-@pytest.mark.parametrize("name", ["OL", "TG"])
-def bench_full_scale_epslink_edgewise(benchmark, name):
-    network, points, eps = _full_workload(name)
-
-    def run():
-        return EpsLinkEdgewise(network, points, eps=eps, min_sup=2).run()
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info.update(
-        {"network": name, "points": len(points), "clusters": result.num_clusters}
-    )
 
 
 @pytest.mark.benchmark(group="full-scale")

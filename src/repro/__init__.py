@@ -106,7 +106,6 @@ def __getattr__(name):
         "CSRNetwork": "repro.network.csr",
         "NetworkKMedoids": "repro.core",
         "EpsLink": "repro.core",
-        "EpsLinkEdgewise": "repro.core",
         "IncrementalEpsLink": "repro.core",
         "NetworkDBSCAN": "repro.core",
         "NetworkOPTICS": "repro.core",

@@ -18,7 +18,7 @@ from repro.core.degrade import (
     distribute_k,
 )
 from repro.core.dendrogram import Dendrogram, Merge
-from repro.core.epslink import EpsLink, EpsLinkEdgewise
+from repro.core.epslink import EpsLink
 from repro.core.incremental import IncrementalEpsLink
 from repro.core.kmedoids import MedoidState, NetworkKMedoids
 from repro.core.optics import NetworkOPTICS, OPTICSResult, OrderedPoint
@@ -36,7 +36,6 @@ __all__ = [
     "Dendrogram",
     "Merge",
     "EpsLink",
-    "EpsLinkEdgewise",
     "IncrementalEpsLink",
     "MedoidState",
     "NetworkKMedoids",

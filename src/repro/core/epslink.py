@@ -12,15 +12,29 @@ point".
 
 Implementation
 --------------
-For each yet-unclustered seed object the algorithm runs a Dijkstra-style
-expansion over the point-augmented graph in which every object settled
-within distance ε of the growing cluster *joins* the cluster and becomes a
-fresh distance-0 source (the paper phrases this as "the shortest path for
-every node now changes dynamically as new points are assigned in the
-cluster").  Distance labels may therefore decrease after a vertex was first
-reached; the expansion uses lazy re-relaxation, which remains correct for
-non-negative segment lengths and terminates because every relaxation
-strictly decreases a label.
+For each yet-unclustered seed object the algorithm runs the paper's
+Figure 6 traversal: a heap of *network nodes* keyed by their distance to
+the growing cluster (the paper's ``NNdist``), where settling a node scans
+the point group of every incident edge, walking away from the node.  An
+object reached within ε of the cluster *joins* it and becomes a fresh
+distance-0 source (the paper phrases this as "the shortest path for every
+node now changes dynamically as new points are assigned in the cluster"),
+so a node's distance may fall after it was settled; it is then pushed and
+settled again.  Groups are stored in offset order (Section 4.1), so a scan
+reads each group once, in its physical order.
+
+Every distance is summed fold-left from the nearest member with the
+segment expressions of :class:`~repro.network.augmented.AugmentedView`:
+``first.offset`` from the smaller endpoint, ``weight - last.offset`` from
+the larger, and offset differences in between.  The scan therefore adds
+the same floats in the same order as a search over the augmented graph,
+and its clusters equal the components of the ≤ε graph that
+:func:`~repro.network.queries.range_query` sees, bit for bit.
+
+:meth:`EpsLink._grow` keeps the per-object form (every object a vertex of
+the augmented graph) as a resumable expansion: the live split check of
+:class:`~repro.core.incremental.IncrementalEpsLink` runs several of them
+in turn and merges those that meet.
 
 An optional ``min_sup`` turns clusters smaller than the threshold into
 outliers, as described in the paper.
@@ -41,11 +55,11 @@ from repro.network.augmented import AugmentedView, POINT, point_vertex
 from repro.network.points import PointSet
 from repro.obs.core import STATE as _OBS, add as _obs_add, span as _span
 
-__all__ = ["EpsLink", "EpsLinkEdgewise", "Expansion"]
+__all__ = ["EpsLink", "Expansion"]
 
 
 class Expansion:
-    """The state of one ε-Link cluster expansion, kept between slices of it.
+    """The state of one resumable ε-Link expansion, kept between slices.
 
     :meth:`EpsLink._grow` runs the expansion; this object holds what it
     leaves for the next slice: the cluster's members, the tentative
@@ -144,7 +158,6 @@ class EpsLink(NetworkClusterer):
     # ------------------------------------------------------------------
     def _cluster(self) -> ClusteringResult:
         resume = self._take_resume_state()
-        aug = AugmentedView(self.network, self.points)
         assignment: dict[int, int] = {}
         vertices_visited = 0
         next_label = 0
@@ -165,9 +178,7 @@ class EpsLink(NetworkClusterer):
             for seed in self.points:
                 if seed.point_id in assignment:
                     continue
-                members, visited = self._expand_cluster(
-                    aug, seed.point_id, assignment
-                )
+                members, visited = self._expand_cluster(seed, assignment)
                 vertices_visited += visited
                 for pid in members:
                     assignment[pid] = next_label
@@ -202,20 +213,73 @@ class EpsLink(NetworkClusterer):
             "next_label": self._live["next_label"],
         }
 
-    def _expand_cluster(
-        self,
-        aug: AugmentedView,
-        seed_id: int,
-        assignment: dict[int, int],
-    ) -> tuple[set[int], int]:
-        """Grow one cluster from ``seed_id``.
+    def _expand_cluster(self, seed, partial) -> tuple[set[int], int]:
+        """Grow the cluster of object ``seed`` by the Figure 6 group scan.
 
-        Returns the member point ids and the number of vertex relaxations
-        (a hardware-independent cost measure).
+        Returns the member point ids and the number of node settles (a
+        hardware-independent cost measure).  Every settle goes through
+        :func:`~repro.resilience.deadline.settle_checkpoint` at the
+        ``epslink.expand`` site, with ``partial`` as the partial result.
         """
-        expansion = Expansion(seed_id)
-        self._grow(aug, expansion, assignment)
-        return expansion.members, expansion.visited
+        eps = self.eps
+        network = self.network
+        points_on_edge = self.points.points_on_edge
+        members = {seed.point_id}
+        nn_dist: dict[int, float] = {}  # the paper's NNdist
+        heap: list[tuple[float, int]] = []
+
+        def scan(node: int, nbr: int, weight: float, entry: float) -> None:
+            """Walk edge (node, nbr) away from ``node``, whose distance to
+            the cluster is ``entry``: cluster every object within ε, then
+            push the far endpoint, and ``node`` itself when the object
+            next to it is a member."""
+            group = points_on_edge(node, nbr)
+            if not group:
+                far = entry + weight
+            else:
+                walk = group if node < nbr else group[::-1]
+                offset = walk[0].offset
+                # node to its nearest object: first.offset from the
+                # smaller endpoint, weight - last.offset from the larger.
+                back = offset if node < nbr else weight - offset
+                ref = entry + back
+                for p in walk:
+                    # IEEE subtraction is sign-symmetric: this is the
+                    # view's larger-minus-smaller offset, bit for bit.
+                    ref += abs(p.offset - offset)
+                    offset = p.offset
+                    if p.point_id in members:
+                        ref = 0.0
+                    elif ref <= eps:
+                        members.add(p.point_id)
+                        ref = 0.0
+                far = ref + (weight - offset if node < nbr else offset)
+                if (walk[0].point_id in members and back <= eps
+                        and back < nn_dist.get(node, math.inf)):
+                    nn_dist[node] = back
+                    heapq.heappush(heap, (back, node))
+            if far <= eps and far < nn_dist.get(nbr, math.inf):
+                nn_dist[nbr] = far
+                heapq.heappush(heap, (far, nbr))
+
+        # The seed's own edge, walked from both ends: nothing is reached
+        # before the seed, everything after it is measured from it.
+        u, v = seed.u, seed.v
+        weight = network.edge_weight(u, v)
+        scan(u, v, weight, math.inf)
+        scan(v, u, weight, math.inf)
+        visited = 0
+        guard = _FAULTS.engaged or _RES.engaged
+        while heap:
+            d, node = heapq.heappop(heap)
+            if d > nn_dist[node]:
+                continue  # stale: the cluster came closer since the push
+            if guard:
+                settle_checkpoint("epslink.expand", partial)
+            visited += 1
+            for nbr, weight in network.neighbors(node):
+                scan(node, nbr, weight, d)
+        return members, visited
 
     def _grow(
         self,
@@ -225,7 +289,8 @@ class EpsLink(NetworkClusterer):
         limit: int = -1,
         owner: dict | None = None,
     ) -> Expansion | None:
-        """Run ``expansion`` on: the one expansion loop of ε-Link.
+        """Continue ``expansion`` over the augmented graph, one heap vertex
+        per object: the resumable ε-Link expansion the live split check runs.
 
         Settles at most ``limit`` vertices (no limit when negative); the
         expansion is exhausted once its heap is empty.  Every settle goes
@@ -293,91 +358,3 @@ class EpsLink(NetworkClusterer):
                 assignment[pid] = NOISE
                 demoted += 1
         return demoted
-
-
-class EpsLinkEdgewise(EpsLink):
-    """The paper-literal ε-Link traversal (Figure 6).
-
-    Identical clusters to :class:`EpsLink` (a tested invariant), but
-    organised exactly as the paper's pseudocode: a priority queue of
-    *network nodes* keyed by their (dynamically shrinking) distance to the
-    cluster — the ``NNdist`` array — with whole point groups scanned
-    edge-by-edge as nodes are dequeued.  Nodes are re-enqueued whenever
-    newly clustered points bring the cluster closer to them ("we enqueue
-    n 2 again, since its distance from the cluster has decreased").
-
-    This variant reads points in group order (the physical layout of the
-    paper's points file), which is why the paper prefers it over the
-    per-point range queries of DBSCAN on disk-resident data.
-    """
-
-    algorithm_name = "eps-link-edgewise"
-
-    def _expand_cluster(
-        self,
-        aug: AugmentedView,
-        seed_id: int,
-        assignment: dict[int, int],
-    ) -> tuple[set[int], int]:
-        eps = self.eps
-        network = self.network
-        points = self.points
-        members: set[int] = set()
-        nn_dist: dict[int, float] = {}  # the paper's NNdist array
-        heap: list[tuple[float, int]] = []
-        visited = 0
-
-        def scan_edge(node: int, nbr: int, entry: float) -> None:
-            """Walk edge (node, nbr) from ``node``, whose distance to the
-            cluster is ``entry``; cluster reachable points and enqueue
-            improved endpoint distances (paper lines 16-37)."""
-            weight = network.edge_weight(node, nbr)
-            group = points.points_from(node, nbr)
-            pos = 0.0
-            ref = entry  # distance to the cluster standing at `pos`
-            best_from_node = math.inf  # node's distance via this edge
-            for p in group:
-                t = p.offset if p.u == node else weight - p.offset
-                ref += t - pos
-                pos = t
-                if p.point_id in members:
-                    ref = 0.0
-                elif ref <= eps:
-                    members.add(p.point_id)
-                    ref = 0.0
-                if ref == 0.0 and math.isinf(best_from_node):
-                    best_from_node = t  # nearest clustered point to `node`
-            far = ref + (weight - pos)  # nbr's distance via this walk
-            if far <= eps and far < nn_dist.get(nbr, math.inf):
-                nn_dist[nbr] = far
-                heapq.heappush(heap, (far, nbr))
-            if best_from_node <= eps and best_from_node < nn_dist.get(node, math.inf):
-                nn_dist[node] = best_from_node
-                heapq.heappush(heap, (best_from_node, node))
-
-        # Initialisation (paper lines 3-11): cluster outward from the seed
-        # along its own edge, then enqueue the edge's endpoints.
-        seed = points.get(seed_id)
-        members.add(seed_id)
-        for start_node in (seed.u, seed.v):
-            other = seed.v if start_node == seed.u else seed.u
-            scan_edge(start_node, other, math.inf)
-        # Standing at the seed: both endpoints reachable directly.
-        for node in (seed.u, seed.v):
-            d = points.distance_to_node(seed, node)
-            if d <= eps and d < nn_dist.get(node, math.inf):
-                nn_dist[node] = d
-                heapq.heappush(heap, (d, node))
-
-        # Expansion (paper lines 12-37).
-        guard = _FAULTS.engaged or _RES.engaged
-        while heap:
-            d, node = heapq.heappop(heap)
-            if d > nn_dist.get(node, math.inf):
-                continue  # stale entry (paper line 14's freshness check)
-            if guard:
-                settle_checkpoint("epslink.expand", assignment)
-            visited += 1
-            for nbr, _ in network.neighbors(node):
-                scan_edge(node, nbr, d)
-        return members, visited

@@ -26,9 +26,9 @@ every update costs only what it touches:
   union with what it finds.  Objects on the edge keep their relative
   position (offsets rescale by ``new/old``).
 
-The split check runs one ε-Link cluster expansion
-(:meth:`~repro.core.epslink.EpsLink._grow`, the loop from-scratch ε-Link
-runs) per seed, one settle per expansion in turn.  Two expansions merge
+The split check runs one resumable ε-Link expansion
+(:meth:`~repro.core.epslink.EpsLink._grow`, over the augmented graph) per
+seed, one settle per expansion in turn.  Two expansions merge
 when one reaches an object the other owns.  The check stops when one
 expansion is left (no split; usually after a few local settles, since the
 seeds lie close together) or when every expansion but one is exhausted:
@@ -296,14 +296,14 @@ class IncrementalEpsLink:
         return [expansion.members for expansion in exhausted]
 
     def _link_all(self) -> None:
-        """Cluster the adopted point set from scratch: one ε-Link
-        expansion per not-yet-clustered object, merged in one step."""
-        aug = AugmentedView(self.network, self._points)
+        """Cluster the adopted point set from scratch: one group-scan
+        expansion (:meth:`EpsLink._expand_cluster`, the loop from-scratch
+        ε-Link runs) per not-yet-clustered object, merged in one step."""
         seen: set[int] = set()
-        for seed in self._points.point_ids():
-            if seed in seen:
+        for seed in self._points:
+            if seed.point_id in seen:
                 continue
-            members, _ = self._expander._expand_cluster(aug, seed, {})
+            members, _ = self._expander._expand_cluster(seed, {})
             seen |= members
             self._uf.union_all(members)
 

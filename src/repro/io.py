@@ -88,19 +88,10 @@ def workload_from_dict(doc: dict) -> tuple[SpatialNetwork, PointSet]:
     if doc.get("version") != _VERSION:
         raise FormatError(f"unsupported version {doc.get('version')!r}")
     net_doc = doc["network"]
-    network = SpatialNetwork(name=net_doc.get("name", "network"))
-    for record in net_doc["nodes"]:
-        if len(record) == 3:
-            network.add_node(int(record[0]), x=float(record[1]), y=float(record[2]))
-        else:
-            network.add_node(int(record[0]))
-    for u, v, w in net_doc["edges"]:
-        network.add_edge(int(u), int(v), float(w))
-    points = PointSet(network)
-    for record in doc.get("points", []):
-        pid, u, v, offset = record[:4]
-        label = int(record[4]) if len(record) > 4 else None
-        points.add(int(u), int(v), float(offset), point_id=int(pid), label=label)
+    network = SpatialNetwork.from_records(
+        net_doc["nodes"], net_doc["edges"], name=net_doc.get("name", "network")
+    )
+    points = PointSet.from_records(network, doc.get("points", []))
     return network, points
 
 

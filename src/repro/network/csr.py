@@ -137,9 +137,6 @@ class CSRNetwork:
             self._matrix = _csr_matrix(
                 (self._weights, self._indices, indptr), shape=(n, n)
             )
-            # The optional kernel exists only when there is a matrix to run
-            # it on; without one, every search takes the generic loops.
-            self.dijkstra_single_source = self._single_source_scipy
 
     # ------------------------------------------------------------------
     # Construction
@@ -271,10 +268,20 @@ class CSRNetwork:
     # ------------------------------------------------------------------
     # Optional kernel: untargeted, uninstrumented single source
     # ------------------------------------------------------------------
+    @property
+    def dijkstra_single_source(self):
+        """The kernel, on views that have a matrix to run it on; without
+        one the attribute does not exist and every search takes the
+        generic loops.  Looked up, not stored: a stored bound method
+        would tie the view to itself in a reference cycle."""
+        if self._matrix is None:
+            raise AttributeError("dijkstra_single_source")
+        return self._single_source_scipy
+
     def _single_source_scipy(self, source: int, cutoff: float) -> dict[int, float]:
         """Untargeted expansion via scipy's C Dijkstra.
 
-        Bound as ``dijkstra_single_source`` on views that have a matrix.
+        Served as ``dijkstra_single_source`` on views that have a matrix.
         The result dict is rebuilt in settle order — ascending
         ``(distance, node id)``, which a stable argsort over the id-sorted
         rows yields directly — so even dict iteration order matches the

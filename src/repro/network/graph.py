@@ -143,6 +143,59 @@ class SpatialNetwork:
             net.add_edge(u, v, w)
         return net
 
+    @classmethod
+    def from_records(
+        cls,
+        nodes: Iterable,
+        edges: Iterable,
+        name: str = "network",
+    ) -> "SpatialNetwork":
+        """Build a network from interchange records in one pass.
+
+        ``nodes`` holds ``[id, x, y]`` or ``[id]`` records and ``edges``
+        ``[u, v, weight]`` records (the :mod:`repro.io` format).  The
+        result equals :meth:`add_node` per node record followed by
+        :meth:`add_edge` per edge record — the same adjacency, in the
+        same insertion order, and the same edition — and every record
+        is checked as those methods check it, raising the same errors.
+        """
+        net = cls(name=name)
+        adj, coords = net._adj, net._coords
+        created = 0
+        for record in nodes:
+            node = int(record[0])
+            if node not in adj:
+                adj[node] = {}
+                created += 1
+            if len(record) == 3:
+                coords[node] = (float(record[1]), float(record[2]))
+        num_edges = records = 0
+        isfinite = math.isfinite
+        for u, v, weight in edges:
+            records += 1
+            u, v, weight = int(u), int(v), float(weight)
+            if not u < v:
+                u, v = normalize_edge(u, v)
+            if u not in adj:
+                adj[u] = {}
+                created += 1
+            if v not in adj:
+                adj[v] = {}
+                created += 1
+            if not isfinite(weight) or weight <= 0.0:
+                raise InvalidWeightError(
+                    f"edge ({u}, {v}) weight must be a positive finite number, "
+                    f"got {weight!r}"
+                )
+            row = adj[u]
+            if v not in row:
+                num_edges += 1
+            row[v] = weight
+            adj[v][u] = weight
+        net._num_edges = num_edges
+        net._edition = created + records
+        return net
+
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import weakref
 from typing import TYPE_CHECKING
 
 from repro.exceptions import IndexStaleError
@@ -124,7 +125,16 @@ class DistanceAccelerator:
             cache = None
         self._cache = cache
         self._point_vectors: dict[int, tuple[float, ...]] = {}
-        aug.add_invalidation_hook(self._on_invalidate)
+        # The view holds the hook weakly, so that view and accelerator
+        # form no reference cycle: both go with their last reference.
+        on_invalidate = weakref.WeakMethod(self._on_invalidate)
+
+        def hook(point_ids, reweigh: bool) -> None:
+            method = on_invalidate()
+            if method is not None:
+                method(point_ids, reweigh)
+
+        aug.add_invalidation_hook(hook)
 
     # ------------------------------------------------------------------
     # Invalidation (the single path: AugmentedView.invalidate).  A cache

@@ -322,7 +322,9 @@ class SupervisedPool(ServeFrontEnd):
                 network, points, wal_path, eps=live_eps, min_sup=live_min_sup,
             )
         self._sleep = sleep
-        self._worker_factory = worker_factory or self._spawn_process_worker
+        # None means _spawn_process_worker, looked up at each spawn: a
+        # stored bound method would tie the pool to itself in a cycle.
+        self._worker_factory = worker_factory
         self._cond = threading.Condition(self._lock)
         self._stopping = False
         #: fingerprint -> worker deaths it was in flight for
@@ -615,7 +617,8 @@ class SupervisedPool(ServeFrontEnd):
                     "attempt": attempt, "delay_s": delay,
                 })
                 _obs_add("serve.supervisor.restarts")
-            handle = self._worker_factory(slot.index)
+            handle = (self._worker_factory
+                      or self._spawn_process_worker)(slot.index)
             ready = handle.recv()
             if ready is None or not ready.get("ready"):
                 self._reap_failed(slot, handle)

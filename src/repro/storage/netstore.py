@@ -53,7 +53,7 @@ from repro.exceptions import (
 )
 from repro.faults.core import STATE as _FAULTS, CrashPoint, fire as _fault
 from repro.network.graph import normalize_edge
-from repro.network.points import NetworkPoint, PointSet
+from repro.network.points import NetworkPoint, PointSet, trusted_point
 from repro.obs.core import add as _obs_add, span as _span
 from repro.storage.bptree import BPlusTree, _repeat
 from repro.storage.ccam import ccam_order
@@ -104,9 +104,12 @@ def _decode_group(
             f"point group ({u}, {v}): point count {count} overruns the "
             f"{len(record)}-byte record"
         )
+    if not u < v:
+        raise CorruptRecordError(f"point group ({u}, {v}) is not in canonical order")
     flat = _repeat(_GROUP_ENTRY, count).unpack_from(record, _GROUP_HEADER.size)
+    # The header check above is the one check NetworkPoint() would make.
     pts = tuple(
-        NetworkPoint(pid, u, v, offset, label=None if label == _NO_LABEL else label)
+        trusted_point(pid, u, v, offset, None if label == _NO_LABEL else label)
         for pid, offset, label in zip(flat[0::3], flat[1::3], flat[2::3])
     )
     return (u, v), pts

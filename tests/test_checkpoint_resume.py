@@ -18,12 +18,13 @@ import pytest
 from repro import faults
 from repro.cli import main
 from repro.core.dbscan import NetworkDBSCAN
-from repro.core.epslink import EpsLink, EpsLinkEdgewise
+from repro.core.epslink import EpsLink, Expansion
 from repro.core.kmedoids import NetworkKMedoids
 from repro.core.optics import NetworkOPTICS
 from repro.core.singlelink import SingleLink
 from repro.faults import CrashPoint, FaultRule
-from repro.recovery import CheckpointManager, load_checkpoint
+from repro.network.augmented import AugmentedView
+from repro.recovery import CheckpointManager, load_checkpoint, save_checkpoint
 from tests.conftest import make_random_connected_network, scatter_points
 
 
@@ -37,7 +38,6 @@ def _workload():
 MAKERS = {
     "k-medoids": lambda n, p: NetworkKMedoids(n, p, k=4, seed=7, n_restarts=2),
     "eps-link": lambda n, p: EpsLink(n, p, eps=3.0, min_sup=2),
-    "eps-link-edgewise": lambda n, p: EpsLinkEdgewise(n, p, eps=3.0, min_sup=2),
     "dbscan": lambda n, p: NetworkDBSCAN(n, p, eps=3.0, min_pts=3),
     "optics": lambda n, p: NetworkOPTICS(n, p, max_eps=4.0, min_pts=3),
     "single-link": lambda n, p: SingleLink(n, p, delta=1.0, stop_k=4),
@@ -46,7 +46,6 @@ MAKERS = {
 CRASH_SITES = {
     "k-medoids": "kmedoids.update_settle",
     "eps-link": "epslink.expand",
-    "eps-link-edgewise": "epslink.expand",
     "dbscan": "queries.settle",
     "optics": "queries.settle",
     "single-link": "dijkstra.settle",
@@ -171,6 +170,50 @@ class TestSnapshotResume:
             )
 
 
+class TestVertexSettleCheckpoint:
+    """ε-Link checkpoints once counted ``vertices_visited`` in settles of
+    augmented-graph vertices (one per object and node); the group scan
+    counts node settles.  The state's shape did not change."""
+
+    def test_old_count_resumes(self, workload, baselines, tmp_path):
+        net, pts = workload
+        algo = MAKERS["eps-link"](net, pts)
+        aug = AugmentedView(net, pts)
+        # Three clusters grown the old way: one vertex-heap expansion
+        # each (Expansion + one unlimited _grow), counting its settles.
+        assignment, vertex_settles, node_settles, label = {}, 0, 0, 0
+        for seed in pts:
+            if label == 3:
+                break
+            if seed.point_id in assignment:
+                continue
+            expansion = Expansion(seed.point_id)
+            algo._grow(aug, expansion, assignment)
+            members, settled = algo._expand_cluster(seed, {})
+            assert members == expansion.members
+            vertex_settles += expansion.visited
+            node_settles += settled
+            for pid in members:
+                assignment[pid] = label
+            label += 1
+        assert vertex_settles != node_settles
+        ckpt = tmp_path / "eps-link.ckpt"
+        save_checkpoint(ckpt, {}, {
+            "assignment": {str(pid): lab for pid, lab in assignment.items()},
+            "vertices_visited": vertex_settles,
+            "next_label": label,
+        })
+        resumed = MAKERS["eps-link"](net, pts)
+        resumed.resume_from(load_checkpoint(ckpt)["state"])
+        result = resumed.run()
+        baseline = baselines["eps-link"]
+        assert result.assignment == baseline.assignment
+        # The old count carries over; the rest is counted in node settles.
+        assert result.stats["vertices_visited"] == (
+            baseline.stats["vertices_visited"] - node_settles + vertex_settles
+        )
+
+
 @pytest.fixture
 def cli_workload(tmp_path):
     path = tmp_path / "w.json"
@@ -193,7 +236,7 @@ class TestCLIBudgetAbortResume:
 
     CASES = {
         "eps-link": (
-            ["--algorithm", "eps-link", "--eps", "0.6"], "60",
+            ["--algorithm", "eps-link", "--eps", "0.6"], "15",
         ),
         "k-medoids": (
             ["--algorithm", "k-medoids", "--k", "5", "--restarts", "2",
@@ -262,7 +305,7 @@ class TestCLIBudgetAbortResume:
         args = ["--algorithm", "eps-link", "--eps", "0.6"]
         rc = main([
             "cluster", str(cli_workload), *args,
-            "--out", str(tmp_path / "a.json"), "--max-expansions", "60",
+            "--out", str(tmp_path / "a.json"), "--max-expansions", "15",
             "--checkpoint", str(ckpt), "--checkpoint-every", "1",
         ])
         assert rc == 3

@@ -12,13 +12,29 @@ from hypothesis import given, settings
 
 from repro.baselines.classic import threshold_components
 from repro.baselines.matrix import DistanceMatrix
-from repro.core.epslink import EpsLink, EpsLinkEdgewise, Expansion
+from repro.core.epslink import EpsLink, Expansion
+from repro.core.unionfind import UnionFind
 from repro.exceptions import ParameterError
 from repro.network.augmented import AugmentedView, point_vertex
 from repro.network.graph import SpatialNetwork
 from repro.network.points import PointSet
+from repro.network.queries import range_query
 
-from tests.strategies import clustering_instance
+from tests.strategies import clustering_instance, decimal_instance
+
+
+def range_components(net, points, eps) -> set[frozenset[int]]:
+    """Components of the ≤ε graph that ``range_query`` sees: each object
+    is linked to every object its range query at ε returns."""
+    aug = AugmentedView(net, points)
+    uf = UnionFind(points.point_ids())
+    for p in points:
+        for q, _ in range_query(aug, p, eps, include_query=False):
+            uf.union(p.point_id, q.point_id)
+    parts: dict = {}
+    for pid in points.point_ids():
+        parts.setdefault(uf.find(pid), set()).add(pid)
+    return {frozenset(part) for part in parts.values()}
 
 
 class TestValidation:
@@ -110,55 +126,97 @@ class TestSinglePoint:
 
 
 class TestEdgewiseVariant:
-    """The paper-literal Figure 6 traversal must produce identical clusters
-    to the augmented-graph implementation."""
+    """``EpsLink`` runs the paper's Figure 6 traversal (node heap, point
+    groups scanned edge by edge); its clusters must be the components of
+    the ≤ε graph of the augmented-graph range search."""
 
     def test_small_network_all_eps(self, small_network, small_points):
         for eps in (0.4, 1.0, 1.5, 2.5, 4.0, 6.0):
-            a = EpsLink(small_network, small_points, eps=eps).run()
-            b = EpsLinkEdgewise(small_network, small_points, eps=eps).run()
-            assert a.same_clustering(b), f"eps={eps}"
+            got = EpsLink(small_network, small_points, eps=eps).run()
+            want = range_components(small_network, small_points, eps)
+            assert got.as_partition() == want, f"eps={eps}"
 
     def test_detour_through_other_edges(self):
         net = SpatialNetwork.from_edge_list([(1, 2, 10.0), (1, 3, 1.0), (2, 3, 1.0)])
         ps = PointSet(net)
         ps.add(1, 2, 0.5, point_id=0)
         ps.add(1, 2, 9.5, point_id=1)
-        a = EpsLink(net, ps, eps=3.0).run()
-        b = EpsLinkEdgewise(net, ps, eps=3.0).run()
-        assert a.same_clustering(b)
-        assert b.num_clusters == 1
+        result = EpsLink(net, ps, eps=3.0).run()
+        assert result.as_partition() == range_components(net, ps, 3.0)
+        assert result.num_clusters == 1
 
     def test_min_sup(self, small_network, small_points):
-        b = EpsLinkEdgewise(small_network, small_points, eps=1.0, min_sup=2).run()
-        assert b.outliers() == [2, 3]
+        result = EpsLink(small_network, small_points, eps=1.5, min_sup=2).run()
+        assert result.outliers() == [3]
+        assert result.as_partition() == {frozenset({0, 1, 2})}
 
     def test_reports_its_own_name(self, small_network, small_points):
-        result = EpsLinkEdgewise(small_network, small_points, eps=1.0).run()
-        assert result.algorithm == "eps-link-edgewise"
+        result = EpsLink(small_network, small_points, eps=1.0).run()
+        assert result.algorithm == "eps-link"
+
+    def test_last_bit_hazard(self):
+        """Segments walked from the larger endpoint as differences of
+        ``weight - offset`` values differ in the last bit from the
+        augmented graph's offset differences.  Here that splits the
+        clusters: ε is d(0, 2) as the range search sums it, and a scan
+        that walked ``t - pos`` from node 1 linked all three objects."""
+        net = SpatialNetwork.from_edge_list([(0, 1, 0.5)])
+        ps = PointSet(net)
+        for pid, offset in enumerate((0.15, 0.05, 0.1)):
+            ps.add(0, 1, offset, point_id=pid)
+        eps = 0.15 - 0.1
+        assert (0.5 - 0.1) - (0.5 - 0.15) != eps
+        want = {frozenset({0, 2}), frozenset({1})}
+        assert range_components(net, ps, eps) == want
+        assert EpsLink(net, ps, eps=eps).run().as_partition() == want
+
+
+def _eps_candidates(net, points) -> list[float]:
+    """0.5 and, from the distances the range search computes between
+    objects, the smallest nonzero one and the median."""
+    aug = AugmentedView(net, points)
+    finite = sorted(
+        d for p in points
+        for _, d in range_query(aug, p, float("inf"), include_query=False)
+        if d > 0
+    )
+    candidates = [0.5]
+    if finite:
+        candidates.extend([finite[0], finite[len(finite) // 2]])
+    return candidates
 
 
 @settings(max_examples=40, deadline=None)
 @given(clustering_instance())
 def test_property_edgewise_equals_augmented(data):
-    """Figure 6's edge-scanning traversal == the augmented-graph expansion."""
+    """Figure 6's edge-scanning traversal == the components of the
+    augmented-graph range search, ε set at distances that search computed."""
     net, points, seed = data
-    dm = DistanceMatrix.from_points(net, points)
-    finite = sorted(
-        dm.values[i, j]
-        for i in range(len(dm.ids))
-        for j in range(i + 1, len(dm.ids))
-        if dm.values[i, j] < float("inf")
-    )
-    candidates = [0.5]
-    if finite:
-        candidates.extend([finite[0] * 1.01, finite[len(finite) // 2] * 1.0001])
-    for eps in candidates:
-        if eps <= 0:
-            continue
-        a = EpsLink(net, points, eps=eps).run()
-        b = EpsLinkEdgewise(net, points, eps=eps).run()
-        assert a.same_clustering(b), f"seed={seed} eps={eps}"
+    for eps in _eps_candidates(net, points):
+        got = EpsLink(net, points, eps=eps).run()
+        assert got.as_partition() == range_components(net, points, eps), (
+            f"seed={seed} eps={eps}"
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(decimal_instance())
+def test_property_decimal_ties(data):
+    """As above on decimal weights and offsets, which do not sum exactly
+    in binary: ε at every distance the range search computes, so ties
+    within an ulp decide links."""
+    net, points, seed = data
+    aug = AugmentedView(net, points)
+    distances = sorted({
+        d for p in points
+        for _, d in range_query(aug, p, float("inf"), include_query=False)
+        if d > 0
+    })
+    for eps in distances:
+        got = EpsLink(net, points, eps=eps).run()
+        assert got.as_partition() == range_components(net, points, eps), (
+            f"seed={seed} eps={eps!r}"
+        )
 
 
 @settings(max_examples=60, deadline=None)
@@ -191,7 +249,7 @@ def test_property_equals_threshold_components(data):
 
 
 class TestResumableExpansion:
-    """``EpsLink._grow``: the one expansion loop, run in slices and, with
+    """``EpsLink._grow``: the resumable expansion, run in slices and, with
     an owner map, stopped when it reaches another expansion's object."""
 
     @pytest.fixture
@@ -205,12 +263,15 @@ class TestResumableExpansion:
 
     def test_slices_equal_one_run(self, line):
         algo, aug = line
-        whole_members, whole_visited = algo._expand_cluster(aug, 0, {})
+        whole = Expansion(0)
+        assert algo._grow(aug, whole, None) is None
         sliced = Expansion(0)
         while sliced.heap:
             assert algo._grow(aug, sliced, None, 1) is None
-        assert sliced.members == whole_members == set(range(6))
-        assert sliced.visited == whole_visited
+        assert sliced.members == whole.members == set(range(6))
+        assert sliced.visited == whole.visited
+        members, _ = algo._expand_cluster(aug.points.get(0), {})
+        assert members == whole.members
 
     def test_meets_an_owned_object_when_pushing_it(self, line):
         algo, aug = line

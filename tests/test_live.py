@@ -301,7 +301,8 @@ class TestPreciseInvalidation:
     def attach_cache(self, session) -> DistanceCache:
         aug = AugmentedView(session.network, session.points)
         cache = DistanceCache(1.0)
-        DistanceAccelerator(aug, cache=cache)
+        # The view holds its accelerator's hook weakly: keep it alive.
+        self.accel = DistanceAccelerator(aug, cache=cache)
         session.attach(aug)
         return cache
 
@@ -643,13 +644,14 @@ class TestQueryServiceLive:
             deadline = time.monotonic() + 10.0
             while len(session._views) < 2 and time.monotonic() < deadline:
                 time.sleep(0.01)
-            accels = [
-                hook.__self__
-                for aug in session._views
-                for hook in aug._invalidation_hooks
-                if isinstance(hook.__self__, DistanceAccelerator)
-            ]
-            assert len(accels) == 2
+            # Both execution contexts, taken off the free queue and put back.
+            contexts = [svc._contexts.get(timeout=10.0) for _ in range(2)]
+            for ctx in contexts:
+                svc._contexts.put(ctx)
+            accels = [ctx.accel for ctx in contexts]
+            assert {id(ctx.aug) for ctx in contexts} == {
+                id(aug) for aug in session._views
+            }
             assert all(accel.index is not None for accel in accels)
             svc.call({
                 "op": "mutate",

@@ -120,6 +120,36 @@ class TestPointsProtocol:
         s.close()
 
 
+class TestGroupRecordDecoding:
+    """Group records decode to trusted points; the one placement check
+    left, canonical ``u < v``, is made once per record."""
+
+    def _record(self, u, v, entries):
+        from repro.storage.netstore import _GROUP_ENTRY, _GROUP_HEADER
+
+        return _GROUP_HEADER.pack(u, v, len(entries)) + b"".join(
+            _GROUP_ENTRY.pack(*entry) for entry in entries
+        )
+
+    def test_points_equal_checked_construction(self):
+        from repro.network.points import NetworkPoint
+        from repro.storage.netstore import _NO_LABEL, _decode_group
+
+        edge, pts = _decode_group(self._record(2, 5, [(7, 0.5, 3), (8, 1.5, _NO_LABEL)]))
+        assert edge == (2, 5)
+        assert [(p.point_id, p.u, p.v, p.offset, p.label) for p in pts] == [
+            (7, 2, 5, 0.5, 3), (8, 2, 5, 1.5, None)]
+        assert pts[0] == NetworkPoint(7, 2, 5, 0.5, label=3)
+
+    @pytest.mark.parametrize("u, v", [(5, 2), (3, 3)])
+    def test_non_canonical_edge_is_corrupt(self, u, v):
+        from repro.exceptions import CorruptRecordError
+        from repro.storage.netstore import _decode_group
+
+        with pytest.raises(CorruptRecordError):
+            _decode_group(self._record(u, v, [(7, 0.5, 0)]))
+
+
 class TestPersistence:
     def test_reopen(self, tmp_path, small_network, small_points):
         path = tmp_path / "reopen.db"
@@ -190,12 +220,17 @@ class TestClusteringOnStore:
             assert a.reachability == pytest.approx(b.reachability)
 
     def test_edgewise_epslink(self, tmp_path, small_network, small_points):
-        from repro.core.epslink import EpsLinkEdgewise
+        """The group scan reads stored point groups: same clusters and
+        the same node settles as in memory, at every ε."""
+        from repro.core.epslink import EpsLink
 
-        in_memory = EpsLinkEdgewise(small_network, small_points, eps=1.5).run()
         with NetworkStore.build(tmp_path / "ew.db", small_network, small_points) as store:
-            on_disk = EpsLinkEdgewise(store, store.points(), eps=1.5).run()
-        assert on_disk.same_clustering(in_memory)
+            for eps in (0.5, 1.5, 4.0):
+                in_memory = EpsLink(small_network, small_points, eps=eps).run()
+                on_disk = EpsLink(store, store.points(), eps=eps).run()
+                assert on_disk.same_clustering(in_memory)
+                assert (on_disk.stats["vertices_visited"]
+                        == in_memory.stats["vertices_visited"])
 
 
 class TestIOInstrumentation:

@@ -304,6 +304,30 @@ class TestQueryService:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("config", [
+        {"backend": "csr"},
+        {"landmarks": 4},
+        {"distance_cache_mb": 1.0},
+    ], ids=["csr", "landmarks", "cache"])
+    def test_closed_world_freed_without_cyclic_gc(self, config):
+        # Neither the CSR view's kernel nor an accelerator's invalidation
+        # hook may tie the world into a cycle: with the cyclic collector
+        # off, the network, the points and the service go at once.
+        rng = random.Random(5)
+        net = make_random_connected_network(rng, 20, extra_edges=6)
+        pts = scatter_points(rng, net, 25)
+        gc.disable()
+        try:
+            svc = QueryService(net, pts, workers=2, **config)
+            assert svc.call({"op": "knn", "point_id": 0, "k": 3})
+            assert svc.call({"op": "range", "point_id": 0, "eps": 2.0})
+            assert svc.close()
+            refs = [weakref.ref(obj) for obj in (svc, net, pts)]
+            del svc, net, pts
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()
+
     def test_graceful_drain_finishes_queued_work(self, workload):
         net, pts = workload
         svc = QueryService(net, pts, workers=2, queue_depth=8)

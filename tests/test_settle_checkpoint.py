@@ -17,7 +17,7 @@ import random
 import pytest
 
 from repro import faults, obs
-from repro.core.epslink import EpsLink, EpsLinkEdgewise
+from repro.core.epslink import EpsLink, Expansion
 from repro.core.kmedoids import NetworkKMedoids
 from repro.datagen.networks import grid_city
 from repro.exceptions import BudgetExceededError, DeadlineExceeded
@@ -69,6 +69,27 @@ def _first(pts):
 
 def _last(pts):
     return max(pts, key=lambda p: p.point_id)
+
+
+def _grown_clusters(net, pts):
+    """Every cluster grown by the resumable per-object expansion
+    (``EpsLink._grow``, the live split check's loop), one per unclustered
+    seed; returns the assignment and the vertices settled."""
+    algo = EpsLink(net, pts, EPS)
+
+    def grow():
+        aug = AugmentedView(net, pts)
+        assignment, settled = {}, 0
+        for seed in pts:
+            if seed.point_id not in assignment:
+                expansion = Expansion(seed.point_id)
+                algo._grow(aug, expansion, assignment)
+                settled += expansion.visited
+                for pid in expansion.members:
+                    assignment[pid] = seed.point_id
+        return assignment, settled
+
+    return grow
 
 
 def _accelerated(net, pts, op):
@@ -127,14 +148,11 @@ LOOPS = {
         lambda net, pts: _accelerated(net, pts, "knn"),
         _counter("perf.knn.vertices_settled"),
     ),
-    "epslink": (
-        "epslink.expand",
-        lambda net, pts: lambda: EpsLink(net, pts, EPS).run().assignment,
-        _counter("epslink.vertices_visited"),
-    ),
+    "epslink": ("epslink.expand", _grown_clusters, _returned),
+    # EpsLink.run: the Figure 6 group scan, one charge per node settle.
     "epslink_edgewise": (
         "epslink.expand",
-        lambda net, pts: lambda: EpsLinkEdgewise(net, pts, EPS).run().assignment,
+        lambda net, pts: lambda: EpsLink(net, pts, EPS).run().assignment,
         _counter("epslink.vertices_visited"),
     ),
     "kmedoids_update": ("kmedoids.update_settle", _kmedoids_update, None),

@@ -15,12 +15,14 @@ Two layers of coverage, mirroring the pool's injectable seams:
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import os
 import queue
 import random
 import time
+import weakref
 
 import pytest
 
@@ -667,6 +669,30 @@ class TestProcessPool:
         assert pool.close()
         assert len(pool.spawned_pids) == 3
         _assert_reaped(pool.spawned_pids)
+
+
+    def test_closed_pool_freed_without_cyclic_gc(
+        self, workload, workload_path, tmp_path
+    ):
+        # A pool with a mutation log holds no reference cycle after
+        # close(): with the cyclic collector off, the pool, its session
+        # and the session's world go with the last reference.
+        _, pts = workload
+        anchor = next(iter(pts)).point_id
+        gc.disable()
+        try:
+            pool = SupervisedPool(workload_path, processes=1,
+                                  wal_path=str(tmp_path / "live.wal"),
+                                  live_eps=2.0)
+            assert pool.call({"op": "knn", "point_id": anchor, "k": 2})
+            assert pool.close()
+            session = pool.session
+            refs = [weakref.ref(obj) for obj in (
+                pool, session, session.points, session.network)]
+            del pool, session
+            assert [ref() for ref in refs] == [None] * 4
+        finally:
+            gc.enable()
 
 
 # ----------------------------------------------------------------------
