@@ -10,16 +10,22 @@ the minimum spanning tree of the network-distance graph over the objects —
 single-link merge order and distances are determined by that MST.
 
 This implementation performs the same single traversal in its standard,
-provably-correct formulation (Mehlhorn's network-Voronoi construction):
+provably-correct formulation (Mehlhorn's network-Voronoi construction),
+reading each edge's point group in its stored offset order (Section 4.1):
 
-1. one *concurrent expansion* (multi-source Dijkstra) over the
-   point-augmented graph from all objects simultaneously computes, for every
-   vertex, its nearest object (``owner``) and distance — the network Voronoi
-   diagram of the objects;
-2. every augmented edge whose endpoints have different owners is a *bridge*
-   witnessing a path between two objects of length
-   ``dist(x) + len(x, y) + dist(y)``; the cheapest bridge per object pair is
-   kept;
+1. one scan of the edges seeds every node with the nearest object of each
+   populated incident edge (``first.offset`` from the smaller endpoint,
+   ``weight - last.offset`` from the larger), and one *concurrent
+   expansion* over network nodes, relaxing only the empty edges, gives
+   every node its nearest object (``owner``) and distance — the network
+   Voronoi diagram of the objects.  A node equidistant from several
+   objects is owned by the smallest point id, so every backend builds
+   the same diagram;
+2. one pass over the edges offers every *bridge* between two owners: two
+   consecutive objects of a group, an end object and the owner of its
+   adjacent node, and an empty edge between two owners, each witnessing
+   a path of length ``dist(x) + len(x, y) + dist(y)``; the cheapest
+   bridge per object pair is kept;
 3. Kruskal's algorithm with weighted-union Union-Find merges clusters in
    ascending bridge order, emitting the dendrogram.
 
@@ -36,16 +42,25 @@ is an order of magnitude smaller, while every merge above δ is unchanged.
 
 from __future__ import annotations
 
+import heapq
+import math
+
 from repro.core.base import NetworkClusterer
 from repro.core.dendrogram import Dendrogram, Merge
 from repro.core.result import ClusteringResult
 from repro.core.unionfind import UnionFind
 from repro.exceptions import ParameterError
-from repro.network.augmented import AugmentedView, node_vertex, point_vertex
-from repro.network.dijkstra import multi_source
+from repro.faults.core import STATE as _FAULTS
+# Unused here; kept as a module attribute because the end-to-end
+# benchmark's tracer (benchmarks/e2e/spans.py) wraps it by this name.
+from repro.network.dijkstra import multi_source  # noqa: F401
 from repro.network.points import PointSet
 from repro.obs.core import STATE as _OBS, add as _obs_add, span as _span
-from repro.resilience.deadline import STATE as _RES, check as _res_check
+from repro.resilience.deadline import (
+    STATE as _RES,
+    check as _res_check,
+    settle_checkpoint,
+)
 
 __all__ = ["SingleLink"]
 
@@ -165,35 +180,42 @@ class SingleLink(NetworkClusterer):
         Returns bridge triples ``(weight, pid_a, pid_b)`` and traversal
         statistics.
         """
-        aug = AugmentedView(self.network, self.points)
-        seeds = [(0.0, point_vertex(p.point_id), p.point_id) for p in self.points]
-        # Phase 1: the network Voronoi diagram of the objects.
+        # Phase 1: the network Voronoi diagram of the objects, over nodes.
         with _span("singlelink.voronoi"):
-            dist, owner = multi_source(aug, seeds)
+            dist, owner, groups, empty = self._voronoi()
 
         # Phase 2: cheapest bridge per adjacent owner pair.
         with _span("singlelink.bridges"):
             best: dict[tuple[int, int], float] = {}
-            vertices = [node_vertex(n) for n in self.network.nodes()]
-            vertices.extend(point_vertex(p.point_id) for p in self.points)
-            for vertex in vertices:
-                dv = dist.get(vertex)
-                if dv is None:
-                    continue  # vertex in a component without objects
+
+            def offer(a: int, b: int, weight: float) -> None:
+                pair = (a, b) if a < b else (b, a)
+                if weight < best.get(pair, math.inf):
+                    best[pair] = weight
+
+            for u, v, weight, group in groups:
                 if _RES.engaged:
                     _res_check("singlelink.bridges", partial=best)
-                ov = owner[vertex]
-                for nbr, seg in aug.neighbors(vertex):
-                    du = dist.get(nbr)
-                    if du is None:
-                        continue
-                    ou = owner[nbr]
-                    if ou == ov:
-                        continue
-                    pair = (ov, ou) if ov < ou else (ou, ov)
-                    weight = dv + seg + du
-                    if weight < best.get(pair, float("inf")):
-                        best[pair] = weight
+                prev = group[0]
+                if owner[u] != prev.point_id:
+                    offer(prev.point_id, owner[u], prev.offset + dist[u])
+                for p in group[1:]:
+                    offer(prev.point_id, p.point_id, p.offset - prev.offset)
+                    prev = p
+                if owner[v] != prev.point_id:
+                    offer(prev.point_id, owner[v], (weight - prev.offset) + dist[v])
+            for u, v, weight in empty:
+                if _RES.engaged:
+                    _res_check("singlelink.bridges", partial=best)
+                du = dist.get(u)
+                if du is None:
+                    continue  # an empty edge in a component without objects
+                dv = dist[v]
+                if owner[u] != owner[v]:
+                    # Both directions, as a search from either end adds
+                    # them: the two sums can differ by one ulp.
+                    offer(owner[u], owner[v],
+                          min((du + weight) + dv, (dv + weight) + du))
             bridges = sorted((w, a, b) for (a, b), w in best.items())
         stats = {
             "vertices_settled": len(dist),
@@ -203,6 +225,60 @@ class SingleLink(NetworkClusterer):
             _obs_add("singlelink.vertices_settled", len(dist))
             _obs_add("singlelink.candidate_pairs", len(bridges))
         return bridges, stats
+
+    def _voronoi(self) -> tuple[dict[int, float], dict[int, int], list, list]:
+        """Settle every node reachable from an object, nearest object first.
+
+        One scan of the edges ``u < v`` seeds each endpoint of a populated
+        edge with its nearest object of that edge, at the view's segment
+        expressions (``first.offset`` from ``u``, ``weight - last.offset``
+        from ``v``), and keeps the empty edges, the only ones relaxed: a
+        path into a node through a populated edge is never shorter than
+        that edge's own end-object seed.  The heap is keyed ``(distance,
+        node, point_id)``, so a node equidistant from several objects is
+        owned by the smallest point id, whatever order the backend lists
+        edges in.
+
+        Returns each settled node's distance and owner, the populated
+        edges as ``(u, v, weight, group)`` and the empty ones as ``(u, v,
+        weight)``.
+        """
+        network = self.network
+        points_on_edge = self.points.points_on_edge
+        groups = []
+        empty = []
+        links: dict[int, list[tuple[int, float]]] = {}  # over empty edges
+        heap: list[tuple[float, int, int]] = []
+        for u in network.nodes():
+            for v, weight in network.neighbors(u):
+                if v < u:
+                    continue
+                group = points_on_edge(u, v)
+                if group:
+                    first, last = group[0], group[-1]
+                    heap.append((first.offset, u, first.point_id))
+                    heap.append((weight - last.offset, v, last.point_id))
+                    groups.append((u, v, weight, group))
+                else:
+                    empty.append((u, v, weight))
+                    links.setdefault(u, []).append((v, weight))
+                    links.setdefault(v, []).append((u, weight))
+        heapq.heapify(heap)
+        dist: dict[int, float] = {}
+        owner: dict[int, int] = {}
+        guard = _FAULTS.engaged or _RES.engaged
+        while heap:
+            d, node, pid = heapq.heappop(heap)
+            if node in dist:
+                continue
+            if guard:
+                settle_checkpoint("singlelink.voronoi", (dist, owner))
+            dist[node] = d
+            owner[node] = pid
+            for nbr, weight in links.get(node, ()):
+                if nbr not in dist:
+                    heapq.heappush(heap, (d + weight, nbr, pid))
+        return dist, owner, groups, empty
 
     # ------------------------------------------------------------------
     # Phase 3: Kruskal with the delta heuristic

@@ -339,8 +339,11 @@ class SupervisedPool(ServeFrontEnd):
         #: index source each ready worker reported ("built" / "degraded" /
         #: "none"), in spawn order, restarts included: a worker whose
         #: replayed log reweighed an edge under its index reads
-        #: "degraded", as the threaded tier's ``index_source`` does.
+        #: "degraded", as the threaded tier's ``index_source`` does, and
+        #: so does every "built" entry once the pool acknowledged a
+        #: reweigh (its workers have retired their index by then).
         self.index_sources: list[str] = []
+        self._index_degraded = False
         self._slots = [
             _Slot(i, CircuitBreaker(
                 failure_threshold=max_restarts + 1,
@@ -481,7 +484,21 @@ class SupervisedPool(ServeFrontEnd):
         with session.lock:
             ack = session.mutate(request.get("mutation"))
             self._broadcast_apply(session.last_mutation, session.epoch)
+            if session.last_mutation["kind"] == "reweigh_edge":
+                self._degrade_index_sources()
         return ack
+
+    def _degrade_index_sources(self) -> None:
+        """A reweigh was acknowledged: every worker retires its landmark
+        index when it applies it, so a "built" entry now reads
+        "degraded".  The list keeps its length (one entry per ready
+        worker)."""
+        with self._cond:
+            self._index_degraded = True
+            self.index_sources[:] = [
+                "degraded" if source == "built" else source
+                for source in self.index_sources
+            ]
 
     def _broadcast_apply(self, mutation: dict, epoch: int) -> None:
         """Send one apply frame to every live worker (caller holds the
@@ -625,7 +642,13 @@ class SupervisedPool(ServeFrontEnd):
                 continue
             if handle.pid is not None:
                 self.spawned_pids.append(handle.pid)
-            self.index_sources.append(str(ready.get("index", "none")))
+            source = str(ready.get("index", "none"))
+            with self._cond:
+                if source == "built" and self._index_degraded:
+                    # Spawned before an acknowledged reweigh: catch-up
+                    # applies it before this worker serves anything.
+                    source = "degraded"
+                self.index_sources.append(source)
             if attempt > 0:
                 # Gauges registered at construction may have been replaced
                 # by another component since; re-assert them on every

@@ -489,8 +489,16 @@ class StoredPointSet:
         return len(self._store._point_tree)
 
     def __iter__(self) -> Iterator[NetworkPoint]:
-        for _, rid in self._store._point_tree.items():
-            _, pts = self._store._pts_file.read_decoded(rid, _decode_group)
+        # Through the group cache, so a job that iterates and also reads
+        # groups by edge decodes each group once.
+        cache = self._group_cache
+        for first, rid in self._store._point_tree.items():
+            pts = cache.get(first)
+            if pts is None:
+                _, pts = self._store._pts_file.read_decoded(rid, _decode_group)
+                if len(cache) >= self._group_cache_cap:
+                    cache.clear()
+                cache[first] = pts
             yield from pts
 
     def point_ids(self) -> Iterator[int]:

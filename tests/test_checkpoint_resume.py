@@ -48,7 +48,7 @@ CRASH_SITES = {
     "eps-link": "epslink.expand",
     "dbscan": "queries.settle",
     "optics": "queries.settle",
-    "single-link": "dijkstra.settle",
+    "single-link": "singlelink.voronoi",
 }
 
 

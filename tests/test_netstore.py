@@ -19,6 +19,7 @@ from repro.core.singlelink import SingleLink
 from repro.datagen import load_network
 from repro.exceptions import EdgeNotFoundError, NodeNotFoundError, PointNotFoundError
 from repro.storage.ccam import ccam_order, random_order
+from repro.storage import netstore
 from repro.storage.netstore import NetworkStore
 
 from tests.conftest import make_random_connected_network, scatter_points
@@ -338,6 +339,27 @@ class TestDecodeCaches:
 
             first = self._cold(store, lookups)
             assert self._cold(store, lookups) == first
+
+    def test_epslink_builds_each_object_once(self, tmp_path, monkeypatch):
+        """A cold ε-Link run decodes each group once: the seed sweep's
+        iteration and the group scans share the group cache, so however
+        often the small buffer evicts a page, one NetworkPoint is built
+        per object."""
+        store, network, points = self._sf_store(tmp_path, buffer_pages=4)
+        eps = 2 * sum(w for _, _, w in network.edges()) / network.num_edges
+        built = []
+        trusted_point = netstore.trusted_point
+
+        def counted(*args):
+            built.append(args[0])
+            return trusted_point(*args)
+
+        monkeypatch.setattr(netstore, "trusted_point", counted)
+        with store:
+            store.drop_caches()
+            on_disk = EpsLink(store, store.points(), eps=eps).run()
+        assert sorted(built) == sorted(p.point_id for p in points)
+        assert on_disk.as_partition() == EpsLink(network, points, eps=eps).run().as_partition()
 
     def test_returned_lists_do_not_alias_the_memo(self, store):
         sp = store.points()

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.dbscan import NetworkDBSCAN
 from repro.core.optics import NetworkOPTICS
+from repro.core.singlelink import SingleLink
 from repro.eval.metrics import NOISE
 from repro.exceptions import ParameterError
 from repro.network.augmented import AugmentedView
@@ -16,6 +19,7 @@ from repro.network.graph import SpatialNetwork
 from repro.network.points import PointSet
 from repro.network.queries import range_query
 
+from tests.conftest import make_random_connected_network, scatter_points
 from tests.strategies import clustering_instance
 
 
@@ -152,3 +156,81 @@ def test_property_extract_matches_dbscan_on_core_points(data, min_pts):
     for p in points:
         if p.point_id not in core and direct.cluster_of(p.point_id) == NOISE:
             assert extracted.cluster_of(p.point_id) == NOISE
+
+
+# ----------------------------------------------------------------------
+# OPTICS at MinPts = 2 is single linkage
+# ----------------------------------------------------------------------
+def _reachabilities_and_merges(net, points, max_eps):
+    """Sorted finite OPTICS(MinPts = 2) reachabilities, and the sorted
+    Single-Link merge distances up to ``max_eps``."""
+    ordering = NetworkOPTICS(net, points, max_eps=max_eps, min_pts=2).compute().ordering
+    reach = sorted(o.reachability for o in ordering if math.isfinite(o.reachability))
+    merges = SingleLink(net, points).build_dendrogram().merge_distances()
+    return reach, [d for d in merges if d <= max_eps]
+
+
+#: Probe instances whose reachabilities and merge distances differ, each
+#: pair by one ulp: OPTICS sums a path fold-left from one object, a
+#: Single-Link bridge adds two half-paths (see "Summation order" in
+#: docs/algorithms.md).
+ULP_SEEDS = {13, 17, 44, 60, 88, 93, 96, 105, 120, 133, 145, 160, 170, 208,
+             218, 257, 266, 292, 295}
+
+
+def test_optics_reachabilities_are_single_link_merges():
+    """OPTICS at MinPts = 2 runs Prim's algorithm on network distance, so
+    its finite reachabilities are the single-linkage merge distances
+    (Garcia-Pulido & Samardzhiev: the mpts = 2 DBSCAN* hierarchy is single
+    linkage).  Lengths are equal on all 300 instances; values are
+    float-equal except on the pinned one-ulp instances."""
+    differ = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        net = make_random_connected_network(
+            rng, rng.randint(3, 20), extra_edges=rng.randint(0, 10)
+        )
+        points = scatter_points(rng, net, rng.randint(2, 20))
+        reach, merges = _reachabilities_and_merges(
+            net, points, rng.uniform(0.5, 15.0)
+        )
+        assert len(reach) == len(merges), seed
+        if reach != merges:
+            differ.add(seed)
+            for a, b in zip(reach, merges):
+                assert a == b or abs(a - b) == math.ulp(max(a, b)), seed
+    assert differ == ULP_SEEDS
+
+
+def _path_instance(a, w1, w2, w3, b):
+    """Object 0 at ``a`` from node 0, empty edges 0-2-3-4 of weights
+    ``w1``, ``w2``, ``w3``, object 1 at ``b`` from node 4: one path."""
+    net = SpatialNetwork.from_edge_list(
+        [(0, 1, 2.0), (0, 2, w1), (2, 3, w2), (3, 4, w3), (4, 5, 2.0)]
+    )
+    points = PointSet(net)
+    points.add(0, 1, a, point_id=0)
+    points.add(4, 5, b, point_id=1)
+    return net, points
+
+
+@pytest.mark.parametrize(
+    "segments, optics, single_link, exact_side",
+    [
+        # Node 3 is object 0's, node 4 object 1's.  OPTICS folds the five
+        # segments left from either object; the bridge over edge 3-4
+        # keeps (0.1 + 0.7) + ((0.1 + 0.1) + 0.2), the smaller direction.
+        ((0.1, 0.1, 0.2, 0.7, 0.1), 1.2000000000000002, 1.2, "single-link"),
+        ((0.1, 0.1, 0.2, 0.2, 0.1), 0.7000000000000001, 0.7, "optics"),
+    ],
+)
+def test_one_ulp_case_pinned(segments, optics, single_link, exact_side):
+    """The two sides differ by one ulp, and neither order is always the
+    one exact arithmetic rounds to: ``Fraction`` sums of the same floats
+    pick Single-Link in one case and OPTICS in the other."""
+    net, points = _path_instance(*segments)
+    reach, merges = _reachabilities_and_merges(net, points, 100.0)
+    assert (reach, merges) == ([optics], [single_link])
+    assert abs(optics - single_link) == math.ulp(optics)
+    exact = float(sum(Fraction(x) for x in segments))
+    assert exact == (single_link if exact_side == "single-link" else optics)

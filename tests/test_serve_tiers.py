@@ -448,6 +448,47 @@ def test_worker_frames_carry_only_finite_deadlines(workload_path):
     json.dumps(bounded, allow_nan=False)
 
 
+def test_acknowledged_reweigh_degrades_built_index_sources(workload_path,
+                                                          tmp_path):
+    """Once the pool acknowledges a reweigh, every ``"built"`` entry of
+    ``index_sources`` reads ``"degraded"`` (its workers retire the index
+    when they apply it) and the list keeps one entry per ready worker; a
+    worker readying afterwards is entered as ``"degraded"`` too, and
+    other mutations leave the entries alone."""
+
+    class Indexed(InProcessWorker):
+        """Reports a built index in its ready frame."""
+
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            ready = self._out.get_nowait()
+            self._out.put({**ready, "index": "built"})
+
+    wal = str(tmp_path / "sources.wal")
+    network, _ = load_workload_file(workload_path)
+    u, v, _w = min(network.edges())
+    pool = SupervisedPool(
+        workload_path, processes=1, wal_path=wal, live_eps=LIVE_EPS,
+        worker_factory=lambda i: Indexed(workload_path, wal=wal),
+    )
+    try:
+        _wait(lambda: pool.stats_snapshot()["supervisor"]["live"] == 1)
+        pool.call({"op": "mutate",
+                   "mutation": {"kind": "remove_point", "point_id": 0}})
+        assert pool.index_sources == ["built"]
+        pool.call({"op": "mutate", "mutation": {
+            "kind": "reweigh_edge", "u": u, "v": v, "weight": 11.0}})
+        assert pool.stats_snapshot()["supervisor"]["index_sources"] == [
+            "degraded"
+        ]
+        pool._slots[0].handle.kill()
+        _wait(lambda: len(pool.index_sources) == 2
+              and pool.stats_snapshot()["supervisor"]["live"] == 1)
+        assert pool.index_sources == ["degraded", "degraded"]
+    finally:
+        assert pool.close()
+
+
 def test_degraded_pool_still_answers_stats(workload_path, counters):
     """Every slot's restart circuit open: queries shed, stats answers."""
     pool = open_tier("supervised", workload_path, born_dead=True)

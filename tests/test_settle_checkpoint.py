@@ -19,6 +19,7 @@ import pytest
 from repro import faults, obs
 from repro.core.epslink import EpsLink, Expansion
 from repro.core.kmedoids import NetworkKMedoids
+from repro.core.singlelink import SingleLink
 from repro.datagen.networks import grid_city
 from repro.exceptions import BudgetExceededError, DeadlineExceeded
 from repro.faults import FaultRule, InjectedIOError, OpBudget
@@ -156,6 +157,12 @@ LOOPS = {
         _counter("epslink.vertices_visited"),
     ),
     "kmedoids_update": ("kmedoids.update_settle", _kmedoids_update, None),
+    # SingleLink's node Voronoi: one charge per node settle.
+    "singlelink_voronoi": (
+        "singlelink.voronoi",
+        lambda net, pts: lambda: SingleLink(net, pts)._voronoi()[:2],
+        lambda result, counters: len(result[0]),
+    ),
     "node_distance_astar": (
         "astar.settle",
         lambda net, pts: lambda: node_distance_astar(net, 0, 399),

@@ -819,7 +819,8 @@ class TestReplayedReweighDegradesIndex:
             assert ack["epoch"] == 1
         finally:
             assert pool.close()
-        assert set(pool.index_sources) == {"built"}
+        # The acknowledged reweigh degraded both workers' entries.
+        assert pool.index_sources == ["degraded", "degraded"]
         pool2 = SupervisedPool(
             workload_path, processes=2, landmarks=self.LANDMARKS,
             wal_path=wal_path, live_eps=2.0,
