@@ -9,8 +9,8 @@ experiments find it considerably slower than ε-Link even though, with the
 right parameters, both produce identical clusters (Figure 11c).
 
 This is the standard DBSCAN control flow with the Euclidean range query
-replaced by :func:`repro.network.queries.range_query` over the
-point-augmented network:
+replaced by :func:`repro.network.queries.range_query`, [16]'s network
+expansion over the point groups:
 
 * an object is a *core* object when its ε-neighbourhood (itself included)
   holds at least ``min_pts`` objects;

@@ -165,6 +165,11 @@ class ComponentPointSet:
             return []
         return self._base.points_on_edge(u, v)
 
+    def group(self, u: int, v: int):
+        if u not in self._nodes:
+            return ()
+        return self._base.group(u, v)
+
     def points_from(self, node: int, other: int) -> list[NetworkPoint]:
         if node not in self._nodes:
             return []

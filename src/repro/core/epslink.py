@@ -27,9 +27,10 @@ Every distance is summed fold-left from the nearest member with the
 segment expressions of :class:`~repro.network.augmented.AugmentedView`:
 ``first.offset`` from the smaller endpoint, ``weight - last.offset`` from
 the larger, and offset differences in between.  The scan therefore adds
-the same floats in the same order as a search over the augmented graph,
-and its clusters equal the components of the ≤ε graph that
-:func:`~repro.network.queries.range_query` sees, bit for bit.
+the same floats in the same order as a search over the augmented graph
+and as the group scan of :func:`~repro.network.queries.range_query`, and
+its clusters equal the components of the ≤ε graph that ``range_query``
+sees, bit for bit.
 
 :meth:`EpsLink._grow` keeps the per-object form (every object a vertex of
 the augmented graph) as a resumable expansion: the live split check of

@@ -311,19 +311,21 @@ class NetworkKMedoids(NetworkClusterer):
     def _assign_edge_points(
         self,
         edge: tuple[int, int],
+        group,
         same_edge_medoids,
         state: MedoidState,
         assignment: dict[int, int],
         distance: dict[int, float],
     ) -> None:
-        """Evaluate Equation 1 for every point of one edge, in place."""
+        """Evaluate Equation 1 for every point of one edge's ``group``, in
+        place."""
         u, v = edge
         weight = self.network.edge_weight(u, v)
         du = state.node_dist.get(u)
         dv = state.node_dist.get(v)
         node_medoid = state.node_medoid
         budget = _FAULTS.budget if _FAULTS.engaged else None
-        for p in self.points.points_on_edge(u, v):
+        for p in group:
             if budget is not None:
                 # One Equation-1 evaluation per point.
                 budget.spend_distance_computations(1, partial=assignment)
@@ -359,11 +361,13 @@ class NetworkKMedoids(NetworkClusterer):
         (impossible on a connected network).
         """
         medoids_by_edge = self._medoids_by_edge(medoids)
+        group_of = self.points.group
         assignment: dict[int, int] = {}
         distance: dict[int, float] = {}
         for edge in self.points.populated_edges():
             self._assign_edge_points(
-                edge, medoids_by_edge.get(edge, ()), state, assignment, distance
+                edge, group_of(*edge), medoids_by_edge.get(edge, ()), state,
+                assignment, distance,
             )
         return assignment, distance
 
@@ -393,13 +397,16 @@ class NetworkKMedoids(NetworkClusterer):
         for node in changed_nodes:
             affected.update(incident_edges.get(node, ()))
         medoids_by_edge = self._medoids_by_edge(medoids)
+        group_of = self.points.group
         log: list[tuple[int, int, float]] = []
         for edge in affected:
-            for p in self.points.points_on_edge(*edge):
+            group = group_of(*edge)
+            for p in group:
                 log.append((p.point_id, assignment[p.point_id],
                             distance[p.point_id]))
             self._assign_edge_points(
-                edge, medoids_by_edge.get(edge, ()), state, assignment, distance
+                edge, group, medoids_by_edge.get(edge, ()), state, assignment,
+                distance,
             )
         return log
 

@@ -359,16 +359,15 @@ class SingleLink(NetworkClusterer):
             if ra != rb:
                 left = cluster_of_root.pop(ra)
                 right = cluster_of_root.pop(rb)
-                uf.union(a, b)
-                new_root = uf.find(a)
-                cluster_of_root[new_root] = next_id
+                root, size = uf.link(ra, rb)
+                cluster_of_root[root] = next_id
                 merges.append(
                     Merge(
                         distance=weight,
                         left=left,
                         right=right,
                         merged=next_id,
-                        size=uf.set_size(a),
+                        size=size,
                     )
                 )
                 next_id += 1

@@ -91,6 +91,22 @@ class UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
+        self.link(ra, rb)
+        return True
+
+    def link(self, ra: Hashable, rb: Hashable) -> tuple:
+        """Merge the sets of two distinct roots, with no :meth:`find`;
+        returns ``(surviving root, merged set size)``.
+
+        The smaller set is attached under the larger one, the first
+        root's among equals (weighted union).
+
+        >>> uf = UnionFind([1, 2, 3])
+        >>> uf.link(1, 2)
+        (1, 2)
+        >>> uf.link(3, 1)
+        (1, 3)
+        """
         members = self._members
         ma, mb = members.get(ra), members.get(rb)
         if (1 if ma is None else len(ma)) < (1 if mb is None else len(mb)):
@@ -104,7 +120,7 @@ class UnionFind:
             ma.extend(mb)
             del members[rb]
         self.num_sets -= 1
-        return True
+        return ra, len(ma)
 
     def union_all(self, items: Iterable[Hashable]) -> bool:
         """Merge the sets of all ``items`` into one in a single step.
@@ -212,10 +228,11 @@ class UnionFind:
             self._members[root] = items
 
     def sets(self) -> dict:
-        """Mapping ``representative -> sorted member list``."""
-        out: dict = {}
-        for item in self._parent:
-            out.setdefault(self.find(item), []).append(item)
-        for members in out.values():
-            members.sort()
-        return out
+        """Mapping ``representative -> sorted member list``, read from the
+        member lists kept at the roots (no :meth:`find`)."""
+        members = self._members
+        return {
+            item: sorted(members.get(item, (item,)))
+            for item, up in self._parent.items()
+            if item == up
+        }

@@ -16,7 +16,7 @@ Single-Link) rely on to walk an edge point-by-point.
 from __future__ import annotations
 
 import bisect
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from operator import attrgetter
 
 from repro.exceptions import (
@@ -328,6 +328,16 @@ class PointSet:
         if not self._network.has_edge(a, b):
             raise EdgeNotFoundError(a, b)
         return list(self._by_edge.get((a, b), ()))
+
+    def group(self, u: int, v: int) -> Sequence[NetworkPoint]:
+        """The stored group of the canonical edge ``(u, v)``, ``u < v``.
+
+        The sorted group itself, not a copy, and no edge check: empty when
+        the edge carries no points or is no edge.  For traversal loops
+        that read a group per scanned edge; the caller must not modify
+        it.
+        """
+        return self._by_edge.get((u, v), ())
 
     def points_from(self, node: int, other: int) -> list[NetworkPoint]:
         """Points on edge ``(node, other)`` ordered walking *away from* ``node``.

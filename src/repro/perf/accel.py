@@ -10,24 +10,24 @@ search would provably have wasted:
 
 * :meth:`range_query` — prefilters the objects whose landmark lower bound
   to the query is ≤ ε and terminates the expansion as soon as all of them
-  are settled; non-candidates cannot be within ε, so the result set is
-  untouched.
+  are found and no settle can bring one closer; non-candidates cannot be
+  within ε, so the result set is untouched.
 * :meth:`knn_query` — computes landmark *upper* bounds to every object;
   the k-th smallest upper bound caps the true k-th-neighbour distance, so
-  heap pushes beyond it are dropped without changing the settle order of
-  any vertex that matters.
+  walks and node pushes beyond it are dropped without changing the
+  distance of any object that matters.
 
-Range and kNN run the plain loop of :mod:`repro.network.queries`
-(``_search``) and differ from the plain searches only by the prefilter
-they pass in (the candidate set, the push cutoff): heap discipline, the
-``queries.settle`` checkpoint (fault site, deadline, budget charge) and
-result ordering are shared.
+Range and kNN run the plain group-scan loop of
+:mod:`repro.network.queries` (``_group_scan``) and differ from the plain
+searches only by the prefilter they pass in (the candidate set, the prune
+bound): heap discipline, the ``queries.settle`` checkpoint (fault site,
+deadline, budget charge) and result ordering are shared.
 
 **Floating-point discipline.**  Bit-identity is structural, not hopeful.
 The accelerated searches keep the plain searches' heap ordering and
-relaxation arithmetic *exactly* — bounds only ever remove work, they never
-reorder it, so every float the caller sees is produced by the same
-sequence of operations as in the plain code.  (Textbook ALT runs A*
+summation *exactly* — bounds only ever remove work, they never reorder
+it, so every float the caller sees is produced by the same sequence of
+operations as in the plain code.  (Textbook ALT runs A*
 ordered by ``g + h``; that is exact in real arithmetic but the heuristic's
 last-ulp rounding can flip which of two near-tied shortest paths is
 reported, which is why we don't.)  And because the bounds themselves are
@@ -65,7 +65,7 @@ from typing import TYPE_CHECKING
 from repro.exceptions import IndexStaleError
 from repro.network.augmented import AugmentedView
 from repro.network.points import NetworkPoint
-from repro.network.queries import _search, knn_query, range_query
+from repro.network.queries import _group_scan, knn_query, range_query
 from repro.obs.core import STATE as _OBS, add as _obs_add
 from repro.perf.cache import DistanceCache
 
@@ -242,8 +242,8 @@ class DistanceAccelerator:
         qvec = self._vector(query)
         # Only candidates can lie within eps (the bound never
         # overestimates, and the slack absorbs its float rounding); once
-        # all of them are settled the expansion is done, even though the
-        # eps-ball's frontier is still unexplored.
+        # all of them are found at their final distances the expansion is
+        # done, even though the eps-ball's frontier is still unexplored.
         cutoff = eps + _REL_SLACK * (eps + self._index.scale)
         candidates = {
             p.point_id
@@ -251,7 +251,7 @@ class DistanceAccelerator:
             if vector_lower_bound(qvec, self._vector(p)) <= cutoff
         }
         n_candidates = len(candidates)
-        results, settled, _ = _search(
+        results, settled, _ = _group_scan(
             aug, query, include_query, cutoff=eps, candidates=candidates
         )
         if _OBS.enabled:
@@ -296,8 +296,8 @@ class DistanceAccelerator:
         aug = self._aug
         qvec = self._vector(query)
         # The k-th smallest upper bound caps the k-th neighbour's true
-        # distance: pushes beyond it (plus float slack) can never
-        # contribute a result, nor sit on a shortest path to one.
+        # distance: walks and pushes beyond it (plus float slack) can
+        # never contribute a result, nor sit on a shortest path to one.
         ubs = [
             vector_upper_bound(qvec, self._vector(p))
             for p in aug.points
@@ -307,7 +307,7 @@ class DistanceAccelerator:
         cutoff = cutoffs[-1] if len(cutoffs) == k else math.inf
         if not math.isinf(cutoff):
             cutoff += _REL_SLACK * (cutoff + self._index.scale)
-        results, settled, pruned = _search(
+        results, settled, pruned = _group_scan(
             aug, query, include_query, cutoff=cutoff, k=k
         )
         if _OBS.enabled:

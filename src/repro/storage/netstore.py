@@ -433,9 +433,9 @@ class StoredPointSet:
     """PointSet-protocol view over the groups stored in a NetworkStore.
 
     Provides exactly the methods the clustering algorithms use:
-    ``points_on_edge``, ``points_from``, ``get``, iteration, ``point_ids``,
-    ``populated_edges``, ``len``, and the ``network`` property (the store
-    itself, so the backend-consistency check in
+    ``points_on_edge``, ``group``, ``points_from``, ``get``, iteration,
+    ``point_ids``, ``populated_edges``, ``len``, and the ``network``
+    property (the store itself, so the backend-consistency check in
     :class:`~repro.core.base.NetworkClusterer` passes).
     """
 
@@ -461,17 +461,22 @@ class StoredPointSet:
 
     # ------------------------------------------------------------------
     def points_on_edge(self, u: int, v: int) -> list[NetworkPoint]:
+        return list(self.group(u, v))
+
+    def group(self, u: int, v: int) -> tuple[NetworkPoint, ...]:
+        """The decoded group of edge ``(u, v)`` from the group cache, not a
+        copy (:meth:`~repro.network.points.PointSet.group`)."""
         first = self._store._first_point_id(u, v)
         if first < 0:
-            return []
+            return ()
         cached = self._group_cache.get(first)
         if cached is not None:
-            return list(cached)
+            return cached
         _, pts = self._store._read_group(first)
         if len(self._group_cache) >= self._group_cache_cap:
             self._group_cache.clear()
         self._group_cache[first] = pts
-        return list(pts)
+        return pts
 
     def points_from(self, node: int, other: int) -> list[NetworkPoint]:
         pts = self.points_on_edge(node, other)

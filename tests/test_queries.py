@@ -12,7 +12,7 @@ from repro.network.csr import CSRNetwork
 from repro.network.distance import network_distance
 from repro.network.graph import SpatialNetwork
 from repro.network.points import PointSet
-from repro.network.queries import _search, knn_query, nearest_point, range_query
+from repro.network.queries import _group_scan, knn_query, nearest_point, range_query
 from repro.storage import NetworkStore
 
 from tests.conftest import (
@@ -141,11 +141,11 @@ def test_search_results_sorted_by_distance_then_id(
     for query in list(pts):
         for include_query in (True, False):
             for eps in (0.0, 0.5, 1.5, 4.0):
-                hits, _, _ = _search(aug, query, include_query, cutoff=eps)
+                hits, _, _ = _group_scan(aug, query, include_query, cutoff=eps)
                 assert _ordered(hits)
                 assert hits == range_query(aug, query, eps, include_query)
             for k in (1, 3, 8):
-                hits, _, _ = _search(aug, query, include_query, k=k)
+                hits, _, _ = _group_scan(aug, query, include_query, k=k)
                 assert _ordered(hits)
                 assert hits == knn_query(aug, query, k, include_query)
 

@@ -602,7 +602,8 @@ class TestUntimedRequests:
         """Each cooperative check reads the ticking clock once: the
         ``serve.dequeue`` (threaded) or ``serve.worker.dispatch``
         (supervised) check passes, the first settle passes, the second
-        settle is past the budget."""
+        settle is past the budget.  The timed kNN asks for k = 10, which
+        settles three nodes here (k = 3 settles one)."""
         if tier == "threaded":
             service = open_tier(tier, workload_path,
                                 clock=TickingClock(1.0).monotonic)
@@ -617,7 +618,7 @@ class TestUntimedRequests:
             timeout_ms = 60_000
         try:
             with pytest.raises(Exception) as exc_info:
-                service.call({**_knn(0), "timeout_ms": timeout_ms})
+                service.call({**_knn(0), "k": 10, "timeout_ms": timeout_ms})
             assert _expired_at(exc_info.value) == "queries.settle"
             assert len(service.call(_knn(0))) == 3
         finally:

@@ -127,6 +127,8 @@ LOOPS = {
         ),
         _counter("dijkstra.nodes_settled"),
     ),
+    # Range and kNN, plain and landmark-prefiltered: the group scan of
+    # [16], one charge per node settle.
     "range_query": (
         "queries.settle",
         lambda net, pts: lambda: range_query(

@@ -228,3 +228,32 @@ def test_property_delta_preserves_merges_above_delta(data, delta):
     assert grouped.merge_distances() == pytest.approx(
         above, rel=1e-9, abs=1e-9
     ), f"seed={seed} delta={delta}"
+
+
+@pytest.mark.parametrize("delta", [0.0, 2.0])
+def test_kruskal_finds_each_bridge_endpoint_once(delta, monkeypatch):
+    """Kruskal takes the merged root and size from the union itself: one
+    ``find`` per endpoint per bridge, pre-merge included, and none for
+    the leaves."""
+    import random
+
+    from repro.core.unionfind import UnionFind
+    from tests.conftest import make_random_connected_network, scatter_points
+
+    rng = random.Random(3)
+    net = make_random_connected_network(rng, 40, extra_edges=15)
+    pts = scatter_points(rng, net, 60)
+    bridges, _ = SingleLink(net, pts)._bridges()
+    expected = SingleLink(net, pts, delta=delta).build_dendrogram().to_dict()
+    calls = 0
+    find = UnionFind.find
+
+    def counted(self, item):
+        nonlocal calls
+        calls += 1
+        return find(self, item)
+
+    monkeypatch.setattr(UnionFind, "find", counted)
+    dendrogram = SingleLink(net, pts, delta=delta).build_dendrogram()
+    assert calls == 2 * len(bridges)
+    assert dendrogram.to_dict() == expected

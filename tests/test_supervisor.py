@@ -578,8 +578,10 @@ class TestProcessPool:
         point_ids = [p.point_id for p in pts]
 
         def chaos_run():
+            # The hit lands inside request id 7, 5 and 3 (seeds 0, 1,
+            # 2); range requests charge one hit per node settle.
             rule = FaultRule("queries.settle", kind="kill",
-                             after=25 + 5 * seed, times=None)
+                             after=(9, 12, 13)[seed], times=None)
             pool = SupervisedPool(
                 workload_path, processes=1,
                 fault_rules=(rule,), fault_seed=seed,
@@ -637,9 +639,9 @@ class TestProcessPool:
         self, workload, workload_path
     ):
         # after=20 is low enough that one whole-network range request
-        # alone crosses it: the executing worker dies, the failover's
-        # fresh worker dies at the same deterministic hit, and the
-        # fingerprint is quarantined.
+        # alone crosses it (it settles all 30 nodes): the executing
+        # worker dies, the failover's fresh worker dies at the same
+        # deterministic hit, and the fingerprint is quarantined.
         _, pts = workload
         anchor = next(iter(pts)).point_id
         rule = FaultRule("queries.settle", kind="kill", after=20, times=None)
