@@ -11,10 +11,11 @@ object is ever a heap entry.
 
 Both searches run one loop, :func:`_group_scan`, and differ only in its
 stop rule: a range query prunes at ε, a kNN query stops once the heap
-passes the k-th smallest distance found.  The landmark accelerator in
-:mod:`repro.perf` runs the same loop with its prefilter passed in (a
-candidate set, a prune bound), so the plain and the accelerated searches
-share their arithmetic, their ``queries.settle`` checkpoint (fault site,
+passes the k-th smallest distance found.  The accelerator in
+:mod:`repro.perf` answers a range miss with this module's range search
+itself, and runs a kNN miss through the same loop with its landmark
+prune bound passed in, so the plain and the accelerated searches share
+their arithmetic, their ``queries.settle`` checkpoint (fault site,
 deadline and budget charge) and their result ordering.
 
 Every distance is summed fold-left with the segment expressions of
@@ -58,6 +59,14 @@ def range_query(
     if eps < 0:
         return []
     aug.sync()
+    return _range(aug, query, eps, include_query)
+
+
+def _range(
+    aug: AugmentedView, query: NetworkPoint, eps: float, include_query: bool
+) -> list[tuple[NetworkPoint, float]]:
+    """:func:`range_query` after its ``aug.sync()``, for callers that have
+    just run it themselves."""
     results, settled, _ = _group_scan(aug, query, include_query, cutoff=eps)
     if _OBS.enabled:
         _obs_add("queries.range_queries")
@@ -86,6 +95,14 @@ def knn_query(
     if k <= 0:
         return []
     aug.sync()
+    return _knn(aug, query, k, include_query)
+
+
+def _knn(
+    aug: AugmentedView, query: NetworkPoint, k: int, include_query: bool
+) -> list[tuple[NetworkPoint, float]]:
+    """:func:`knn_query` after its ``aug.sync()``, for callers that have
+    just run it themselves."""
     results, settled, _ = _group_scan(aug, query, include_query, k=k)
     if _OBS.enabled:
         _obs_add("queries.knn_queries")
@@ -99,7 +116,6 @@ def _group_scan(
     include_query: bool,
     cutoff: float = math.inf,
     k: int = -1,
-    candidates: set[int] | None = None,
 ) -> tuple[list[tuple[NetworkPoint, float]], int, int]:
     """The one object-search loop: ``(sorted results, nodes settled,
     pushes pruned)``.  The caller has run ``aug.sync()``.
@@ -120,15 +136,10 @@ def _group_scan(
     by it counts as one pruned push.  A kNN search stops once the heap's
     minimum exceeds the k-th distance found, so every object tied at the
     final k-th distance is found before the cut to ``k``, and the
-    smallest ids win the tie.
-    ``candidates``, when given, is a set of point ids that holds every
-    result (the landmark range prefilter): found objects are discarded
-    from it, the query included, and once it is empty the search stops as
-    soon as the heap's minimum reaches the largest distance found, which
-    no later walk can improve.  The set is consumed.  Every node settle
-    goes through :func:`~repro.resilience.deadline.settle_checkpoint` at
-    the ``queries.settle`` site, with the distances found so far (point
-    id -> distance) as the partial result.
+    smallest ids win the tie.  Every node settle goes through
+    :func:`~repro.resilience.deadline.settle_checkpoint` at the
+    ``queries.settle`` site, with the distances found so far (point id ->
+    distance) as the partial result.
     """
     network = aug.network
     neighbors = network.neighbors
@@ -143,8 +154,6 @@ def _group_scan(
     if include_query:
         found[query_id] = 0.0
         objects[query_id] = q
-    if candidates is not None:
-        candidates.discard(query_id)
     best: dict[int, float] = {}  # node -> tentative distance
     heap: list[tuple[float, int]] = []
     limit = cutoff  # the prune bound, lowered to a kNN's k-th distance
@@ -173,8 +182,6 @@ def _group_scan(
             pid = p.point_id
             found[pid] = ref
             objects[pid] = p
-            if candidates is not None:
-                candidates.discard(pid)
             met += 1
             if met == k:
                 bound = ref
@@ -195,18 +202,12 @@ def _group_scan(
             limit = kth
     guard = _FAULTS.engaged or _RES.engaged
     settled = 0
-    farthest = None  # the largest distance found, once no candidate is left
     while heap:
         d, node = heapq.heappop(heap)
         if d > best[node]:
             continue  # stale: the node came closer since the push
         if d > kth:
             break
-        if candidates is not None and not candidates:
-            if farthest is None:
-                farthest = max(found.values(), default=0.0)
-            if d >= farthest:
-                break
         if guard:
             settle_checkpoint("queries.settle", found)
         settled += 1
@@ -241,8 +242,6 @@ def _group_scan(
                 if old is None:
                     found[pid] = ref
                     objects[pid] = p
-                    if candidates is not None:
-                        candidates.discard(pid)
                 elif ref < old:
                     found[pid] = ref
                 else:

@@ -1,10 +1,10 @@
 """Distance acceleration: landmark (ALT) bounds + shared memoization.
 
 Everything in this package is an *exactness-preserving* accelerator: the
-bounded range and kNN searches and the cache return bit-identical results
-to the plain primitives in :mod:`repro.network` (a property-tested
-guarantee — see ``tests/test_perf.py``), they just get there settling
-fewer vertices and recomputing less.  See
+bounded kNN search and the cache return bit-identical results to the
+plain primitives in :mod:`repro.network` (a property-tested guarantee —
+see ``tests/test_perf.py``), they just get there settling fewer vertices
+and recomputing less.  See
 ``docs/performance.md`` for tuning guidance.
 
 The exports are lazy: the landmark tables need numpy, and a cache-only
@@ -16,7 +16,6 @@ __all__ = [
     "DistanceCache",
     "ENTRY_BYTES",
     "LandmarkIndex",
-    "vector_lower_bound",
     "vector_upper_bound",
 ]
 
@@ -25,7 +24,6 @@ _LAZY = {
     "DistanceCache": "repro.perf.cache",
     "ENTRY_BYTES": "repro.perf.cache",
     "LandmarkIndex": "repro.perf.landmarks",
-    "vector_lower_bound": "repro.perf.landmarks",
     "vector_upper_bound": "repro.perf.landmarks",
 }
 

@@ -8,23 +8,23 @@ search returns bit-identical results to its plain counterpart** (a
 property-tested invariant).  Acceleration only ever skips work a plain
 search would provably have wasted:
 
-* :meth:`range_query` — prefilters the objects whose landmark lower bound
-  to the query is ≤ ε and terminates the expansion as soon as all of them
-  are found and no settle can bring one closer; non-candidates cannot be
-  within ε, so the result set is untouched.
+* :meth:`range_query` — the cache in front of the plain range search of
+  :mod:`repro.network.queries`, index or not.  That search settles only
+  the nodes within ε, a few microseconds of work; a landmark prefilter
+  would scan every object to prune it, which costs more than it saves.
 * :meth:`knn_query` — computes landmark *upper* bounds to every object;
   the k-th smallest upper bound caps the true k-th-neighbour distance, so
   walks and node pushes beyond it are dropped without changing the
   distance of any object that matters.
 
-Range and kNN run the plain group-scan loop of
-:mod:`repro.network.queries` (``_group_scan``) and differ from the plain
-searches only by the prefilter they pass in (the candidate set, the prune
-bound): heap discipline, the ``queries.settle`` checkpoint (fault site,
-deadline, budget charge) and result ordering are shared.
+The kNN miss runs the plain group-scan loop of
+:mod:`repro.network.queries` (``_group_scan``) and differs from the plain
+search only by the prune bound it passes in: heap discipline, the
+``queries.settle`` checkpoint (fault site, deadline, budget charge) and
+result ordering are shared.
 
 **Floating-point discipline.**  Bit-identity is structural, not hopeful.
-The accelerated searches keep the plain searches' heap ordering and
+The accelerated kNN search keeps the plain search's heap ordering and
 summation *exactly* — bounds only ever remove work, they never reorder
 it, so every float the caller sees is produced by the same sequence of
 operations as in the plain code.  (Textbook ALT runs A*
@@ -65,7 +65,7 @@ from typing import TYPE_CHECKING
 from repro.exceptions import IndexStaleError
 from repro.network.augmented import AugmentedView
 from repro.network.points import NetworkPoint
-from repro.network.queries import _group_scan, knn_query, range_query
+from repro.network.queries import _group_scan, _knn, _range
 from repro.obs.core import STATE as _OBS, add as _obs_add
 from repro.perf.cache import DistanceCache
 
@@ -96,8 +96,9 @@ class DistanceAccelerator:
         dropped from the memos.
     index:
         The landmark index over ``aug``'s network; ``None`` (or an empty
-        index) disables the bounds, and searches fall back to the plain
-        primitives, still through the cache when one is present.
+        index) disables the bounds, and kNN falls back to the plain
+        primitive, still through the cache when one is present (range
+        queries always run the plain search).
     cache:
         The memo for query results; ``None`` (or a disabled cache)
         disables memoization.
@@ -197,7 +198,7 @@ class DistanceAccelerator:
 
     def _vector(self, point: NetworkPoint) -> tuple[float, ...]:
         """The memo lookup behind :meth:`point_vector`, with no sync: the
-        prefilter scans call it once per object, after their query's one
+        kNN prefilter scan calls it once per object, after its query's one
         sync, with the index present."""
         vec = self._point_vectors.get(point.point_id)
         if vec is None:
@@ -206,7 +207,7 @@ class DistanceAccelerator:
         return vec
 
     # ------------------------------------------------------------------
-    # Range query (candidate prefilter + early termination)
+    # Range query (the cache in front of the plain search)
     # ------------------------------------------------------------------
     def range_query(
         self,
@@ -225,39 +226,9 @@ class DistanceAccelerator:
             hit = self._cache.get(key, _NO_ENTRY)
             if hit is not _NO_ENTRY:
                 return list(hit)
-        if self._index is None:
-            results = range_query(self._aug, query, eps, include_query)
-        else:
-            results = self._range_accelerated(query, eps, include_query)
+        results = _range(self._aug, query, eps, include_query)
         if key is not None:
             self._cache.put(key, tuple(results))
-        return results
-
-    def _range_accelerated(
-        self, query: NetworkPoint, eps: float, include_query: bool
-    ) -> list[tuple[NetworkPoint, float]]:
-        from repro.perf.landmarks import vector_lower_bound
-
-        aug = self._aug
-        qvec = self._vector(query)
-        # Only candidates can lie within eps (the bound never
-        # overestimates, and the slack absorbs its float rounding); once
-        # all of them are found at their final distances the expansion is
-        # done, even though the eps-ball's frontier is still unexplored.
-        cutoff = eps + _REL_SLACK * (eps + self._index.scale)
-        candidates = {
-            p.point_id
-            for p in aug.points
-            if vector_lower_bound(qvec, self._vector(p)) <= cutoff
-        }
-        n_candidates = len(candidates)
-        results, settled, _ = _group_scan(
-            aug, query, include_query, cutoff=eps, candidates=candidates
-        )
-        if _OBS.enabled:
-            _obs_add("perf.range.queries")
-            _obs_add("perf.range.vertices_settled", settled)
-            _obs_add("perf.range.candidates", n_candidates)
         return results
 
     # ------------------------------------------------------------------
@@ -281,7 +252,7 @@ class DistanceAccelerator:
             if hit is not _NO_ENTRY:
                 return list(hit)
         if self._index is None:
-            results = knn_query(self._aug, query, k, include_query)
+            results = _knn(self._aug, query, k, include_query)
         else:
             results = self._knn_accelerated(query, k, include_query)
         if key is not None:

@@ -30,15 +30,13 @@ distance from a landmark to a point ``p`` on edge ``(u, v)`` is exactly
 
 because every path into ``p`` enters its edge through one of the endpoints.
 :meth:`LandmarkIndex.point_vector` evaluates this per landmark, giving each
-object an L-dimensional *landmark coordinate vector*; bounds between two
-objects are computed coordinate-wise by :func:`vector_lower_bound` /
-:func:`vector_upper_bound`.
+object an L-dimensional *landmark coordinate vector*; the upper bound
+between two objects is computed coordinate-wise by
+:func:`vector_upper_bound`, the kNN prune bound of :mod:`repro.perf.accel`.
 
-Unreachable entries are ``math.inf`` and carry real information: if exactly
-one of two locations is unreachable from some landmark they lie in different
-connected components, so their true distance *is* infinite and the lower
-bound returns ``inf``.  When both are unreachable the landmark says nothing
-and is skipped.
+Unreachable entries are ``math.inf``: a landmark that misses either of two
+locations sums to ``inf`` and never tightens the minimum, and the bound is
+``inf`` when no landmark reaches both.
 
 The tables are one landmark-major ``(L, N)`` float64 array over the sorted
 node ids.  Node vectors are read out as Python floats, so every bound is
@@ -55,30 +53,7 @@ from repro.network.dijkstra import single_source
 from repro.network.points import NetworkPoint
 from repro.obs.core import STATE as _OBS, add as _obs_add, span as _span
 
-__all__ = ["LandmarkIndex", "vector_lower_bound", "vector_upper_bound"]
-
-
-def vector_lower_bound(a: tuple, b: tuple) -> float:
-    """``max_l |a_l - b_l|``: a lower bound on the distance between two
-    locations with landmark coordinate vectors ``a`` and ``b``.
-
-    ``inf`` coordinates follow component semantics: a landmark reaching
-    exactly one of the two locations proves they are disconnected (the
-    bound is ``inf``); a landmark reaching neither proves nothing and is
-    skipped.
-    """
-    best = 0.0
-    for x, y in zip(a, b):
-        if math.isinf(x):
-            if math.isinf(y):
-                continue
-            return math.inf
-        if math.isinf(y):
-            return math.inf
-        diff = x - y if x >= y else y - x
-        if diff > best:
-            best = diff
-    return best
+__all__ = ["LandmarkIndex", "vector_upper_bound"]
 
 
 def vector_upper_bound(a: tuple, b: tuple) -> float:
@@ -143,7 +118,7 @@ class LandmarkIndex:
             _obs_add("perf.landmarks.built", len(self.landmarks))
 
     # ------------------------------------------------------------------
-    # Node-level bounds
+    # Node vectors
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.landmarks)
@@ -159,10 +134,6 @@ class LandmarkIndex:
                 vec = (math.inf,) * len(self.landmarks)
             self._vectors[node] = vec
         return vec
-
-    def node_lower_bound(self, u: int, v: int) -> float:
-        """Admissible lower bound on the node distance ``d(u, v)``."""
-        return vector_lower_bound(self.node_vector(u), self.node_vector(v))
 
     # ------------------------------------------------------------------
     # Point-level coordinates

@@ -27,7 +27,6 @@ from repro.perf import (
     DistanceAccelerator,
     DistanceCache,
     LandmarkIndex,
-    vector_lower_bound,
     vector_upper_bound,
 )
 from repro.resilience import Deadline
@@ -149,35 +148,15 @@ class TestLandmarkIndex:
         assert index.node_vector(11) == (math.inf, 0.0)
         assert index.node_vector(12) == (math.inf, 1.0)
 
-    def test_node_lower_bound_admissible(self):
-        import random
-
-        rng = random.Random(5)
-        net = make_random_connected_network(rng, 12, extra_edges=6)
-        index = LandmarkIndex(net, 4)
-        nodes = sorted(net.nodes())
-        for u in nodes:
-            truth = single_source(net, u)
-            for v in nodes:
-                lb = index.node_lower_bound(u, v)
-                d = truth.get(v, math.inf)
-                # Allow the documented float rounding on the bound.
-                assert lb <= d * (1 + 1e-9) + 1e-9 * index.scale
-
     def test_zero_landmarks(self, small_network):
         assert len(LandmarkIndex(small_network, 0)) == 0
 
 
 class TestVectorBounds:
     def test_inf_semantics(self):
-        # Both unreached: the landmark proves nothing.
-        assert vector_lower_bound((math.inf,), (math.inf,)) == 0.0
-        # Exactly one unreached: provably different components.
-        assert vector_lower_bound((math.inf, 1.0), (3.0, 2.0)) == math.inf
         assert vector_upper_bound((math.inf,), (1.0,)) == math.inf
 
     def test_basic(self):
-        assert vector_lower_bound((5.0, 2.0), (1.0, 2.5)) == 4.0
         assert vector_upper_bound((5.0, 2.0), (1.0, 2.5)) == 4.5
 
 
@@ -230,7 +209,7 @@ def test_queries_bit_identical(instance, eps, k):
 @pytest.mark.parametrize("landmarks", [0, 4])
 def test_guarded_search_charges_what_it_reports(kind, landmarks):
     """A budgeted search charges one expansion and one ``queries.settle``
-    hit per settled vertex it reports, with or without the landmark
+    hit per settled vertex it reports, with or without the landmark kNN
     prefilter (the plain and accelerated searches share one loop)."""
     import random
 
@@ -254,7 +233,7 @@ def test_guarded_search_charges_what_it_reports(kind, landmarks):
         counters = obs.snapshot()["counters"]
     finally:
         obs.disable()
-    prefix = "queries" if landmarks == 0 else f"perf.{kind}"
+    prefix = "queries" if landmarks == 0 or kind == "range" else "perf.knn"
     settled = counters[f"{prefix}.vertices_settled"]
     assert settled > 0
     assert budget.expansions == settled
@@ -293,6 +272,69 @@ def test_exact_on_grid_ties():
             assert accel.knn_query(p, k) == knn_query(aug, p, k)
         for eps in (0.0, 1.0, 3.5):
             assert accel.range_query(p, eps) == range_query(aug, p, eps)
+
+
+def test_indexed_range_computes_no_landmark_vector(
+    monkeypatch, small_network, small_points
+):
+    """With an index, a range query is the plain search behind the
+    cache: it reads no landmark vector and counts as a plain query."""
+    calls = []
+    point_vector = LandmarkIndex.point_vector
+
+    def counted(self, point):
+        calls.append(point.point_id)
+        return point_vector(self, point)
+
+    monkeypatch.setattr(LandmarkIndex, "point_vector", counted)
+    aug = AugmentedView(small_network, small_points)
+    accel = DistanceAccelerator(aug, index=LandmarkIndex(small_network, 2))
+    query = next(iter(small_points))
+    expected = range_query(aug, query, 2.0)
+    obs.enable(fresh=True)
+    try:
+        assert accel.range_query(query, 2.0) == expected
+        counters = obs.snapshot()["counters"]
+    finally:
+        obs.disable()
+    assert calls == []
+    assert accel._point_vectors == {}
+    assert counters["queries.range_queries"] == 1
+    assert not [name for name in counters if name.startswith("perf.range")]
+
+
+@pytest.mark.parametrize("kind", ["range", "knn"])
+@pytest.mark.parametrize("landmarks", [0, 2])
+def test_one_sync_per_accelerated_query(
+    monkeypatch, small_network, small_points, kind, landmarks
+):
+    """An accelerated query checks the view's watermark once, on a cache
+    miss as on a hit: the plain search behind it does not check again."""
+    aug = AugmentedView(small_network, small_points)
+    accel = DistanceAccelerator(
+        aug,
+        index=LandmarkIndex(small_network, landmarks),
+        cache=DistanceCache(0.5),
+    )
+    syncs = []
+    sync = AugmentedView.sync
+
+    def counted(self):
+        syncs.append(self)
+        sync(self)
+
+    monkeypatch.setattr(AugmentedView, "sync", counted)
+    query = next(iter(small_points))
+    search = {
+        "range": lambda: accel.range_query(query, 2.0),
+        "knn": lambda: accel.knn_query(query, 3),
+    }[kind]
+    search()
+    assert len(syncs) == 1
+    assert accel.cache.misses == 1
+    search()
+    assert len(syncs) == 2
+    assert accel.cache.hits == 1
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +565,7 @@ class TestObsCounters:
             accel.knn_query(pts[0], 2)
             counters = obs.snapshot()["counters"]
             assert counters["perf.landmarks.built"] == 2
-            assert counters["perf.range.queries"] == 1
+            assert counters["queries.range_queries"] == 1
             assert counters["perf.knn.queries"] == 1
         finally:
             obs.disable()

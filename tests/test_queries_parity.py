@@ -176,21 +176,6 @@ def test_accelerated_equals_plain(seed):
                         reference_knn(aug, query, k, include)
 
 
-def test_accelerated_range_waits_for_final_distances():
-    """The only candidate is found first across its long edge, from node
-    0 at 0.5 + 9; the search must not stop then, but settle node 2 and
-    find it at 2.5 + 1."""
-    net = SpatialNetwork.from_edge_list([(0, 1, 2.0), (0, 2, 10.0), (1, 2, 1.0)])
-    pts = PointSet(net)
-    pts.add(0, 1, 0.5, point_id=0)
-    pts.add(0, 2, 9.0, point_id=1)
-    aug = AugmentedView(net, pts)
-    accel = DistanceAccelerator(aug, index=LandmarkIndex(net, 2))
-    hits = accel.range_query(pts.get(0), 12.0, include_query=False)
-    assert [(p.point_id, d) for p, d in hits] == [(1, 3.5)]
-    assert hits == reference_range(aug, pts.get(0), 12.0, include_query=False)
-
-
 def test_unannounced_mutation_is_seen():
     """A point added or an edge reweighed without ``invalidate``: the
     next search answers for the new world, plain and accelerated."""

@@ -127,8 +127,9 @@ LOOPS = {
         ),
         _counter("dijkstra.nodes_settled"),
     ),
-    # Range and kNN, plain and landmark-prefiltered: the group scan of
-    # [16], one charge per node settle.
+    # Range and kNN, plain and through an indexed accelerator (its range
+    # is the plain search, its kNN landmark-prefiltered): the group scan
+    # of [16], one charge per node settle.
     "range_query": (
         "queries.settle",
         lambda net, pts: lambda: range_query(
@@ -144,7 +145,7 @@ LOOPS = {
     "range_query_landmarks": (
         "queries.settle",
         lambda net, pts: _accelerated(net, pts, "range"),
-        _counter("perf.range.vertices_settled"),
+        _counter("queries.vertices_settled"),
     ),
     "knn_query_landmarks": (
         "queries.settle",
